@@ -10,9 +10,10 @@ import numpy as np
 from conftest import run_once
 from repro.core.baseline import BaselineDesign
 from repro.core.multi_retention import multi_retention_design
-from repro.dram import DRAMModel
-from repro.experiments import experiment_stream, format_table
 from repro.config import DEFAULT_PLATFORM
+from repro.dram import DRAMModel
+from repro.engine.streamcache import load_stream
+from repro.experiments import format_table
 
 APPS = ("browser", "social", "game")
 
@@ -22,7 +23,7 @@ def _sweep(length):
     for label, dram_factory in (("flat-140", lambda: None), ("banked", DRAMModel)):
         base_loss, hit_rates = [], []
         for app in APPS:
-            stream = experiment_stream(app, length)
+            stream = load_stream(app, length)
             dram_b = dram_factory()
             base = BaselineDesign().run(stream, DEFAULT_PLATFORM, dram_model=dram_b)
             dram_s = dram_factory()

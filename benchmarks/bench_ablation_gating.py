@@ -9,26 +9,35 @@ technologies isolates the value of retention-through-gating.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
+from repro.config import DEFAULT_PLATFORM
 from repro.core.dynamic_partition import DynamicPartitionDesign
 from repro.energy.technology import sram
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.engine.streamcache import load_stream
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
-    designs = [
-        ("dynamic on STT (retains)", DynamicPartitionDesign()),
-        ("dynamic on SRAM (loses)", DynamicPartitionDesign(
-            user_tech=sram(), kernel_tech=sram(), name="dynamic-sram")),
-    ]
+    grid = run_specs({
+        (design, app): JobSpec(design, app, length)
+        for design in ("baseline", "dynamic-stt")
+        for app in APPS
+    })
+    dynamic_sram = DynamicPartitionDesign(
+        user_tech=sram(), kernel_tech=sram(), name="dynamic-sram")
+    results = {
+        "dynamic on STT (retains)": {app: grid["dynamic-stt", app] for app in APPS},
+        "dynamic on SRAM (loses)": {
+            app: dynamic_sram.run(load_stream(app, length), DEFAULT_PLATFORM) for app in APPS
+        },
+    }
     rows = []
-    for label, design in designs:
+    for label, by_app in results.items():
         energy, loss, mr = [], [], []
         for app in APPS:
-            base = run_design_on(BaselineDesign(), app, length=length)
-            r = run_design_on(design, app, length=length)
+            base, r = grid["baseline", app], by_app[app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
             mr.append(r.l2_stats.demand_miss_rate)

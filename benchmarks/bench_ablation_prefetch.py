@@ -12,8 +12,9 @@ from conftest import run_once
 from repro.cache.prefetch import make_prefetcher
 from repro.core.baseline import BaselineDesign
 from repro.core.static_partition import StaticPartitionDesign
-from repro.experiments import experiment_stream, format_table
 from repro.config import DEFAULT_PLATFORM
+from repro.engine.streamcache import load_stream
+from repro.experiments import format_table
 
 APPS = ("video", "music", "browser")  # streaming-heavy apps
 
@@ -30,7 +31,7 @@ def _sweep(length):
     for label, design_cls, pf_name in configs:
         rates, useful = [], []
         for app in APPS:
-            stream = experiment_stream(app, length)
+            stream = load_stream(app, length)
             pf = make_prefetcher(pf_name) if pf_name else None
             r = design_cls().run(stream, DEFAULT_PLATFORM, prefetcher=pf)
             rates.append(r.l2_stats.demand_miss_rate)

@@ -8,21 +8,25 @@ expiry misses but pays a stream of extra write pulses.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
+    modes = ("invalidate", "rewrite")
+    specs = {("base", app): JobSpec("baseline", app, length) for app in APPS}
+    for mode in modes:
+        for app in APPS:
+            specs[mode, app] = JobSpec(
+                "static-stt", app, length, design_kwargs={"refresh_mode": mode})
+    results = run_specs(specs)
     rows = []
-    for mode in ("invalidate", "rewrite"):
-        design = multi_retention_design(refresh_mode=mode, name=f"static-stt-{mode}")
+    for mode in modes:
         energy, loss, refresh, expiry = [], [], [], []
         for app in APPS:
-            base = run_design_on(BaselineDesign(), app, length=length)
-            r = run_design_on(design, app, length=length)
+            base, r = results["base", app], results[mode, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
             refresh.append(r.l2_stats.refresh_writes)

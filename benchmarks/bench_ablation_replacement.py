@@ -9,19 +9,23 @@ import numpy as np
 
 from conftest import run_once
 from repro.cache.replacement import POLICY_NAMES
-from repro.core.baseline import BaselineDesign
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
+    results = run_specs({
+        (policy, app): JobSpec("baseline", app, length, design_kwargs={"policy": policy})
+        for policy in POLICY_NAMES
+        for app in APPS
+    })
     rows = []
     for policy in POLICY_NAMES:
         rates, xevicts = [], []
         for app in APPS:
-            r = run_design_on(BaselineDesign(policy=policy, name=f"base-{policy}"),
-                              app, length=length)
+            r = results[policy, app]
             rates.append(r.l2_stats.demand_miss_rate)
             xevicts.append(r.l2_stats.cross_privilege_evictions)
         rows.append((policy, float(np.mean(rates)), float(np.mean(xevicts))))

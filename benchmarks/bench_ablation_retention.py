@@ -9,9 +9,8 @@ the energy/performance Pareto frontier of the swap.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
@@ -24,14 +23,17 @@ ASSIGNMENTS = [
 
 
 def _sweep(length):
-    rows = []
+    specs = {("base", app): JobSpec("baseline", app, length) for app in APPS}
     for label, user_ret, kernel_ret in ASSIGNMENTS:
-        design = multi_retention_design(
-            user_retention=user_ret, kernel_retention=kernel_ret, name=label)
+        retentions = {"user_retention": user_ret, "kernel_retention": kernel_ret}
+        for app in APPS:
+            specs[label, app] = JobSpec("static-stt", app, length, design_kwargs=retentions)
+    results = run_specs(specs)
+    rows = []
+    for label, _, _ in ASSIGNMENTS:
         energy, loss, expiries = [], [], []
         for app in APPS:
-            base = run_design_on(BaselineDesign(), app, length=length)
-            r = run_design_on(design, app, length=length)
+            base, r = results["base", app], results[label, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
             expiries.append(r.l2_stats.expiry_invalidations)

@@ -12,21 +12,25 @@ must mop up the early deaths.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
+    dists = ("fixed", "exponential")
+    specs = {("base", app): JobSpec("baseline", app, length) for app in APPS}
+    for dist in dists:
+        for app in APPS:
+            specs[dist, app] = JobSpec(
+                "static-stt", app, length, design_kwargs={"retention_distribution": dist})
+    results = run_specs(specs)
     rows = []
-    for dist in ("fixed", "exponential"):
-        design = multi_retention_design(retention_distribution=dist, name=f"stt-{dist}")
+    for dist in dists:
         energy, loss, expiry = [], [], []
         for app in APPS:
-            base = run_design_on(BaselineDesign(), app, length=length)
-            r = run_design_on(design, app, length=length)
+            base, r = results["base", app], results[dist, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
             expiry.append(r.l2_stats.expiry_invalidations)

@@ -7,35 +7,41 @@ prediction should track the 16-way simulation closely and bound it from
 below (associativity conflicts only add misses).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import run_once
 from repro.analytic import profile_blocks
-from repro.config import CacheGeometry
-from repro.core.baseline import BaselineDesign
-from repro.experiments import experiment_stream, format_table, run_design_on
+from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.engine import JobSpec
+from repro.engine.streamcache import load_stream
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "game")
 SIZES_KB = (128, 256, 512, 1024)
 
 
 def _sweep(length):
-    rows = []
     profiles = {
         app: profile_blocks(
-            (experiment_stream(app, length).addrs // np.uint64(64)).astype(np.int64)
+            (load_stream(app, length).addrs // np.uint64(64)).astype(np.int64)
         )
         for app in APPS
     }
+    # at least 8 ways, so the small sizes also shrink the set count: the
+    # L2 geometry is a platform variant, not a way count of the 1024 sets
+    results = run_specs({
+        (size_kb, app): JobSpec("baseline", app, length, platform=replace(
+            DEFAULT_PLATFORM, l2=CacheGeometry(size_kb * 1024, max(8, size_kb // 64))))
+        for size_kb in SIZES_KB
+        for app in APPS
+    })
+    rows = []
     for size_kb in SIZES_KB:
         capacity_blocks = size_kb * 1024 // 64
         predicted = float(np.mean([profiles[a].miss_rate(capacity_blocks) for a in APPS]))
-        geometry = CacheGeometry(size_kb * 1024, max(8, size_kb // 64))
-        simulated = float(np.mean([
-            run_design_on(BaselineDesign(geometry=geometry), app, length=length)
-            .l2_stats.miss_rate
-            for app in APPS
-        ]))
+        simulated = float(np.mean([results[size_kb, a].l2_stats.miss_rate for a in APPS]))
         rows.append((size_kb, predicted, simulated))
     return rows
 

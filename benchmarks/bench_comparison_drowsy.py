@@ -9,27 +9,24 @@ must beat it for the paper's conclusion to stand.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.drowsy import DrowsySRAMDesign
-from repro.experiments import canonical_result, format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 from repro.trace.workloads import APP_NAMES
+
+DESIGNS = ("drowsy-sram", "static-stt", "dynamic-stt")
 
 
 def _sweep(length):
+    results = run_specs({
+        (design, app): JobSpec(design, app, length)
+        for design in ("baseline", *DESIGNS)
+        for app in APP_NAMES
+    })
     rows = []
-    drowsy = DrowsySRAMDesign()
-    energy, loss = [], []
-    for app in APP_NAMES:
-        base = run_design_on(BaselineDesign(), app, length=length)
-        r = run_design_on(drowsy, app, length=length)
-        energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
-        loss.append(r.timing.perf_loss_vs(base.timing))
-    rows.append(("drowsy-sram", float(np.mean(energy)), float(np.mean(loss))))
-    for design in ("static-stt", "dynamic-stt"):
+    for design in DESIGNS:
         energy, loss = [], []
         for app in APP_NAMES:
-            base = canonical_result("baseline", app, length)
-            r = canonical_result(design, app, length)
+            base, r = results["baseline", app], results[design, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
         rows.append((design, float(np.mean(energy)), float(np.mean(loss))))

@@ -9,28 +9,30 @@ workloads the SRAM ways' standing cost is the deciding factor.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.hybrid import HybridPartitionDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.experiments import format_table, run_design_on
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
-    designs = [
-        ("hybrid (1 SRAM way/segment)", HybridPartitionDesign()),
-        ("hybrid (2 SRAM ways/segment)", HybridPartitionDesign(
-            user_sram_ways=2, user_stt_ways=6, kernel_sram_ways=2, kernel_stt_ways=2,
-            name="hybrid-2")),
-        ("multi-retention (paper)", multi_retention_design()),
-    ]
+    designs = {
+        "hybrid (1 SRAM way/segment)": ("hybrid", {}),
+        "hybrid (2 SRAM ways/segment)": ("hybrid", {
+            "user_sram_ways": 2, "user_stt_ways": 6, "kernel_sram_ways": 2,
+            "kernel_stt_ways": 2}),
+        "multi-retention (paper)": ("static-stt", {}),
+    }
+    specs = {("base", app): JobSpec("baseline", app, length) for app in APPS}
+    for label, (design, kwargs) in designs.items():
+        for app in APPS:
+            specs[label, app] = JobSpec(design, app, length, design_kwargs=kwargs)
+    results = run_specs(specs)
     rows = []
-    for label, design in designs:
+    for label in designs:
         energy, loss, leak, write = [], [], [], []
         for app in APPS:
-            base = run_design_on(BaselineDesign(), app, length=length)
-            r = run_design_on(design, app, length=length)
+            base, r = results["base", app], results[label, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
             leak.append(r.l2_energy.leakage_j * 1e6)

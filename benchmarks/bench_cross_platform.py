@@ -9,32 +9,42 @@ bulk of the saving should hold everywhere.
 import numpy as np
 
 from conftest import run_once
-from repro.cache.hierarchy import l1_filter
 from repro.config import platform_preset
-from repro.core import BaselineDesign, multi_retention_design
-from repro.experiments import format_table
-from repro.trace.workloads import suite_trace
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "game")
 
 
+PRESETS = ("little", "default", "big")
+
+
+def _partition(platform):
+    """The canonical 8+4 partition resized to the platform's L2."""
+    scale = platform.l2.associativity / 16
+    return {"user_ways": max(2, round(8 * scale)), "kernel_ways": max(1, round(4 * scale))}
+
+
 def _sweep(length):
-    rows = []
-    for preset in ("little", "default", "big"):
+    per_app = max(120_000, length // 4)
+    specs = {}
+    for preset in PRESETS:
         platform = platform_preset(preset)
-        # resize the partition proportionally to the platform's L2
-        scale = platform.l2.associativity / 16
-        user_ways = max(2, round(8 * scale))
-        kernel_ways = max(1, round(4 * scale))
+        for app in APPS:
+            specs[preset, "base", app] = JobSpec("baseline", app, per_app, platform=platform)
+            specs[preset, "stt", app] = JobSpec(
+                "static-stt", app, per_app, platform=platform,
+                design_kwargs=_partition(platform))
+    results = run_specs(specs)
+    rows = []
+    for preset in PRESETS:
+        ways = _partition(platform_preset(preset))
         energy, loss = [], []
         for app in APPS:
-            stream = l1_filter(suite_trace(app, max(120_000, length // 4)), platform)
-            base = BaselineDesign().run(stream, platform)
-            stt = multi_retention_design(user_ways=user_ways, kernel_ways=kernel_ways)
-            r = stt.run(stream, platform)
+            base, r = results[preset, "base", app], results[preset, "stt", app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
-        rows.append((preset, f"{user_ways}+{kernel_ways}",
+        rows.append((preset, f"{ways['user_ways']}+{ways['kernel_ways']}",
                      float(np.mean(energy)), float(np.mean(loss))))
     return rows
 

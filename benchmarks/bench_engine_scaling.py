@@ -32,7 +32,7 @@ import pytest
 from conftest import run_once
 from repro.core.designs import DESIGN_NAMES
 from repro.engine import JobSpec, StreamCache, run_jobs
-from repro.engine.executor import _worker_stream
+from repro.engine.streamcache import load_stream
 from repro.obs.metrics import REGISTRY
 from repro.trace.workloads import APP_NAMES
 
@@ -88,11 +88,11 @@ def _empty_cache_dir():
     saved = os.environ.get("REPRO_CACHE_DIR")
     root = tempfile.mkdtemp(prefix="repro-streambench-")
     os.environ["REPRO_CACHE_DIR"] = root
-    _worker_stream.cache_clear()
+    load_stream.cache_clear()
     try:
         yield root
     finally:
-        _worker_stream.cache_clear()
+        load_stream.cache_clear()
         shutil.rmtree(root, ignore_errors=True)
         if saved is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
@@ -123,7 +123,7 @@ def test_stream_cache_cold_vs_warm(benchmark, bench_length):
         assert StreamCache(root).stats().entries == unique_streams
 
         # drop the in-process memo so the warm run pays real mmap loads
-        _worker_stream.cache_clear()
+        load_stream.cache_clear()
         hits_before = REGISTRY.counters.get("streamcache.hit", 0)
         run_once(benchmark, _run, specs, 1)
         warm_s = benchmark.stats["mean"]

@@ -11,10 +11,9 @@ pins that, heading off the "your L1s are just too small" critique.
 import numpy as np
 
 from conftest import run_once
-from repro.cache.hierarchy import l1_filter
 from repro.config import DEFAULT_PLATFORM, CacheGeometry, PlatformConfig
+from repro.engine.streamcache import load_stream
 from repro.experiments import format_table
-from repro.trace.workloads import suite_trace
 
 APPS = ("browser", "social", "game")
 L1_KB = (16, 32, 64)
@@ -31,7 +30,7 @@ def _sweep(length):
         )
         shares, volumes = [], []
         for app in APPS:
-            stream = l1_filter(suite_trace(app, max(120_000, length // 4)), platform)
+            stream = load_stream(app, max(120_000, length // 4), platform=platform)
             shares.append(stream.kernel_share())
             volumes.append(len(stream.ticks))
         rows.append((l1_kb, float(np.mean(shares)), float(np.mean(volumes))))

@@ -1,12 +1,16 @@
 """Benchmark-session configuration.
 
 Each bench regenerates one table or figure of the paper at full
-experiment scale and prints the artifact.  Two cache layers make that
-cheap: the runner-level memos in :mod:`repro.experiments.runner` share
-the (design x app) grid within one pytest session, and the engine's
-persistent store (:mod:`repro.engine.store`) shares it *across*
-sessions — a second bench run on the same machine replays the grid from
-disk instead of re-simulating it.
+experiment scale and prints the artifact.  Benches declare their
+simulations as :class:`~repro.engine.spec.JobSpec` batches resolved by
+:func:`repro.experiments.run_specs`, so the engine's persistent result
+store (:mod:`repro.engine.store`) shares every addressable result
+within and *across* sessions — a spec any bench or figure already ran
+is read from disk instead of re-simulated.  Designs that need
+non-scalar run arguments (a DRAM model, a prefetcher, technology or
+controller objects) replay a stream from
+:func:`~repro.engine.streamcache.load_stream` directly; the stream
+cache shares those front ends the same way.
 
 Set ``REPRO_BENCH_LENGTH`` to shrink the per-app trace length for a
 faster (less converged) pass.  Set ``REPRO_BENCH_COLD=1`` to disable

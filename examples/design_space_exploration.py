@@ -14,11 +14,10 @@ Run:  python examples/design_space_exploration.py [trace_length]
 
 import sys
 
-from repro.cache import l1_filter
-from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.config import DEFAULT_PLATFORM
 from repro.core import BaselineDesign, find_static_partition, sweep_partitions
+from repro.engine.streamcache import load_stream
 from repro.experiments import format_percent, format_table
-from repro.trace import suite_trace
 
 
 def main() -> None:
@@ -26,7 +25,7 @@ def main() -> None:
     apps = ("browser", "social", "game")
 
     print(f"Preparing L2 streams for {apps} ({length:,} accesses each) ...")
-    streams = [l1_filter(suite_trace(app, length), DEFAULT_PLATFORM) for app in apps]
+    streams = [load_stream(app, length) for app in apps]
 
     # -- question 1: capacity response of the shared cache ---------------
     rows = []
@@ -34,7 +33,7 @@ def main() -> None:
         rates = []
         for stream in streams:
             # constant 1024 sets; capacity varies through the way count
-            design = BaselineDesign(geometry=CacheGeometry(size_kb * 1024, size_kb // 64))
+            design = BaselineDesign(ways=size_kb // 64)
             rates.append(design.run(stream, DEFAULT_PLATFORM).l2_stats.demand_miss_rate)
         rows.append([f"{size_kb} KB", format_percent(sum(rates) / len(rates), 2)])
     print()

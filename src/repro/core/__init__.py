@@ -11,14 +11,15 @@ Public surface:
   STT-RAM configuration.
 * :class:`DynamicPartitionDesign` / :class:`DynamicControllerConfig` —
   epoch-based dynamic partitioning with power-gated ways.
-* :func:`find_static_partition` / :func:`sweep_partitions` — the
-  partition design-space search.
-* :func:`make_design` / :data:`DESIGN_NAMES` — canonical registry.
+* :func:`find_static_partition` / :func:`sweep_partitions` /
+  :func:`choose_partition` — the partition design-space search.
+* :func:`make_design` / :data:`DESIGN_NAMES` / :data:`REGISTERED_DESIGNS`
+  — the design registry.
 * :class:`DesignResult` / :class:`SegmentReport` — results.
 """
 
 from repro.core.baseline import BaselineDesign
-from repro.core.designs import DESIGN_NAMES, make_design, paper_designs
+from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design, paper_designs
 from repro.core.drowsy import DEFAULT_DROWSY_WINDOW, DROWSY_LEAKAGE_SCALE, DrowsySRAMDesign
 from repro.core.dynamic_partition import DynamicControllerConfig, DynamicPartitionDesign
 from repro.core.hybrid import HybridPartitionDesign
@@ -35,7 +36,13 @@ from repro.core.pipeline import (
     run_fixed_design,
 )
 from repro.core.result import DesignResult, SegmentReport
-from repro.core.search import PartitionPoint, find_static_partition, sweep_partitions
+from repro.core.search import (
+    PartitionPoint,
+    choose_partition,
+    find_static_partition,
+    partition_point,
+    sweep_partitions,
+)
 from repro.core.static_partition import (
     DEFAULT_KERNEL_WAYS,
     DEFAULT_USER_WAYS,
@@ -48,6 +55,7 @@ __all__ = [
     "DROWSY_LEAKAGE_SCALE",
     "DrowsySRAMDesign",
     "DESIGN_NAMES",
+    "REGISTERED_DESIGNS",
     "make_design",
     "paper_designs",
     "DynamicControllerConfig",
@@ -64,7 +72,9 @@ __all__ = [
     "DesignResult",
     "SegmentReport",
     "PartitionPoint",
+    "choose_partition",
     "find_static_partition",
+    "partition_point",
     "sweep_partitions",
     "DEFAULT_KERNEL_WAYS",
     "DEFAULT_USER_WAYS",

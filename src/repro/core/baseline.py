@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.config import CacheGeometry, PlatformConfig
+from repro.config import PlatformConfig
 from repro.core.pipeline import FixedSegment, run_fixed_design
 from repro.core.result import DesignResult
 from repro.energy.technology import MemoryTechnology, sram
@@ -21,19 +21,20 @@ class BaselineDesign:
     """Shared (unpartitioned) L2 of the platform's full size.
 
     Args:
-        geometry: L2 geometry; defaults to the platform L2 at run time.
+        ways: Way count at the platform L2's set count (capacity scales
+            with it); defaults to the platform L2 itself.
         tech: Array technology (SRAM unless an ablation says otherwise).
         policy: Replacement policy name.
     """
 
     def __init__(
         self,
-        geometry: CacheGeometry | None = None,
+        ways: int | None = None,
         tech: MemoryTechnology | None = None,
         policy: str = "lru",
         name: str = "baseline",
     ) -> None:
-        self.geometry = geometry
+        self.ways = ways
         self.tech = tech if tech is not None else sram()
         self.policy = policy
         self.name = name
@@ -55,7 +56,7 @@ class BaselineDesign:
         ``engine`` picks the replay path (``"auto"``/``"fast"``/
         ``"reference"``, see :func:`~repro.core.pipeline.run_fixed_design`).
         """
-        geometry = self.geometry if self.geometry is not None else platform.l2
+        geometry = platform.l2 if self.ways is None else platform.l2.with_ways(self.ways)
         cache = SetAssociativeCache(geometry, self.policy, name="l2-shared")
         segment = FixedSegment("shared", cache, self.tech)
         return run_fixed_design(

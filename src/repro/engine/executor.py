@@ -32,41 +32,17 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro import obs
-from repro.cache.hierarchy import L2Stream, l1_filter
 from repro.config import PlatformConfig
 from repro.core.designs import make_design
 from repro.core.result import DesignResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
-from repro.engine.streamcache import default_stream_cache
-from repro.trace.workloads import suite_trace
+from repro.engine.streamcache import default_stream_cache, load_stream
 
 __all__ = ["JobOutcome", "BatchProgress", "run_jobs", "execute_spec"]
-
-
-@lru_cache(maxsize=16)
-def _worker_stream(app: str, length: int, seed: int, platform: PlatformConfig) -> L2Stream:
-    """Per-process memo of L1-filtered streams, backed by the mmap cache.
-
-    Entries are zero-copy column views over the persistent
-    :class:`~repro.engine.streamcache.StreamCache` bundles, so what this
-    ``lru_cache`` keeps alive is a handful of memory maps the kernel
-    pages in and out on demand — not private heap copies of 720k-row
-    streams (the unbounded-retention problem the per-process rebuild
-    cache had).  Only with caching disabled (``REPRO_CACHE_DISABLE``)
-    does an entry own its arrays.
-    """
-    cache = default_stream_cache()
-    if cache is None:
-        return l1_filter(suite_trace(app, length, seed), platform)
-    stream = cache.get_or_build(app, length, seed, platform)
-    # one flush per unique stream per process (memoised afterwards)
-    cache.flush_counters()
-    return stream
 
 
 def _prebuild_stream(app: str, length: int, seed: int, platform: PlatformConfig) -> None:
@@ -76,7 +52,7 @@ def _prebuild_stream(app: str, length: int, seed: int, platform: PlatformConfig)
     parent; the deliverable is the bundle on disk (and a warm memo in
     this worker).
     """
-    _worker_stream(app, length, seed, platform)
+    load_stream(app, length, seed, platform)
 
 
 def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> None:
@@ -116,7 +92,7 @@ def _prebuild_missing_streams(pool, specs: Sequence[JobSpec], fresh: dict) -> No
 def execute_spec(spec: JobSpec) -> DesignResult:
     """Simulate one job from scratch (no store involved)."""
     with obs.span("job", label=spec.label(), design=spec.design, app=spec.app):
-        stream = _worker_stream(spec.app, spec.length, spec.seed, spec.platform)
+        stream = load_stream(spec.app, spec.length, spec.seed, spec.platform)
         design = make_design(spec.design, **spec.kwargs)
         return design.run(stream, spec.platform)
 
@@ -268,7 +244,7 @@ def _run_batch(
     if jobs == 1 or pending <= 1:
         remaining = pending
         # Stream-major order: consecutive jobs share a stream, so the
-        # in-process memo (`_worker_stream`) stays hot even when the
+        # in-process memo (`load_stream`) stays hot even when the
         # batch spans more unique streams than the memo holds.
         for key, indices in sorted(fresh.items(),
                                    key=lambda kv: specs[kv[1][0]].stream_key):

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
-from repro.core.designs import DESIGN_NAMES
+from repro.core.designs import REGISTERED_DESIGNS
 
 __all__ = [
     "EXPERIMENT_TRACE_LENGTH",
@@ -86,9 +86,11 @@ def stream_key(
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One simulation: a canonical design variant on one app trace.
+    """One simulation: a registered design variant on one app trace.
 
-    ``design_kwargs`` parameterises the design constructor (see
+    ``design`` is any name in
+    :data:`~repro.core.designs.REGISTERED_DESIGNS`; ``design_kwargs``
+    parameterises its constructor (see
     :func:`repro.core.designs.make_design`); values must be JSON scalars
     so the content key is stable.  A dict passed at construction is
     normalised to a sorted tuple of pairs, keeping the spec hashable.
@@ -102,8 +104,10 @@ class JobSpec:
     design_kwargs: tuple[tuple[str, object], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.design not in DESIGN_NAMES:
-            raise ValueError(f"unknown design {self.design!r}; choose from {DESIGN_NAMES}")
+        if self.design not in REGISTERED_DESIGNS:
+            raise ValueError(
+                f"unknown design {self.design!r}; choose from {REGISTERED_DESIGNS}"
+            )
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         kwargs = self.design_kwargs

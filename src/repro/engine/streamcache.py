@@ -34,6 +34,10 @@ observability registry (``streamcache.hit`` / ``streamcache.miss`` /
 the same :class:`~repro.engine.store.CounterFile` mechanism as the
 result store, which is what gives ``repro cache stats`` the stream
 cache's lifetime hit rate.
+
+:func:`load_stream` is the one way the rest of the package obtains a
+suite stream: a per-process memo over :func:`default_stream_cache`,
+used by the executor, the experiments, the CLI and the benches alike.
 """
 
 from __future__ import annotations
@@ -42,13 +46,14 @@ import json
 import os
 import shutil
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.cache.hierarchy import STREAM_COLUMNS, L2Stream, l1_filter
-from repro.config import PlatformConfig
+from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.engine.spec import SCHEMA_VERSION, canonical_json, stream_key
 from repro.engine.store import (
     CACHE_DISABLE_ENV,
@@ -59,7 +64,7 @@ from repro.engine.store import (
 )
 from repro.trace.workloads import suite_trace
 
-__all__ = ["StreamCache", "default_stream_cache"]
+__all__ = ["StreamCache", "default_stream_cache", "load_stream"]
 
 
 class StreamCache:
@@ -274,3 +279,36 @@ def default_stream_cache() -> StreamCache | None:
     if os.environ.get(CACHE_DISABLE_ENV):
         return None
     return StreamCache(default_cache_dir())
+
+
+def load_stream(
+    app: str, length: int, seed: int = 0, platform: PlatformConfig = DEFAULT_PLATFORM
+) -> L2Stream:
+    """The L1-filtered L2 stream of one suite app (memoised per process).
+
+    Entries are zero-copy column views over the persistent
+    :class:`StreamCache` bundles, so what the memo keeps alive is a
+    handful of memory maps the kernel pages in and out on demand, not
+    private heap copies of 720k-row streams.  Only with caching disabled
+    (``REPRO_CACHE_DISABLE``) is the stream built in-process and the
+    entry owns its arrays.  The stream is filtered through
+    ``platform``'s L1s, so a non-default platform sees its own L1
+    behaviour.  Arguments are normalised before the memo lookup, so
+    every call spelling shares one entry.
+    """
+    return _memoised_stream(app, length, seed, platform)
+
+
+@lru_cache(maxsize=16)
+def _memoised_stream(app: str, length: int, seed: int, platform: PlatformConfig) -> L2Stream:
+    cache = default_stream_cache()
+    if cache is None:
+        return l1_filter(suite_trace(app, length, seed), platform)
+    stream = cache.get_or_build(app, length, seed, platform)
+    # one flush per unique stream per process (memoised afterwards)
+    cache.flush_counters()
+    return stream
+
+
+#: Empty the memo (for callers that repoint ``REPRO_CACHE_DIR``).
+load_stream.cache_clear = _memoised_stream.cache_clear

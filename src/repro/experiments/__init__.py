@@ -1,8 +1,11 @@
 """Experiment harness: one function per figure/table of the paper.
 
 ``figures`` and ``tables`` return result objects with ``render()``
-methods; ``runner`` memoises the (design x app) grid so every experiment
-in a process shares simulations.
+methods.  Every experiment declares its simulations as
+:class:`~repro.engine.spec.JobSpec` values and resolves them in one
+store-backed engine batch (:func:`~repro.experiments.runner.run_specs`),
+so experiments share results through the persistent store; streams come
+from the one loader, :func:`~repro.engine.streamcache.load_stream`.
 """
 
 from repro.experiments.figures import (
@@ -32,13 +35,7 @@ from repro.experiments.sensitivity import (
     dram_latency_sensitivity,
     l2_latency_sensitivity,
 )
-from repro.experiments.runner import (
-    EXPERIMENT_TRACE_LENGTH,
-    canonical_result,
-    experiment_stream,
-    run_design_on,
-    suite_results,
-)
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.experiments.tables import (
     table1_configuration,
     table2_technology,
@@ -73,10 +70,7 @@ __all__ = [
     "dram_latency_sensitivity",
     "l2_latency_sensitivity",
     "EXPERIMENT_TRACE_LENGTH",
-    "canonical_result",
-    "experiment_stream",
-    "run_design_on",
-    "suite_results",
+    "run_specs",
     "table1_configuration",
     "table2_technology",
     "table3_workloads",

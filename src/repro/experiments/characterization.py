@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, experiment_stream
+from repro.engine.streamcache import load_stream
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH
 from repro.trace.stats import footprint_bytes
 from repro.trace.workloads import APP_NAMES, suite_trace
 
@@ -81,7 +82,7 @@ def characterize_suite(
     rows = []
     for app in apps:
         trace = suite_trace(app, length)
-        stream = experiment_stream(app, length)
+        stream = load_stream(app, length)
         rows.append(
             CharacterizationRow(
                 app=app,

@@ -11,7 +11,8 @@ import csv
 import os
 
 from repro.core.designs import DESIGN_NAMES
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, canonical_result
+from repro.engine.spec import JobSpec
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.trace.workloads import APP_NAMES
 
 __all__ = ["export_grid_csv"]
@@ -35,13 +36,16 @@ def export_grid_csv(
     The energy-delay product column is L2 energy x busy seconds — the
     standard combined metric for energy/performance trades.
     """
+    results = run_specs(
+        {(d, app): JobSpec(d, app, length) for d in designs for app in apps}
+    )
     rows = 0
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=_GRID_FIELDS)
         writer.writeheader()
         for design in designs:
             for app in apps:
-                r = canonical_result(design, app, length)
+                r = results[design, app]
                 stats = r.l2_stats
                 e = r.l2_energy
                 busy_s = r.timing.busy_cycles / 1e9

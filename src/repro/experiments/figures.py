@@ -12,19 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.hierarchy import L2Stream
-from repro.config import DEFAULT_PLATFORM, CacheGeometry
-from repro.core.baseline import BaselineDesign
+from repro.config import DEFAULT_PLATFORM
 from repro.core.designs import DESIGN_NAMES
-from repro.core.search import PartitionPoint, find_static_partition, sweep_partitions
-from repro.core.static_partition import StaticPartitionDesign
+from repro.core.search import PartitionPoint, choose_partition, partition_point
 from repro.energy.technology import RETENTION_CLASSES
+from repro.engine.spec import JobSpec
+from repro.engine.streamcache import load_stream
 from repro.experiments.report import format_bars, format_percent, format_series, format_table
-from repro.experiments.runner import (
-    EXPERIMENT_TRACE_LENGTH,
-    canonical_result,
-    experiment_stream,
-    run_design_on,
-)
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.trace.workloads import APP_NAMES
 from repro.types import Privilege
 
@@ -69,7 +64,7 @@ def fig1_kernel_share(
     length: int = EXPERIMENT_TRACE_LENGTH, apps: tuple[str, ...] = APP_NAMES
 ) -> KernelShareResult:
     """Kernel share of L2 accesses per app (paper: >40% on average)."""
-    shares = {app: experiment_stream(app, length).kernel_share() for app in apps}
+    shares = {app: load_stream(app, length).kernel_share() for app in apps}
     return KernelShareResult(shares)
 
 
@@ -128,21 +123,23 @@ def fig2_interference(
     other.  Cross-privilege evictions per thousand L2 accesses quantify
     the interference directly.
     """
+    specs = {}
+    for app in apps:
+        specs["shared", app] = JobSpec("baseline", app, length)
+        specs["equal", app] = JobSpec(
+            "static-sram", app, length, design_kwargs={"user_ways": 10, "kernel_ways": 6}
+        )
+    results = run_specs(specs)
     rows = []
     for app in apps:
-        stream = experiment_stream(app, length)
-        shared = run_design_on(BaselineDesign(), app, length=length)
-        equal = run_design_on(
-            StaticPartitionDesign(user_ways=10, kernel_ways=6, name="equal-partition"),
-            app,
-            length=length,
-        )
-        xevict = shared.l2_stats.cross_privilege_evictions / max(1, len(stream)) * 1000.0
+        shared = results["shared", app].l2_stats
+        # the shared L2 sees every stream row, so its accesses are the stream length
+        xevict = shared.cross_privilege_evictions / max(1, shared.accesses) * 1000.0
         rows.append(
             InterferenceRow(
                 app=app,
-                shared_miss_rate=shared.l2_stats.demand_miss_rate,
-                partitioned_miss_rate=equal.l2_stats.demand_miss_rate,
+                shared_miss_rate=shared.demand_miss_rate,
+                partitioned_miss_rate=results["equal", app].l2_stats.demand_miss_rate,
                 cross_evictions_per_kilo_access=xevict,
             )
         )
@@ -179,17 +176,21 @@ def fig3_size_sweep(
     way count (2..32) — exactly what shrinking/growing a way-organised
     array does.
     """
-    points = []
     for size_kb in sizes_kb:
         if size_kb % 64:
             raise ValueError(f"sizes must be multiples of 64 KB, got {size_kb}")
-        geometry = CacheGeometry(size_kb * 1024, size_kb // 64)
-        rates = [
-            run_design_on(BaselineDesign(geometry=geometry), app, length=length)
-            .l2_stats.demand_miss_rate
-            for app in apps
-        ]
-        points.append((size_kb * 1024, float(np.mean(rates))))
+    results = run_specs({
+        (size_kb, app): JobSpec("baseline", app, length, design_kwargs={"ways": size_kb // 64})
+        for size_kb in sizes_kb
+        for app in apps
+    })
+    points = [
+        (
+            size_kb * 1024,
+            float(np.mean([results[size_kb, app].l2_stats.demand_miss_rate for app in apps])),
+        )
+        for size_kb in sizes_kb
+    ]
     return SizeSweepResult(tuple(points))
 
 
@@ -243,22 +244,26 @@ def fig4_static_space(
     """Sweep partition sizes and pick the smallest admissible point.
 
     Defaults to three representative apps to keep the sweep tractable;
-    pass ``apps=APP_NAMES`` for the full-suite version.
+    pass ``apps=APP_NAMES`` for the full-suite version.  Each (design,
+    app) pair is simulated once; the selection rule is
+    :func:`~repro.core.search.choose_partition`, the same one
+    :func:`~repro.core.search.find_static_partition` applies.
     """
-    streams: list[L2Stream] = [experiment_stream(app, length) for app in apps]
-    points = sweep_partitions(streams, DEFAULT_PLATFORM, user_way_options, kernel_way_options)
-    chosen = find_static_partition(
-        streams, DEFAULT_PLATFORM, tolerance, user_way_options, kernel_way_options
-    )
+    ways = [(uw, kw) for uw in user_way_options for kw in kernel_way_options]
+    specs = {("baseline", app): JobSpec("baseline", app, length) for app in apps}
+    for uw, kw in ways:
+        split = {"user_ways": uw, "kernel_ways": kw}
+        for app in apps:
+            specs[(uw, kw), app] = JobSpec("static-sram", app, length, design_kwargs=split)
+    results = run_specs(specs)
+    points = [
+        partition_point(uw, kw, [results[(uw, kw), app] for app in apps], DEFAULT_PLATFORM)
+        for uw, kw in ways
+    ]
     baseline = float(
-        np.mean(
-            [
-                run_design_on(BaselineDesign(), app, length=length).l2_stats.demand_miss_rate
-                for app in apps
-            ]
-        )
+        np.mean([results["baseline", app].l2_stats.demand_miss_rate for app in apps])
     )
-    return StaticSpaceResult(tuple(points), chosen, baseline)
+    return StaticSpaceResult(tuple(points), choose_partition(points, baseline, tolerance), baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,7 @@ def fig5_intervals(
     rows = []
     clock = DEFAULT_PLATFORM.clock_hz
     for app in apps:
-        stream = experiment_stream(app, length)
+        stream = load_stream(app, length)
         for priv in (Privilege.USER, Privilege.KERNEL):
             ms = _privilege_intervals_ms(stream, priv, clock)
             if not len(ms):
@@ -384,12 +389,15 @@ def fig6_energy_breakdown(
     length: int = EXPERIMENT_TRACE_LENGTH, apps: tuple[str, ...] = APP_NAMES
 ) -> EnergyBreakdownResult:
     """Mean leakage/read/write/refresh energy of each canonical design."""
+    results = run_specs(
+        {(d, app): JobSpec(d, app, length) for d in DESIGN_NAMES for app in apps}
+    )
     rows = []
-    base_totals = [canonical_result("baseline", app, length).l2_energy.total_j for app in apps]
     for design in DESIGN_NAMES:
         leak, read, write, refresh, norm = [], [], [], [], []
-        for app, base_total in zip(apps, base_totals):
-            e = canonical_result(design, app, length).l2_energy
+        for app in apps:
+            base_total = results["baseline", app].l2_energy.total_j
+            e = results[design, app].l2_energy
             leak.append(e.leakage_j)
             read.append(e.read_j)
             write.append(e.write_j)
@@ -456,7 +464,7 @@ def fig7_dynamic_timeline(
     app: str = "browser", length: int = EXPERIMENT_TRACE_LENGTH
 ) -> DynamicTimelineResult:
     """Epoch-by-epoch powered way counts of the dynamic design."""
-    result = canonical_result("dynamic-stt", app, length)
+    result = run_specs({app: JobSpec("dynamic-stt", app, length)})[app]
     ticks = result.extras["timeline_ticks"]
     uw = result.extras["timeline_user_ways"]
     kw = result.extras["timeline_kernel_ways"]
@@ -512,11 +520,13 @@ def fig8_energy_summary(
     length: int = EXPERIMENT_TRACE_LENGTH, apps: tuple[str, ...] = APP_NAMES
 ) -> EnergySummaryResult:
     """The headline result: per-app normalized L2 energy of all designs."""
+    results = run_specs(
+        {(d, app): JobSpec(d, app, length) for d in DESIGN_NAMES for app in apps}
+    )
     normalized: dict[str, dict[str, float]] = {}
     for app in apps:
-        base = canonical_result("baseline", app, length).l2_energy.total_j
+        base = results["baseline", app].l2_energy.total_j
         normalized[app] = {
-            design: canonical_result(design, app, length).l2_energy.total_j / base
-            for design in DESIGN_NAMES
+            design: results[design, app].l2_energy.total_j / base for design in DESIGN_NAMES
         }
     return EnergySummaryResult(normalized)

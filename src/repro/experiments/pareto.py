@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.baseline import BaselineDesign
-from repro.core.drowsy import DrowsySRAMDesign
-from repro.core.dynamic_partition import DynamicPartitionDesign
-from repro.core.hybrid import HybridPartitionDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.core.static_partition import StaticPartitionDesign
+from repro.engine.spec import JobSpec
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, experiment_stream
-from repro.config import DEFAULT_PLATFORM
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 
 __all__ = ["ParetoPoint", "ParetoResult", "pareto_frontier"]
 
@@ -74,21 +68,23 @@ def _mark_frontier(points: list[ParetoPoint]) -> tuple[ParetoPoint, ...]:
     return tuple(marked)
 
 
-def candidate_designs() -> dict[str, object]:
-    """The design variants the frontier is drawn over."""
+def candidate_designs() -> dict[str, tuple[str, dict]]:
+    """The design variants the frontier is drawn over.
+
+    Maps each point's label to its registered design name and
+    constructor kwargs (see :func:`~repro.core.designs.make_design`).
+    """
     return {
-        "baseline": BaselineDesign(),
-        "static-sram": StaticPartitionDesign(name="static-sram"),
-        "drowsy-sram": DrowsySRAMDesign(),
-        "static-stt": multi_retention_design(),
-        "static-stt-rewrite": multi_retention_design(
-            refresh_mode="rewrite", name="static-stt-rewrite"),
-        "static-stt-allshort": multi_retention_design(
-            user_retention="short", name="static-stt-allshort"),
-        "static-stt-alllong": multi_retention_design(
-            user_retention="long", kernel_retention="long", name="static-stt-alllong"),
-        "hybrid": HybridPartitionDesign(),
-        "dynamic-stt": DynamicPartitionDesign(),
+        "baseline": ("baseline", {}),
+        "static-sram": ("static-sram", {}),
+        "drowsy-sram": ("drowsy-sram", {}),
+        "static-stt": ("static-stt", {}),
+        "static-stt-rewrite": ("static-stt", {"refresh_mode": "rewrite"}),
+        "static-stt-allshort": ("static-stt", {"user_retention": "short"}),
+        "static-stt-alllong": (
+            "static-stt", {"user_retention": "long", "kernel_retention": "long"}),
+        "hybrid": ("hybrid", {}),
+        "dynamic-stt": ("dynamic-stt", {}),
     }
 
 
@@ -97,19 +93,18 @@ def pareto_frontier(
     apps: tuple[str, ...] = ("browser", "social", "game"),
 ) -> ParetoResult:
     """Evaluate every candidate design and mark the frontier."""
-    base_energy, base_timing = {}, {}
-    for app in apps:
-        stream = experiment_stream(app, length)
-        r = BaselineDesign().run(stream, DEFAULT_PLATFORM)
-        base_energy[app] = r.l2_energy.total_j
-        base_timing[app] = r.timing
+    candidates = candidate_designs()
+    results = run_specs({
+        (label, app): JobSpec(design, app, length, design_kwargs=kwargs)
+        for label, (design, kwargs) in candidates.items()
+        for app in apps
+    })
     points = []
-    for name, design in candidate_designs().items():
+    for label in candidates:
         energy, loss = [], []
         for app in apps:
-            stream = experiment_stream(app, length)
-            r = design.run(stream, DEFAULT_PLATFORM)
-            energy.append(r.l2_energy.total_j / base_energy[app])
-            loss.append(r.timing.perf_loss_vs(base_timing[app]))
-        points.append(ParetoPoint(name, float(np.mean(energy)), float(np.mean(loss))))
+            r, base = results[label, app], results["baseline", app]
+            energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
+            loss.append(r.timing.perf_loss_vs(base.timing))
+        points.append(ParetoPoint(label, float(np.mean(energy)), float(np.mean(loss))))
     return ParetoResult(_mark_frontier(points))

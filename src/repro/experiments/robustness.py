@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, suite_results
+from repro.engine.spec import JobSpec
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.trace.workloads import APP_NAMES
 
 __all__ = ["SeedRobustnessResult", "seed_robustness"]
@@ -60,14 +61,18 @@ def seed_robustness(
     apps: tuple[str, ...] = APP_NAMES,
 ) -> SeedRobustnessResult:
     """Measure the headline under each seed."""
+    designs = ("baseline", "static-stt", "dynamic-stt")
+    results = run_specs({
+        (d, app, seed): JobSpec(d, app, length, seed)
+        for seed in seeds
+        for d in designs
+        for app in apps
+    })
     static_savings, dynamic_savings, static_losses, dynamic_losses = [], [], [], []
     for seed in seeds:
-        bases = suite_results("baseline", length, apps, seed=seed)
-        statics = suite_results("static-stt", length, apps, seed=seed)
-        dynamics = suite_results("dynamic-stt", length, apps, seed=seed)
         s_energy, d_energy, s_loss, d_loss = [], [], [], []
         for app in apps:
-            base, static, dynamic = bases[app], statics[app], dynamics[app]
+            base, static, dynamic = (results[d, app, seed] for d in designs)
             s_energy.append(static.l2_energy.total_j / base.l2_energy.total_j)
             d_energy.append(dynamic.l2_energy.total_j / base.l2_energy.total_j)
             s_loss.append(static.timing.perf_loss_vs(base.timing))

@@ -1,109 +1,29 @@
-"""Cached execution of the canonical designs over the workload suite.
+"""The experiment layer's one run path: spec batches through the engine.
 
-Every figure and table draws on the same grid of runs — (design x app)
-at the experiment trace length.  Since the engine landed this module is
-a thin shim over :mod:`repro.engine`: results come from the persistent
-on-disk store when available (so a fresh process no longer re-pays the
-grid), fall back to simulation otherwise, and are additionally memoised
-per process so repeated reads within one pytest/bench session are free.
+Every figure, table and synthesis experiment declares the simulations it
+needs as :class:`~repro.engine.spec.JobSpec` values and resolves them in
+one :func:`~repro.engine.executor.run_jobs` batch against the default
+persistent store.  Duplicate specs within a batch simulate once, and a
+spec another experiment (or an earlier process) already ran is a store
+read, not a replay.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Hashable, Mapping
+from typing import TypeVar
 
-from repro.cache.hierarchy import L2Stream, l1_filter
-from repro.config import DEFAULT_PLATFORM, PlatformConfig
-from repro.core.designs import DESIGN_NAMES, make_design
 from repro.core.result import DesignResult
+from repro.engine.executor import run_jobs
 from repro.engine.spec import EXPERIMENT_TRACE_LENGTH, JobSpec
 from repro.engine.store import default_store
-from repro.engine.streamcache import default_stream_cache
-from repro.trace.workloads import APP_NAMES, suite_trace
 
-__all__ = [
-    "EXPERIMENT_TRACE_LENGTH",
-    "experiment_stream",
-    "canonical_result",
-    "suite_results",
-    "run_design_on",
-]
+__all__ = ["EXPERIMENT_TRACE_LENGTH", "run_specs"]
+
+K = TypeVar("K", bound=Hashable)
 
 
-@lru_cache(maxsize=64)
-def experiment_stream(
-    app: str,
-    length: int = EXPERIMENT_TRACE_LENGTH,
-    seed: int = 0,
-    platform: PlatformConfig = DEFAULT_PLATFORM,
-) -> L2Stream:
-    """L1-filtered L2 stream for ``app`` on ``platform`` (cached).
-
-    A thin lookup over the persistent
-    :class:`~repro.engine.streamcache.StreamCache`: the stream is built
-    at most once per machine, and what this memo holds are zero-copy
-    memory-mapped column views backed by the kernel page cache — not
-    private heap copies kept alive for the process lifetime.  With
-    caching disabled (``REPRO_CACHE_DISABLE``) the stream is built
-    in-process as before.
-    """
-    cache = default_stream_cache()
-    if cache is None:
-        return l1_filter(suite_trace(app, length, seed), platform)
-    stream = cache.get_or_build(app, length, seed, platform)
-    cache.flush_counters()
-    return stream
-
-
-@lru_cache(maxsize=256)
-def canonical_result(
-    design_name: str,
-    app: str,
-    length: int = EXPERIMENT_TRACE_LENGTH,
-    seed: int = 0,
-    platform: PlatformConfig = DEFAULT_PLATFORM,
-) -> DesignResult:
-    """Run one canonical design on one app (store-backed, memoised).
-
-    The persistent store is consulted first (keyed by the full
-    :class:`~repro.engine.spec.JobSpec`, so seeds and platforms never
-    collide); a fresh simulation is written back for the next process.
-    """
-    if design_name not in DESIGN_NAMES:
-        raise ValueError(f"unknown design {design_name!r}; choose from {DESIGN_NAMES}")
-    spec = JobSpec(design=design_name, app=app, length=length, seed=seed, platform=platform)
-    store = default_store()
-    if store is not None:
-        cached = store.get(spec)
-        if cached is not None:
-            return cached
-    design = make_design(design_name)
-    result = design.run(experiment_stream(app, length, seed, platform), platform)
-    if store is not None:
-        store.put(spec, result)
-    return result
-
-
-def suite_results(
-    design_name: str,
-    length: int = EXPERIMENT_TRACE_LENGTH,
-    apps: tuple[str, ...] = APP_NAMES,
-    seed: int = 0,
-) -> dict[str, DesignResult]:
-    """One result per app for ``design_name``, in suite order."""
-    return {app: canonical_result(design_name, app, length, seed) for app in apps}
-
-
-def run_design_on(
-    design,
-    app: str,
-    platform: PlatformConfig = DEFAULT_PLATFORM,
-    length: int = EXPERIMENT_TRACE_LENGTH,
-    seed: int = 0,
-) -> DesignResult:
-    """Run an arbitrary (non-canonical) design instance on one app.
-
-    The stream is filtered through ``platform``'s L1s — a non-default
-    platform really sees its own L1 behaviour, not the default one's.
-    """
-    return design.run(experiment_stream(app, length, seed, platform), platform)
+def run_specs(specs: Mapping[K, JobSpec]) -> dict[K, DesignResult]:
+    """Resolve ``specs`` in one store-backed engine batch, keeping their keys."""
+    outcomes = run_jobs(list(specs.values()), store=default_store())
+    return {key: outcome.result for key, outcome in zip(specs, outcomes)}

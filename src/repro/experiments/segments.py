@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core.designs import DESIGN_NAMES
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, canonical_result
+from repro.engine.spec import JobSpec
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.trace.workloads import APP_NAMES
 from repro.types import Privilege
 
@@ -69,11 +70,14 @@ def segment_breakdown(
     length: int = EXPERIMENT_TRACE_LENGTH, apps: tuple[str, ...] = APP_NAMES
 ) -> SegmentBreakdownResult:
     """Per-privilege miss rates and energy for each canonical design."""
+    results = run_specs(
+        {(d, app): JobSpec(d, app, length) for d in DESIGN_NAMES for app in apps}
+    )
     rows = []
     for design in DESIGN_NAMES:
         user_mr, kernel_mr, user_e, kernel_e = [], [], [], []
         for app in apps:
-            r = canonical_result(design, app, length)
+            r = results[design, app]
             stats = r.l2_stats
             user_mr.append(stats.miss_rate_of(Privilege.USER))
             kernel_mr.append(stats.miss_rate_of(Privilege.KERNEL))

@@ -12,11 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.config import DEFAULT_PLATFORM
-from repro.core.baseline import BaselineDesign
-from repro.core.multi_retention import multi_retention_design
+from repro.config import DEFAULT_PLATFORM, PlatformConfig
+from repro.engine.spec import JobSpec
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, experiment_stream
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 
 __all__ = ["SensitivityResult", "dram_latency_sensitivity", "l2_latency_sensitivity"]
 
@@ -54,15 +53,25 @@ class SensitivityResult:
         return max(values) - min(values)
 
 
-def _headline_at(platform, apps, length) -> tuple[float, float]:
-    energy, loss = [], []
-    for app in apps:
-        stream = experiment_stream(app, length)
-        base = BaselineDesign().run(stream, platform)
-        stt = multi_retention_design().run(stream, platform)
-        energy.append(stt.l2_energy.total_j / base.l2_energy.total_j)
-        loss.append(stt.timing.perf_loss_vs(base.timing))
-    return float(np.mean(energy)), float(np.mean(loss))
+def _sweep(
+    parameter: str, platforms: dict[float, PlatformConfig], apps, length
+) -> SensitivityResult:
+    """The static-stt headline on each platform variant, in one batch."""
+    results = run_specs({
+        (value, design, app): JobSpec(design, app, length, platform=platform)
+        for value, platform in platforms.items()
+        for design in ("baseline", "static-stt")
+        for app in apps
+    })
+    rows = []
+    for value in platforms:
+        energy, loss = [], []
+        for app in apps:
+            base, stt = results[value, "baseline", app], results[value, "static-stt", app]
+            energy.append(stt.l2_energy.total_j / base.l2_energy.total_j)
+            loss.append(stt.timing.perf_loss_vs(base.timing))
+        rows.append(SensitivityRow(value, float(np.mean(energy)), float(np.mean(loss))))
+    return SensitivityResult(parameter, tuple(rows))
 
 
 def dram_latency_sensitivity(
@@ -71,15 +80,11 @@ def dram_latency_sensitivity(
     latencies: tuple[int, ...] = (80, 140, 220, 300),
 ) -> SensitivityResult:
     """Sweep the flat DRAM latency."""
-    rows = []
-    for dram in latencies:
-        platform = replace(
-            DEFAULT_PLATFORM,
-            latency=replace(DEFAULT_PLATFORM.latency, dram=dram),
-        )
-        energy, loss = _headline_at(platform, apps, length)
-        rows.append(SensitivityRow(dram, energy, loss))
-    return SensitivityResult("DRAM latency (cycles)", tuple(rows))
+    platforms = {
+        dram: replace(DEFAULT_PLATFORM, latency=replace(DEFAULT_PLATFORM.latency, dram=dram))
+        for dram in latencies
+    }
+    return _sweep("DRAM latency (cycles)", platforms, apps, length)
 
 
 def l2_latency_sensitivity(
@@ -88,12 +93,8 @@ def l2_latency_sensitivity(
     latencies: tuple[int, ...] = (12, 20, 30),
 ) -> SensitivityResult:
     """Sweep the L2 hit latency."""
-    rows = []
-    for l2_hit in latencies:
-        platform = replace(
-            DEFAULT_PLATFORM,
-            latency=replace(DEFAULT_PLATFORM.latency, l2_hit=l2_hit),
-        )
-        energy, loss = _headline_at(platform, apps, length)
-        rows.append(SensitivityRow(l2_hit, energy, loss))
-    return SensitivityResult("L2 hit latency (cycles)", tuple(rows))
+    platforms = {
+        l2_hit: replace(DEFAULT_PLATFORM, latency=replace(DEFAULT_PLATFORM.latency, l2_hit=l2_hit))
+        for l2_hit in latencies
+    }
+    return _sweep("L2 hit latency (cycles)", platforms, apps, length)

@@ -10,7 +10,8 @@ from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.core.designs import DESIGN_NAMES
 from repro.energy.technology import RETENTION_CLASSES, sram, stt_ram
 from repro.experiments.report import format_percent, format_table
-from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, canonical_result
+from repro.engine.spec import JobSpec
+from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
 from repro.trace.workloads import APP_NAMES, app_profile
 
 __all__ = [
@@ -157,11 +158,14 @@ def table4_performance(
     length: int = EXPERIMENT_TRACE_LENGTH, apps: tuple[str, ...] = APP_NAMES
 ) -> PerformanceTable:
     """Busy-cycle slowdown of every design against the baseline."""
+    results = run_specs(
+        {(d, app): JobSpec(d, app, length) for d in DESIGN_NAMES for app in apps}
+    )
     loss: dict[str, dict[str, float]] = {}
     for app in apps:
-        base = canonical_result("baseline", app, length).timing
+        base = results["baseline", app].timing
         loss[app] = {
-            design: canonical_result(design, app, length).timing.perf_loss_vs(base)
+            design: results[design, app].timing.perf_loss_vs(base)
             for design in DESIGN_NAMES
             if design != "baseline"
         }

@@ -1,32 +1,91 @@
-"""Way-mask partitioned cache: single array, per-privilege way masks.
+"""Per-access oracles of the user/kernel partition, for tests only.
 
-:class:`~repro.cache.partitioned.PartitionedCache` models the paper's
-partition as two independent segment arrays.  Real hardware would more
-likely implement it inside one array with *way masks*: an access at
-privilege *p* may hit in any way but may only **allocate** into the ways
-of its mask (Cache-Allocation-Technology style), or — in the strict
-variant modelled here — both lookup and allocation are confined to the
-mask, which is exactly equivalent to two segment arrays sharing a set
-index.
+The simulator builds its partitioned designs as independent per-segment
+arrays behind one replay pipeline (:mod:`repro.core.pipeline`).  The two
+models here are straightforward restatements of that structure that the
+tests check the product against:
 
-This module exists for two reasons:
-
-* it is the implementation a hardware team would start from, so the
-  library should offer it, and
-* the equivalence between the two models (`tests/test_waypart.py`
-  proves hit-for-hit equality against two ``SetAssociativeCache``
-  segments) validates both implementations.
+* :class:`PartitionedCache` routes every access to one
+  :class:`~repro.cache.set_assoc.SetAssociativeCache` per privilege, so
+  cross-privilege interference is impossible by construction;
+* :class:`WayMaskPartitionedCache` is the single-array, per-privilege
+  way-mask implementation a hardware team would start from.  With both
+  lookup and allocation confined to the mask it is exactly equivalent
+  to two segment arrays sharing a set index, which
+  ``test_waypart.py`` checks hit for hit.
 """
 
 from __future__ import annotations
 
 from repro.cache.block import Entry
 from repro.cache.replacement import LRUPolicy
+from repro.cache.set_assoc import AccessResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry
 from repro.types import Privilege
 
-__all__ = ["WayMaskPartitionedCache"]
+
+class PartitionedCache:
+    """An L2 made of one cache segment per privilege level.
+
+    Args:
+        segments: Mapping from privilege to its segment cache.  Both
+            privileges must be present and the segments must share set
+            count and block size (they are way-partitions of one array).
+    """
+
+    def __init__(self, segments: dict[Privilege, SetAssociativeCache]) -> None:
+        missing = [p for p in Privilege if p not in segments]
+        if missing:
+            raise ValueError(f"partitioned cache missing segments for {missing}")
+        geoms = [segments[p].geometry for p in Privilege]
+        if len({g.num_sets for g in geoms}) != 1 or len({g.block_size for g in geoms}) != 1:
+            raise ValueError("segments must share set count and block size")
+        self.segments = dict(segments)
+
+    @property
+    def user(self) -> SetAssociativeCache:
+        """The user-privilege segment."""
+        return self.segments[Privilege.USER]
+
+    @property
+    def kernel(self) -> SetAssociativeCache:
+        """The kernel-privilege segment."""
+        return self.segments[Privilege.KERNEL]
+
+    @property
+    def size_bytes(self) -> int:
+        """Combined active capacity of both segments."""
+        return sum(seg.size_bytes for seg in self.segments.values())
+
+    def segment_for(self, priv: int) -> SetAssociativeCache:
+        """Segment that serves accesses at privilege ``priv``."""
+        return self.segments[Privilege(priv)]
+
+    def access(
+        self, addr: int, is_write: bool, priv: int, tick: int, demand: bool = True
+    ) -> AccessResult:
+        """Route the access to its privilege's segment."""
+        return self.segment_for(priv).access(addr, is_write, priv, tick, demand)
+
+    def finalize(self, tick: int) -> None:
+        """Settle lazy accounting in both segments."""
+        for seg in self.segments.values():
+            seg.finalize(tick)
+
+    @property
+    def stats(self) -> CacheStats:
+        """Merged whole-L2 statistics."""
+        merged = CacheStats()
+        for seg in self.segments.values():
+            merged = merged.merge(seg.stats)
+        return merged
+
+    def __repr__(self) -> str:
+        return (
+            f"PartitionedCache(user={self.user.size_bytes // 1024} KB, "
+            f"kernel={self.kernel.size_bytes // 1024} KB)"
+        )
 
 
 class WayMaskPartitionedCache:

@@ -17,11 +17,12 @@ not the third digit.  EXPERIMENTS.md records the exact measured values.
 import numpy as np
 import pytest
 
+from repro.engine import JobSpec
 from repro.experiments import (
     EXPERIMENT_TRACE_LENGTH,
-    canonical_result,
     fig1_kernel_share,
     fig8_energy_summary,
+    run_specs,
     table4_performance,
 )
 from repro.trace.workloads import APP_NAMES
@@ -29,6 +30,11 @@ from repro.trace.workloads import APP_NAMES
 pytestmark = pytest.mark.slow
 
 LENGTH = EXPERIMENT_TRACE_LENGTH
+
+
+def _result(design, app):
+    """One canonical design's experiment-length result on ``app``."""
+    return run_specs({design: JobSpec(design, app)})[design]
 
 
 class TestMotivation:
@@ -40,14 +46,14 @@ class TestMotivation:
 
     def test_baseline_miss_rate_plausible(self):
         rates = [
-            canonical_result("baseline", app, LENGTH).l2_stats.demand_miss_rate
+            _result("baseline", app).l2_stats.demand_miss_rate
             for app in APP_NAMES
         ]
         assert 0.08 < float(np.mean(rates)) < 0.40
 
     def test_interference_exists_in_baseline(self):
         xevicts = [
-            canonical_result("baseline", app, LENGTH).l2_stats.cross_privilege_evictions
+            _result("baseline", app).l2_stats.cross_privilege_evictions
             for app in APP_NAMES
         ]
         assert float(np.mean(xevicts)) > 100
@@ -57,8 +63,8 @@ class TestStaticTechnique:
     def test_partition_keeps_miss_rate_similar(self):
         deltas = []
         for app in APP_NAMES:
-            base = canonical_result("baseline", app, LENGTH).l2_stats.demand_miss_rate
-            part = canonical_result("static-sram", app, LENGTH).l2_stats.demand_miss_rate
+            base = _result("baseline", app).l2_stats.demand_miss_rate
+            part = _result("static-sram", app).l2_stats.demand_miss_rate
             deltas.append(part - base)
         assert float(np.mean(deltas)) < 0.02  # within 2 points of the baseline
 
@@ -86,8 +92,8 @@ class TestDynamicTechnique:
 
     def test_dynamic_uses_less_capacity_time(self):
         for app in ("browser", "social"):
-            dyn = canonical_result("dynamic-stt", app, LENGTH)
-            static = canonical_result("static-stt", app, LENGTH)
+            dyn = _result("dynamic-stt", app)
+            static = _result("static-stt", app)
             dyn_bs = sum(s.byte_seconds for s in dyn.segments)
             static_bs = sum(s.byte_seconds for s in static.segments)
             assert dyn_bs < static_bs

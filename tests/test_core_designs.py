@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.config import DEFAULT_PLATFORM
 from repro.core.baseline import BaselineDesign
-from repro.core.designs import DESIGN_NAMES, make_design, paper_designs
+from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design, paper_designs
 from repro.core.multi_retention import multi_retention_design
 from repro.core.result import DesignResult
 from repro.core.static_partition import StaticPartitionDesign
 from repro.energy.technology import stt_ram
+from repro.engine import JobSpec, run_jobs
 from repro.types import Privilege
 
 
@@ -27,6 +28,13 @@ class TestRegistry:
     def test_paper_designs_order(self):
         assert tuple(paper_designs()) == DESIGN_NAMES
 
+    def test_every_registered_design_runs_through_jobspec(self):
+        assert DESIGN_NAMES == ("baseline", "static-sram", "static-stt", "dynamic-stt")
+        assert REGISTERED_DESIGNS == DESIGN_NAMES + ("drowsy-sram", "hybrid")
+        specs = [JobSpec(name, "game", length=5_000) for name in REGISTERED_DESIGNS]
+        outcomes = run_jobs(specs, store=None)
+        assert [o.result.design for o in outcomes] == list(REGISTERED_DESIGNS)
+
 
 class TestBaselineDesign:
     def test_run_produces_result(self, browser_stream_small):
@@ -43,7 +51,7 @@ class TestBaselineDesign:
         r.l2_stats.check_invariants()
 
     def test_custom_geometry(self, browser_stream_small):
-        small = BaselineDesign(geometry=CacheGeometry(128 * 1024, 16))
+        small = BaselineDesign(ways=2)  # 128 KB at the platform's 1024 sets
         big = BaselineDesign()
         mr_small = small.run(browser_stream_small, DEFAULT_PLATFORM).l2_stats.demand_miss_rate
         mr_big = big.run(browser_stream_small, DEFAULT_PLATFORM).l2_stats.demand_miss_rate

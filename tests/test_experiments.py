@@ -4,11 +4,15 @@ Figure/table functions run on shortened traces and app subsets here; the
 full-length versions are exercised by the benchmarks.
 """
 
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core.designs import DESIGN_NAMES
+from repro.engine import JobSpec, ResultStore
+from repro.engine.streamcache import load_stream
 from repro.experiments import (
-    canonical_result,
-    experiment_stream,
     fig1_kernel_share,
     fig2_interference,
     fig3_size_sweep,
@@ -19,12 +23,13 @@ from repro.experiments import (
     format_percent,
     format_series,
     format_table,
-    suite_results,
+    run_specs,
     table1_configuration,
     table2_technology,
     table3_workloads,
     table4_performance,
 )
+from repro.obs.metrics import REGISTRY
 
 SHORT = 40_000
 APPS = ("game", "email")
@@ -50,24 +55,79 @@ class TestReport:
         assert "x" in out and "y" in out
 
 
+def _fresh_jobs() -> int:
+    return REGISTRY.counters.get("engine.job.fresh", 0)
+
+
 class TestRunner:
     def test_stream_cached(self):
-        a = experiment_stream("game", SHORT)
-        b = experiment_stream("game", SHORT)
+        a = load_stream("game", SHORT)
+        b = load_stream("game", SHORT)
         assert a is b
 
     def test_canonical_result_cached(self):
-        a = canonical_result("baseline", "game", SHORT)
-        b = canonical_result("baseline", "game", SHORT)
-        assert a is b
+        spec = {"r": JobSpec("baseline", "game", SHORT)}
+        a = run_specs(spec)["r"]
+        before = _fresh_jobs()
+        assert run_specs(spec)["r"] == a
+        assert _fresh_jobs() == before
 
     def test_canonical_rejects_unknown_design(self):
         with pytest.raises(ValueError, match="unknown design"):
-            canonical_result("foo", "game", SHORT)
+            run_specs({"r": JobSpec("foo", "game", SHORT)})
 
     def test_suite_results_keys(self):
-        res = suite_results("baseline", SHORT, apps=APPS)
+        res = run_specs({app: JobSpec("baseline", app, SHORT) for app in APPS})
         assert tuple(res) == APPS
+        assert [r.app for r in res.values()] == list(APPS)
+
+    def test_shared_grid_simulated_once(self, tmp_path, monkeypatch):
+        """fig6, fig8 and table4 share one grid: each spec is stored once,
+        and a second pass over all three simulates nothing."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        load_stream.cache_clear()
+
+        def run_all():
+            fig6_energy_breakdown(SHORT, APPS)
+            fig8_energy_summary(SHORT, APPS)
+            table4_performance(SHORT, APPS)
+
+        unique = len(DESIGN_NAMES) * len(APPS)
+        before = _fresh_jobs()
+        run_all()
+        assert _fresh_jobs() - before == unique
+        stats = ResultStore(tmp_path).stats()
+        assert (stats.entries, stats.writes) == (unique, unique)
+        before = _fresh_jobs()
+        run_all()
+        assert _fresh_jobs() == before
+        load_stream.cache_clear()
+
+
+def test_one_run_path_and_one_stream_memo():
+    """Experiments and benches reach the simulator only through spec
+    batches, and :func:`load_stream` is the only stream memo.
+
+    A reference to a removed runner from ``repro.experiments`` or
+    ``benchmarks/`` reintroduces a path that skips the result store;
+    a second ``lru_cache`` over L2 streams reintroduces a second memo.
+    """
+    src = Path(repro.__file__).parent
+    modules = sorted((src / "experiments").glob("*.py"))
+    modules += sorted((src.parents[1] / "benchmarks").glob("*.py"))
+    offenders = [
+        f"{path.name}: {name}"
+        for path in modules
+        for name in ("run_design_on", "canonical_result", "experiment_stream", "_worker_stream")
+        if name in path.read_text()
+    ]
+    assert offenders == []
+    memos = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if "lru_cache" in (text := path.read_text()) and "L2Stream" in text
+    ]
+    assert memos == ["engine/streamcache.py"]
 
 
 class TestFigures:

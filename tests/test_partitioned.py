@@ -1,10 +1,12 @@
-"""Unit tests for the privilege-partitioned cache."""
+"""Unit tests for the privilege-partitioned cache oracle, and the
+static partition design checked against it."""
 
 import pytest
+from partition_oracles import PartitionedCache
 
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.config import CacheGeometry
+from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.core.static_partition import StaticPartitionDesign
 from repro.types import Privilege
 
 U, K = int(Privilege.USER), int(Privilege.KERNEL)
@@ -105,3 +107,23 @@ class TestAggregation:
         pc.access(0x0, False, U, 0)
         pc.finalize(1000)
         assert pc.user.stats.refresh_writes > 0
+
+
+def test_static_design_matches_partition_oracle(browser_stream_small):
+    """The static design's segments replay exactly like the oracle's."""
+    design = StaticPartitionDesign(user_ways=4, kernel_ways=2)
+    result = design.run(browser_stream_small, DEFAULT_PLATFORM)
+    oracle = PartitionedCache({
+        Privilege.USER: SetAssociativeCache(DEFAULT_PLATFORM.l2.with_ways(4)),
+        Privilege.KERNEL: SetAssociativeCache(DEFAULT_PLATFORM.l2.with_ways(2)),
+    })
+    s = browser_stream_small
+    for tick, addr, priv, write, demand in zip(
+        s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(), s.writes.tolist(),
+        s.demand.tolist(),
+    ):
+        oracle.access(addr, write, priv, tick, demand)
+    for label, priv in (("user", Privilege.USER), ("kernel", Privilege.KERNEL)):
+        got, want = result.segment(label).stats, oracle.segments[priv].stats
+        assert (got.hits, got.misses, got.evictions, got.writebacks) == (
+            want.hits, want.misses, want.evictions, want.writebacks)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from partition_oracles import PartitionedCache
 
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry

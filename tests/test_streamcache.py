@@ -20,9 +20,8 @@ from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM, platform_preset
 from repro.core.designs import make_design
 from repro.engine import JobSpec, StreamCache, run_jobs
-from repro.engine.executor import _worker_stream
 from repro.engine.spec import SCHEMA_VERSION, stream_key
-from repro.engine.streamcache import default_stream_cache
+from repro.engine.streamcache import default_stream_cache, load_stream
 from repro.obs.metrics import REGISTRY
 from repro.trace.workloads import APP_NAMES, suite_trace
 
@@ -40,17 +39,11 @@ def cache(tmp_path):
 
 @pytest.fixture
 def fresh_cache_env(tmp_path, monkeypatch):
-    """Empty default cache dir + cleared in-process stream memos."""
-    from repro.experiments.runner import canonical_result, experiment_stream
-
+    """Empty default cache dir + cleared in-process stream memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    _worker_stream.cache_clear()
-    experiment_stream.cache_clear()
-    canonical_result.cache_clear()
+    load_stream.cache_clear()
     yield tmp_path
-    _worker_stream.cache_clear()
-    experiment_stream.cache_clear()
-    canonical_result.cache_clear()
+    load_stream.cache_clear()
 
 
 class TestKeying:
@@ -199,7 +192,7 @@ class TestExecutorIntegration:
 
     def test_warm_batch_maps_instead_of_building(self, fresh_cache_env):
         run_jobs(self._specs(), jobs=1, store=None)
-        _worker_stream.cache_clear()
+        load_stream.cache_clear()
         before = REGISTRY.counters.get("streamcache.build", 0)
         hits_before = REGISTRY.counters.get("streamcache.hit", 0)
         run_jobs(self._specs(), jobs=1, store=None)
@@ -208,7 +201,7 @@ class TestExecutorIntegration:
 
     def test_parallel_results_identical_to_serial(self, fresh_cache_env):
         serial = run_jobs(self._specs(), jobs=1, store=None)
-        _worker_stream.cache_clear()
+        load_stream.cache_clear()
         parallel = run_jobs(self._specs(), jobs=2, store=None)
         for a, b in zip(serial, parallel):
             assert a.spec == b.spec
@@ -222,33 +215,32 @@ class TestExecutorIntegration:
         assert StreamCache(fresh_cache_env).stats().entries == 2
 
     def test_worker_stream_memo_is_mmap_backed(self, fresh_cache_env):
-        stream = _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
+        # the executor's call spelling: every field positional
+        stream = load_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
         assert isinstance(stream.ticks, np.memmap)
-        assert _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM) is stream
+        assert load_stream("browser", SHORT, 0, DEFAULT_PLATFORM) is stream
 
     def test_disabled_cache_builds_in_process(self, fresh_cache_env, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         assert default_stream_cache() is None
-        stream = _worker_stream("browser", SHORT, 0, DEFAULT_PLATFORM)
+        stream = load_stream("browser", SHORT)
         assert not isinstance(stream.ticks, np.memmap)
-        _worker_stream.cache_clear()
+        load_stream.cache_clear()
 
 
 class TestRunnerIntegration:
     def test_experiment_stream_is_mmap_backed(self, fresh_cache_env):
-        from repro.experiments.runner import experiment_stream
-
-        stream = experiment_stream("game", SHORT)
+        """Experiments and the executor share one memo entry per stream,
+        whatever the call spelling."""
+        stream = load_stream("game", SHORT)
         assert isinstance(stream.ticks, np.memmap)
-        # the memo still dedupes within the process
-        assert experiment_stream("game", SHORT) is stream
+        assert load_stream("game", SHORT, 0, DEFAULT_PLATFORM) is stream
 
     def test_canonical_result_unchanged_by_stream_source(self, fresh_cache_env):
-        from repro.experiments.runner import canonical_result, experiment_stream
+        from repro.experiments.runner import run_specs
 
-        via_cache = canonical_result("static-stt", "music", SHORT).to_dict()
-        experiment_stream.cache_clear()
-        canonical_result.cache_clear()
+        spec = JobSpec("static-stt", "music", length=SHORT)
+        via_cache = run_specs({"r": spec})["r"].to_dict()
         fresh = make_design("static-stt").run(
             build_stream("music"), DEFAULT_PLATFORM
         ).to_dict()

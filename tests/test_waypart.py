@@ -1,12 +1,11 @@
-"""Tests for the way-mask partitioned cache, incl. model equivalence."""
+"""Tests for the way-mask partitioned cache oracle, incl. model equivalence."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from partition_oracles import PartitionedCache, WayMaskPartitionedCache
 
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.waypart import WayMaskPartitionedCache
 from repro.config import CacheGeometry
 from repro.types import Privilege
 
