@@ -15,7 +15,11 @@ Workloads are deliberately adversarial for the envelope: sub-block
 address offsets, skewed set pressure, both privilege levels, write-back
 (non-demand) rows, and — for the retention cases — tick gaps sampled
 around the retention window so expiry invalidations, expired-frame
-reclaims and finalize-time drains all fire.
+reclaims and finalize-time drains all fire.  Seeds from
+:data:`RUN_CASES_FROM` on also expand the addresses into geometric
+same-block runs with writes scattered inside them, the shape the
+kernel collapses before its LRU loop (retention ``none``) and must not
+collapse with retention (a store refreshes the block).
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry, PlatformConfig
 
+#: First :func:`sample_case` seed whose workload has same-block runs;
+#: lower seeds keep their original run-free workloads unchanged.
+RUN_CASES_FROM = 24
+
 __all__ = [
+    "RUN_CASES_FROM",
     "DiffCase",
     "sample_case",
     "run_case",
@@ -57,6 +66,7 @@ class DiffCase:
     write_frac: float
     kernel_frac: float
     wb_frac: float              # fraction of rows marked non-demand
+    run_mean: float = 1.0       # mean same-block run length (1 = no runs)
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -70,12 +80,14 @@ class DiffCase:
             f"{self.refresh_mode}"
             + (f"(ret={self.retention_ticks})" if self.retention_ticks else "")
             + f" n={self.length} blocks={self.addr_blocks} gap<={self.max_gap}"
+            + (f" runs~{self.run_mean:g}" if self.run_mean > 1.0 else "")
         )
 
 
 def sample_case(seed: int) -> DiffCase:
     """Draw one configuration; even seeds are retention-free, odd seeds
-    use invalidate-on-expiry, so any seed range covers both modes."""
+    use invalidate-on-expiry, so any seed range covers both modes.
+    Seeds from :data:`RUN_CASES_FROM` on add same-block runs."""
     rng = np.random.default_rng(seed)
     sets = int(rng.choice([1, 2, 4, 16, 64]))
     ways = int(rng.choice([1, 2, 3, 4, 8, 16]))
@@ -102,6 +114,8 @@ def sample_case(seed: int) -> DiffCase:
         write_frac=float(rng.uniform(0.05, 0.6)),
         kernel_frac=float(rng.uniform(0.1, 0.7)),
         wb_frac=float(rng.uniform(0.0, 0.25)),
+        # drawn last, so the fields above match the run-free sampler
+        run_mean=float(rng.choice([2.0, 4.0, 8.0])) if seed >= RUN_CASES_FROM else 1.0,
     )
 
 
@@ -110,6 +124,9 @@ def _workload(case: DiffCase):
     rng = np.random.default_rng(case.seed ^ 0xFA57)
     n = case.length
     blocks = rng.integers(0, case.addr_blocks, size=n).astype(np.uint64)
+    if case.run_mean > 1.0:
+        runs = rng.geometric(1.0 / case.run_mean, size=n)
+        blocks = np.repeat(blocks, runs)[:n]
     offsets = rng.integers(0, case.block_size, size=n).astype(np.uint64)
     addrs = blocks * np.uint64(case.block_size) + offsets
     ticks = np.cumsum(rng.integers(0, case.max_gap + 1, size=n)).astype(np.int64)

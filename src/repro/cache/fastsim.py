@@ -10,7 +10,12 @@ replays an *entire trace at once* instead:
    trace by set (one stable argsort); every scalar counter that does not
    depend on hit/miss outcomes (access totals, privilege and write splits)
    is reduced vectorially.
-2. Each set is then replayed by a tight loop over packed parallel arrays
+2. With retention ``none``, every row whose block equals the previous
+   row of its set is dropped before the loop: under LRU it is a hit on
+   the block already at MRU, so it changes nothing but the dirty bit,
+   which the kept first row of the run takes as the OR of the run's
+   write flags.  Totals still come from the full columns.
+3. Each set is then replayed by a tight loop over packed parallel arrays
    (tag / privilege / dirty / last-refresh, plus an integer LRU recency
    sequence) — no objects, no dispatch, no per-access allocation.
 
@@ -179,7 +184,27 @@ def simulate_trace(
     set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.int64)
     tags = blocks >> np.uint64(set_bits)
 
-    order = np.argsort(set_idx, kind="stable")
+    # A 16-bit key lets the stable argsort run as a radix sort; the
+    # stable order is the same for any key dtype.
+    sort_key = set_idx.astype(np.uint16) if num_sets <= 1 << 16 else set_idx
+    order = np.argsort(sort_key, kind="stable")
+    sorted_writes = writes[order]
+    if refresh_mode == "none":
+        # Under plain LRU a row whose block equals the previous row of the
+        # same set is a guaranteed hit on the MRU block: it leaves the
+        # recency order and the block's privilege unchanged and can only
+        # set the dirty bit.  Keep the first row of every such run and
+        # give it the OR of the run's write flags.  (With retention a
+        # store also refreshes the block's timestamp, so repeats are not
+        # free there.)
+        sorted_blocks = blocks[order]
+        keep = np.empty(n, dtype=bool)
+        keep[0] = True
+        np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=keep[1:])
+        kept = np.flatnonzero(keep)
+        sorted_writes = np.logical_or.reduceat(sorted_writes.astype(bool), kept)
+        order = order[kept]
+        set_idx = set_idx[order]
     starts = np.zeros(num_sets + 1, dtype=np.int64)
     np.cumsum(np.bincount(set_idx, minlength=num_sets), out=starts[1:])
     active_sets = np.nonzero(starts[1:] > starts[:-1])[0].tolist()
@@ -190,7 +215,7 @@ def simulate_trace(
     # Columns a given replay variant never reads are not converted.
     s_tags = tags[order].tolist()
     s_privs = privs[order].tolist()
-    s_writes = writes[order].tolist()
+    s_writes = sorted_writes.tolist()
     if demand is None:
         s_demand = None
     else:

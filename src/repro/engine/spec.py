@@ -64,10 +64,11 @@ def stream_key(
     """Stable hex key of one L1-filtered L2 stream (the front-end identity).
 
     A stream is determined by strictly less than a full job: the app,
-    trace length, seed, platform (whose fingerprint covers the L1
-    geometries the filter simulates) and the L1 replacement policy —
-    but *not* the L2 design, which only replays the stream.  Every job
-    sharing these fields shares one stream, and therefore one entry in
+    trace length, seed, the two L1 geometries the filter simulates
+    (block size included) and the L1 replacement policy — but *not* the
+    L2 geometry, latencies, clock or design, which only shape how the
+    stream is replayed.  Every job sharing these fields shares one
+    stream, and therefore one entry in
     :class:`~repro.engine.streamcache.StreamCache`.  The schema tag
     invalidates persisted streams whenever the simulator's observable
     output changes, exactly like result keys.
@@ -78,7 +79,8 @@ def stream_key(
         "app": app,
         "length": length,
         "seed": seed,
-        "platform": platform_fingerprint(platform),
+        "l1i": dataclasses.asdict(platform.l1i),
+        "l1d": dataclasses.asdict(platform.l1d),
         "l1_policy": l1_policy,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

@@ -9,6 +9,7 @@ so multi-hundred-thousand-access traces generate in well under a second.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,31 @@ from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.types import CACHE_BLOCK_SIZE, TRACE_DTYPE, KERNEL_SPACE_START, Privilege
 
 __all__ = ["generate_trace"]
+
+
+@lru_cache(maxsize=256)
+def _cdf(weights: tuple[float, ...]) -> np.ndarray:
+    """Cumulative distribution of ``weights``, computed exactly as
+    ``Generator.choice`` computes it (``cumsum``, then divide by the last
+    entry), once per weight tuple."""
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _choice(rng: np.random.Generator, weights: tuple[float, ...], size: int | None = None):
+    """``rng.choice(len(weights), size, p=weights)`` from a cached CDF.
+
+    Returns the same indices and consumes the same draws (one uniform
+    double per sample) as numpy's weighted ``choice``, minus its
+    per-call weight validation and CDF construction — the profile
+    dataclasses validate weights once when they are built.
+    """
+    cdf = _cdf(tuple(weights))
+    if size is None:
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _region_blocks(region: Region) -> int:
@@ -83,28 +109,24 @@ def _generate_phase_burst(
     n: int,
     rng: np.random.Generator,
     stream_cursor: dict[str, int],
-) -> np.ndarray:
-    """Generate ``n`` records for one dwell in ``phase`` (ticks left at 0)."""
-    out = np.zeros(n, dtype=TRACE_DTYPE)
-    region_idx = rng.choice(len(phase.regions), size=n, p=phase.weights)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the address and kind columns of one ``n``-access dwell in
+    ``phase``."""
+    region_idx = _choice(rng, phase.weights, n)
     kinds = np.empty(n, dtype=np.uint8)
     addrs = np.empty(n, dtype=np.uint64)
-    for ri, region in enumerate(phase.regions):
-        mask = region_idx == ri
-        cnt = int(mask.sum())
+    counts = np.bincount(region_idx, minlength=len(phase.regions)).tolist()
+    for ri, (region, cnt) in enumerate(zip(phase.regions, counts)):
         if not cnt:
             continue
+        mask = region_idx == ri
         offs = _sample_region_offsets(region, cnt, rng, stream_cursor)
         if region.pattern == "rotating":
             key = region.name + "/dwells"
             stream_cursor[key] = stream_cursor.get(key, 0) + 1
         addrs[mask] = np.uint64(region.base) + offs.astype(np.uint64) * np.uint64(CACHE_BLOCK_SIZE)
-        kw = np.asarray(region.kind_weights)
-        kinds[mask] = rng.choice(3, size=cnt, p=kw).astype(np.uint8)
-    out["addr"] = addrs
-    out["kind"] = kinds
-    out["priv"] = np.uint8(phase.privilege)
-    return out
+        kinds[mask] = _choice(rng, region.kind_weights, cnt)
+    return addrs, kinds
 
 
 def _validate_profile_addresses(profile: AppProfile) -> None:
@@ -146,9 +168,13 @@ def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
     # content-addressed result store and cross-process reproducibility.
     name_seed = zlib.crc32(profile.name.encode("utf-8"))
     rng = np.random.default_rng(np.random.SeedSequence([name_seed, length, seed]))
-    transitions = np.asarray(profile.transitions)
 
-    chunks: list[np.ndarray] = []
+    # Per-dwell columns, assembled into one record array at the end.
+    addr_parts: list[np.ndarray] = []
+    kind_parts: list[np.ndarray] = []
+    gap_parts: list[np.ndarray] = []
+    dwell_privs: list[int] = []
+    dwells: list[int] = []
     produced = 0
     phase_i = profile.start_phase
     stream_cursor: dict[str, int] = {}
@@ -158,16 +184,19 @@ def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
         phase = profile.phases[phase_i]
         dwell = int(rng.geometric(1.0 / phase.mean_accesses))
         dwell = min(max(dwell, 1), length - produced)
-        burst = _generate_phase_burst(phase, dwell, rng, stream_cursor)
+        addrs, kinds = _generate_phase_burst(phase, dwell, rng, stream_cursor)
         gaps = np.maximum(1, rng.poisson(phase.mean_gap, size=dwell)).astype(np.uint64)
         if pending_idle:
             gaps[0] += np.uint64(pending_idle)
             idle_total += pending_idle
             pending_idle = 0
-        burst["tick"] = gaps  # converted to absolute ticks below
-        chunks.append(burst)
+        addr_parts.append(addrs)
+        kind_parts.append(kinds)
+        gap_parts.append(gaps)  # converted to absolute ticks below
+        dwell_privs.append(int(phase.privilege))
+        dwells.append(dwell)
         produced += dwell
-        phase_i = int(rng.choice(len(profile.phases), p=transitions[phase_i]))
+        phase_i = _choice(rng, profile.transitions[phase_i])
         # Interactive apps sleep between events; an idle period advances
         # the clock (leakage keeps burning, STT-RAM cells keep decaying)
         # without retiring instructions.
@@ -176,7 +205,11 @@ def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
             if profile.wake_phase is not None:
                 phase_i = profile.wake_phase  # the wake interrupt handler
 
-    records = np.concatenate(chunks)
+    records = np.zeros(produced, dtype=TRACE_DTYPE)
+    records["addr"] = np.concatenate(addr_parts)
+    records["kind"] = np.concatenate(kind_parts)
+    records["priv"] = np.repeat(np.asarray(dwell_privs, dtype=np.uint8), dwells)
+    records["tick"] = np.concatenate(gap_parts)
     records["tick"] = np.cumsum(records["tick"]) - records["tick"][0]
     instructions = int(records["tick"][-1]) + 1 - idle_total
     return Trace(profile.name, records, max(instructions, length))

@@ -45,7 +45,7 @@ class Region:
             regions; larger values concentrate accesses on fewer blocks.
             Rank is ``floor(nblocks * u**hotness)`` for ``u ~ U[0, 1)``.
         kind_weights: Probabilities of (IFETCH, LOAD, STORE) for
-            accesses drawn from this region; must sum to 1.
+            accesses drawn from this region; non-negative, summing to 1.
         run_mean: Mean number of consecutive accesses to a block once it
             is selected (geometric run lengths).  Models word-granularity
             walks within a 64-byte line — the spatial locality that gives
@@ -74,6 +74,8 @@ class Region:
             )
         if self.pattern == "hot" and self.hotness < 1.0:
             raise ValueError(f"region {self.name!r}: hotness must be >= 1")
+        if min(self.kind_weights) < 0:
+            raise ValueError(f"region {self.name!r}: negative entry in kind_weights {self.kind_weights}")
         total = sum(self.kind_weights)
         if not np.isclose(total, 1.0):
             raise ValueError(f"region {self.name!r}: kind_weights sum to {total}, expected 1")
@@ -89,7 +91,8 @@ class PhaseSpec:
         name: Phase label (``"render"``, ``"syscall"``, ...).
         privilege: Privilege level of every access in the phase.
         regions: Candidate regions, paired with selection ``weights``.
-        weights: Per-access probability of choosing each region.
+        weights: Per-access probability of choosing each region
+            (non-negative, summing to 1).
         mean_accesses: Mean dwell length in accesses; actual dwells are
             geometric around this mean.
         mean_gap: Mean instruction gap between consecutive accesses
@@ -108,6 +111,8 @@ class PhaseSpec:
             raise ValueError(f"phase {self.name!r} needs at least one region")
         if len(self.weights) != len(self.regions):
             raise ValueError(f"phase {self.name!r}: {len(self.weights)} weights for {len(self.regions)} regions")
+        if min(self.weights) < 0:
+            raise ValueError(f"phase {self.name!r}: negative entry in weights {self.weights}")
         if not np.isclose(sum(self.weights), 1.0):
             raise ValueError(f"phase {self.name!r}: weights must sum to 1")
         if self.mean_accesses < 1:

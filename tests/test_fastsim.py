@@ -21,6 +21,8 @@ import pytest
 
 from repro.cache import fastsim
 from repro.cache.diffsim import (
+    RUN_CASES_FROM,
+    _workload,
     assert_case_equal,
     assert_dynamic_case_equal,
     sample_case,
@@ -37,10 +39,13 @@ from repro.types import TRACE_DTYPE, AccessKind, Privilege
 
 from conftest import make_trace, sequential_accesses
 
-# The PR's acceptance floor is >= 20 randomized configurations; 24 covers
-# both refresh modes (even seeds replay retention "none", odd seeds
-# "invalidate") across the full geometry grid in diffsim.sample_case.
-DIFF_SEEDS = range(24)
+# >= 20 randomized configurations covering both refresh modes (even seeds
+# replay retention "none", odd seeds "invalidate") across the full
+# geometry grid in diffsim.sample_case; seeds from RUN_CASES_FROM on add
+# same-block runs with writes inside them (the kernel's repeat collapse).
+DIFF_SEEDS = range(RUN_CASES_FROM + 16)
+# The dynamic-design sampler has no run cases.
+DYNAMIC_SEEDS = range(24)
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +55,38 @@ DIFF_SEEDS = range(24)
 @pytest.mark.parametrize("seed", DIFF_SEEDS)
 def test_kernel_matches_reference(seed):
     assert_case_equal(sample_case(seed))
+
+
+def _reference_writebacks(case, addrs, privs, writes):
+    cache = SetAssociativeCache(case.geometry, "lru")
+    for tick, (addr, isw, priv) in enumerate(
+        zip(addrs.tolist(), writes.tolist(), privs.tolist())
+    ):
+        cache.access(addr, isw, priv, tick)
+    return cache.stats.writebacks
+
+
+def test_run_cases_make_repeat_writes_decide_writebacks():
+    """The run cases must exercise the collapse's dirty-OR step: in some
+    retention-free case, stores that land on a run's *repeat* rows (not
+    its first row) change how many dirty victims the reference engine
+    writes back, so a kernel that dropped repeats without OR-ing their
+    write flags would diverge in ``test_kernel_matches_reference``."""
+    decisive = []
+    for seed in DIFF_SEEDS:
+        case = sample_case(seed)
+        if case.run_mean == 1.0 or case.refresh_mode != "none":
+            continue
+        _, addrs, privs, writes, _, _ = _workload(case)
+        blocks = addrs // np.uint64(case.block_size)
+        repeat = np.zeros(len(blocks), dtype=bool)
+        repeat[1:] = blocks[1:] == blocks[:-1]
+        first_rows_only = writes & ~repeat
+        if _reference_writebacks(case, addrs, privs, writes) != _reference_writebacks(
+            case, addrs, privs, first_rows_only
+        ):
+            decisive.append(seed)
+    assert decisive
 
 
 def test_kernel_matches_reference_without_demand_column():
@@ -247,7 +284,7 @@ def test_supports_cache_envelope():
 # 4. the dynamic design's epoch-chunked kernel
 
 
-@pytest.mark.parametrize("seed", DIFF_SEEDS)
+@pytest.mark.parametrize("seed", DYNAMIC_SEEDS)
 def test_dynamic_kernel_matches_reference(seed):
     assert_dynamic_case_equal(sample_dynamic_case(seed))
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
-from repro.config import DEFAULT_PLATFORM, platform_preset
+from repro.config import DEFAULT_PLATFORM, CacheGeometry, LatencyConfig, platform_preset
 from repro.core.designs import make_design
 from repro.engine import JobSpec, StreamCache, run_jobs
 from repro.engine.spec import SCHEMA_VERSION, stream_key
@@ -60,6 +61,34 @@ class TestKeying:
         assert stream_key("browser", SHORT, 1, DEFAULT_PLATFORM) != base
         assert stream_key("browser", SHORT, 0, platform_preset("little")) != base
         assert stream_key("browser", SHORT, 0, DEFAULT_PLATFORM, "fifo") != base
+
+    def test_stream_key_ignores_what_the_l1_filter_does_not_read(self):
+        base = stream_key("browser", SHORT, 0, DEFAULT_PLATFORM)
+        variants = [
+            DEFAULT_PLATFORM.with_l2(DEFAULT_PLATFORM.l2.with_ways(8)),
+            replace(DEFAULT_PLATFORM, latency=LatencyConfig(l2_hit=30, dram=200)),
+            replace(DEFAULT_PLATFORM, clock_hz=2.0e9, base_cpi=1.0),
+        ]
+        for platform in variants:
+            assert stream_key("browser", SHORT, 0, platform) == base
+            assert JobSpec("baseline", "browser", length=SHORT, platform=platform).stream_key == (
+                JobSpec("baseline", "browser", length=SHORT).stream_key
+            )
+
+    def test_stream_key_sees_each_l1_geometry(self):
+        base = stream_key("browser", SHORT, 0, DEFAULT_PLATFORM)
+        other_l1d = replace(DEFAULT_PLATFORM, l1d=CacheGeometry(16 * 1024, 4))
+        other_l1i = replace(DEFAULT_PLATFORM, l1i=CacheGeometry(32 * 1024, 8))
+        assert stream_key("browser", SHORT, 0, other_l1d) != base
+        assert stream_key("browser", SHORT, 0, other_l1i) != base
+        assert stream_key("browser", SHORT, 0, other_l1d) != stream_key(
+            "browser", SHORT, 0, replace(DEFAULT_PLATFORM, l1i=CacheGeometry(16 * 1024, 4))
+        )
+
+    def test_l2_variant_is_served_the_default_streams_bundle(self, cache):
+        cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
+        variant = DEFAULT_PLATFORM.with_l2(CacheGeometry(512 * 1024, 8))
+        assert cache.get("browser", SHORT, 0, variant) is not None
 
 
 class TestRoundTrip:

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.trace.generator import generate_trace
+from repro.trace.generator import _choice, generate_trace
 from repro.trace.phases import AppProfile, PhaseSpec, Region
-from repro.trace.workloads import app_profile
+from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
 from repro.types import CACHE_BLOCK_SIZE, KERNEL_SPACE_START, AccessKind, Privilege
 
 _DATA = (0.0, 0.7, 0.3)
@@ -196,3 +196,38 @@ class TestSuiteProfiles:
         t = generate_trace(app_profile("email"), 10_000, seed=0)
         assert len(t) == 10_000
         assert 0.1 < t.kernel_fraction() < 0.8
+
+
+def _suite_weight_tuples():
+    """Every distinct weight tuple the generator samples from, over all
+    twelve app profiles: phase region weights, region kind weights and
+    transition rows."""
+    found = set()
+    for name in APP_NAMES + EXTRA_APP_NAMES:
+        profile = app_profile(name)
+        found.update(profile.transitions)
+        for phase in profile.phases:
+            found.add(phase.weights)
+            found.update(region.kind_weights for region in phase.regions)
+    return sorted(found)
+
+
+class TestCachedCdfSampler:
+    """The generator's ``_choice`` must be a drop-in for numpy's weighted
+    ``Generator.choice``: same values, same generator state afterwards."""
+
+    @pytest.mark.parametrize("weights", _suite_weight_tuples())
+    @pytest.mark.parametrize("size", [None, 1, 7, 4096])
+    def test_matches_numpy_choice(self, weights, size):
+        ours = np.random.default_rng(20240)
+        ref = np.random.default_rng(20240)
+        for _ in range(3):
+            got = _choice(ours, weights, size)
+            want = ref.choice(len(weights), size=size, p=weights)
+            if size is None:
+                assert isinstance(got, int)
+                assert got == int(want)
+            else:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        assert ours.bit_generator.state == ref.bit_generator.state

@@ -47,6 +47,10 @@ class TestRegion:
         with pytest.raises(ValueError, match="kind_weights"):
             user_region(kind_weights=(0.5, 0.5, 0.5))
 
+    def test_rejects_negative_kind_weight_summing_to_one(self):
+        with pytest.raises(ValueError, match="negative entry in kind_weights"):
+            user_region(kind_weights=(1.2, -0.2, 0.0))
+
     def test_rejects_low_run_mean(self):
         with pytest.raises(ValueError, match="run_mean"):
             user_region(run_mean=0.5)
@@ -72,6 +76,10 @@ class TestPhaseSpec:
     def test_rejects_weights_not_summing_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             PhaseSpec("p", Privilege.USER, (user_region(),), (0.8,))
+
+    def test_rejects_negative_weight_summing_to_one(self):
+        with pytest.raises(ValueError, match="negative entry in weights"):
+            PhaseSpec("p", Privilege.USER, (user_region(), user_region(name="s")), (1.5, -0.5))
 
     def test_rejects_zero_mean_accesses(self):
         with pytest.raises(ValueError, match="mean_accesses"):
