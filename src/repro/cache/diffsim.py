@@ -19,12 +19,16 @@ reclaims and finalize-time drains all fire.  Seeds from
 :data:`RUN_CASES_FROM` on also expand the addresses into geometric
 same-block runs with writes scattered inside them, the shape the
 kernel collapses before its LRU loop (retention ``none``) and must not
-collapse with retention (a store refreshes the block).
+collapse with retention (a store refreshes the block).  Seeds from
+:data:`ELISION_CASES_FROM` on are all ``invalidate`` cases whose window
+is set from their own stream's tick span (one tick short of it, exactly
+it, one past it, twice it), so the kernel's retention-free replay of a
+window the stream cannot outlast is checked on both sides of its bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,9 +40,13 @@ from repro.config import CacheGeometry, PlatformConfig
 #: First :func:`sample_case` seed whose workload has same-block runs;
 #: lower seeds keep their original run-free workloads unchanged.
 RUN_CASES_FROM = 24
+#: First :func:`sample_case` seed whose window is set from its stream's
+#: tick span; lower seeds keep their original windows unchanged.
+ELISION_CASES_FROM = 40
 
 __all__ = [
     "RUN_CASES_FROM",
+    "ELISION_CASES_FROM",
     "DiffCase",
     "sample_case",
     "run_case",
@@ -87,12 +95,16 @@ class DiffCase:
 def sample_case(seed: int) -> DiffCase:
     """Draw one configuration; even seeds are retention-free, odd seeds
     use invalidate-on-expiry, so any seed range covers both modes.
-    Seeds from :data:`RUN_CASES_FROM` on add same-block runs."""
+    Seeds from :data:`RUN_CASES_FROM` on add same-block runs; seeds from
+    :data:`ELISION_CASES_FROM` on are all ``invalidate``, with the window
+    ``span - 1``, ``span``, ``span + 1`` or ``2 * span`` by ``seed % 4``,
+    where ``span`` runs from the stream's first tick to its finalize
+    tick."""
     rng = np.random.default_rng(seed)
     sets = int(rng.choice([1, 2, 4, 16, 64]))
     ways = int(rng.choice([1, 2, 3, 4, 8, 16]))
     block_size = int(rng.choice([32, 64, 128]))
-    refresh_mode = "invalidate" if seed % 2 else "none"
+    refresh_mode = "invalidate" if seed % 2 or seed >= ELISION_CASES_FROM else "none"
     retention_ticks = int(rng.integers(20, 2_000)) if refresh_mode == "invalidate" else None
     capacity_blocks = sets * ways
     footprint = max(1, int(capacity_blocks * float(rng.choice([0.5, 1.0, 2.0, 4.0]))))
@@ -101,7 +113,7 @@ def sample_case(seed: int) -> DiffCase:
         max_gap = max(2, int(retention_ticks * float(rng.choice([0.05, 0.4, 1.5]))))
     else:
         max_gap = int(rng.choice([1, 4, 60]))
-    return DiffCase(
+    case = DiffCase(
         seed=seed,
         sets=sets,
         ways=ways,
@@ -117,6 +129,11 @@ def sample_case(seed: int) -> DiffCase:
         # drawn last, so the fields above match the run-free sampler
         run_mean=float(rng.choice([2.0, 4.0, 8.0])) if seed >= RUN_CASES_FROM else 1.0,
     )
+    if seed < ELISION_CASES_FROM:
+        return case
+    ticks, _, _, _, _, final_tick = _workload(case)
+    span = final_tick - int(ticks.min())  # the finalize tick is the latest
+    return replace(case, retention_ticks=(span - 1, span, span + 1, 2 * span)[seed % 4])
 
 
 def _workload(case: DiffCase):

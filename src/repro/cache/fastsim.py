@@ -10,12 +10,15 @@ replays an *entire trace at once* instead:
    trace by set (one stable argsort); every scalar counter that does not
    depend on hit/miss outcomes (access totals, privilege and write splits)
    is reduced vectorially.
-2. With retention ``none``, every row whose block equals the previous
+2. ``invalidate`` retention whose window covers the stream's whole tick
+   span (finalize tick included) replays as retention ``none``: no decay
+   test ``t - lastref > window`` can fire inside that span.
+3. With retention ``none``, every row whose block equals the previous
    row of its set is dropped before the loop: under LRU it is a hit on
    the block already at MRU, so it changes nothing but the dirty bit,
    which the kept first row of the run takes as the OR of the run's
    write flags.  Totals still come from the full columns.
-3. Each set is then replayed by a tight loop over packed parallel arrays
+4. Each set is then replayed by a tight loop over packed parallel arrays
    (tag / privilege / dirty / last-refresh, plus an integer LRU recency
    sequence) — no objects, no dispatch, no per-access allocation.
 
@@ -32,7 +35,7 @@ the geometry stays fixed *within* a chunk (one controller epoch), while
 powered-way gating and wake-on-first-access are applied between chunks —
 exactly where the reference engine applies them — so the epoch
 controller's decisions, timelines and resize counters come out
-bit-identical too.
+bit-identical too.  Step 2 applies there per chunk.
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
@@ -176,6 +179,16 @@ def simulate_trace(
         raise ValueError(
             f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
         )
+    ticks = np.asarray(ticks)
+    if refresh_mode == "invalidate":
+        # With nothing able to expire, fills take the lowest free way and
+        # victims the least recent block: the retention-free replay.
+        horizon = int(ticks.max())
+        if finalize_tick is not None:
+            horizon = max(horizon, finalize_tick)
+        if horizon - int(ticks.min()) <= retention_ticks:
+            refresh_mode = "none"
+            obs.inc("fastsim.retention.elided")
     kernel_accesses = int(np.count_nonzero(privs))
     write_accesses = int(np.count_nonzero(writes))
     demand_accesses = n if demand is None else int(np.count_nonzero(np.asarray(demand)))
@@ -241,7 +254,7 @@ def simulate_trace(
                 s_demand, s_orig, events,
             )
     else:
-        s_ticks = np.asarray(ticks)[order].tolist()
+        s_ticks = ticks[order].tolist()
         counters, wb_set, wb_tag = _replay_sets_retention(
             ways, active_sets, starts, s_ticks, s_tags, s_privs, s_writes,
             s_demand, s_orig, events, retention_ticks, finalize_tick,
@@ -589,7 +602,6 @@ class EpochReplaySegment:
         # always clean (``dirty`` implies ``valid``): the gating and
         # finalize scans rely on it.
         n_frames = geometry.num_sets * self.ways
-        self._n_frames = n_frames
         self._valid = bytearray(n_frames)
         self._dirty = bytearray(n_frames)
         self._privw = bytearray(n_frames)
@@ -597,18 +609,12 @@ class EpochReplaySegment:
         self._seqs = [0] * n_frames
         self._blockw = [0] * n_frames
         self._tagmap: dict[int, int] = {}
-        # Exclusive per-set high-water bounds (indexed by the set's frame
-        # base): no dirty/valid frame sits at or above them, so the
-        # gating scan skips clean sets in O(1).  ``_max_dirty_hi`` /
-        # ``_max_valid_hi`` bound every per-set value, letting a resize
-        # skip the whole scan when nothing dirty/valid can sit above it.
-        self._dirty_hi = [0] * n_frames
-        self._valid_hi = [0] * n_frames
-        self._max_dirty_hi = 0
-        self._max_valid_hi = 0
         self._seqc = 0
-        self._n_chunks = 0
         self._chunk_starts: list[int] = [0]
+        # Lower bound of every ``lastref``, and the first chunk that may
+        # outlast the window from it (see :meth:`_decay_window`).
+        self._tick_min = 0
+        self._full_from = 0
 
     # -- geometry ------------------------------------------------------
 
@@ -632,46 +638,33 @@ class EpochReplaySegment:
         """
         if not 1 <= new_powered <= self.ways:
             raise ValueError(f"new_powered must be in [1, {self.ways}], got {new_powered}")
-        st = self.stats
-        window = self._window
         flushes = 0
         if new_powered < self.powered_ways:
             lo, hi = new_powered, self.powered_ways
-            ways = self.ways
-            if self._max_dirty_hi > lo:
-                dirty = self._dirty
-                lastref = self._lastref
-                dirty_hi = self._dirty_hi
-                for base in range(0, self._n_frames, ways):
-                    dhi = dirty_hi[base]
-                    if dhi > lo:
-                        for f in range(base + lo, base + min(hi, dhi)):
-                            if dirty[f]:
-                                if window is not None and tick - lastref[f] > window:
-                                    st.expiry_writebacks += 1
-                                else:
-                                    st.writebacks += 1
-                                    st.gate_flushes += 1
-                                    flushes += 1
-                                dirty[f] = 0
-                        dirty_hi[base] = lo
-                self._max_dirty_hi = lo
-            if not self.retains_when_gated and self._max_valid_hi > lo:
-                tagmap = self._tagmap
-                valid = self._valid
-                blockw = self._blockw
-                valid_hi = self._valid_hi
-                for base in range(0, self._n_frames, ways):
-                    vhi = valid_hi[base]
-                    if vhi > lo:
-                        for f in range(base + lo, base + min(hi, vhi)):
-                            if valid[f]:
-                                del tagmap[blockw[f]]
-                                valid[f] = 0
-                        valid_hi[base] = lo
-                self._max_valid_hi = lo
+            dirty, frames = self._gated(self._dirty, lo, hi)
+            window = self._decay_window(tick)
+            lastref = self._lastref
+            expired = 0 if window is None else sum(tick - lastref[f] > window for f in frames)
+            flushes = len(frames) - expired
+            st = self.stats
+            st.expiry_writebacks += expired
+            st.writebacks += flushes
+            st.gate_flushes += flushes
+            dirty[...] = 0
+            if not self.retains_when_gated:
+                valid, frames = self._gated(self._valid, lo, hi)
+                for f in frames:
+                    del self._tagmap[self._blockw[f]]
+                valid[...] = 0
         self.powered_ways = new_powered
         return flushes
+
+    def _gated(self, column: bytearray, lo: int, hi: int):
+        """(set, way) view of a frame-state column over ways ``lo:hi``,
+        and the flat indices of its set frames: one numpy scan."""
+        view = np.frombuffer(column, np.uint8).reshape(-1, self.ways)[:, lo:hi]
+        sets, ways = np.nonzero(view)
+        return view, (sets * self.ways + ways + lo).tolist()
 
     def begin_epoch(self) -> None:
         self.epoch_accesses = 0
@@ -682,7 +675,7 @@ class EpochReplaySegment:
         """Drain dirty blocks that decayed unobserved (all ways, gated
         included — gated blocks are always clean, so only live-frame
         decay can charge here)."""
-        window = self._window
+        window = self._decay_window(tick)
         if window is None:
             return
         dirty = self._dirty
@@ -695,6 +688,15 @@ class EpochReplaySegment:
                 dirty[f] = 0
             f = dirty.find(1, f + 1)
 
+    def _decay_window(self, tick: int) -> int | None:
+        """The retention window, or None when no decay test at ``tick``
+        can fire: every resident block was last written at or after
+        ``_tick_min``, so ``tick - lastref`` cannot exceed the window."""
+        window = self._window
+        if window is None or tick - self._tick_min <= window:
+            return None
+        return window
+
     # -- chunked replay ------------------------------------------------
 
     def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int) -> None:
@@ -705,11 +707,14 @@ class EpochReplaySegment:
         to the segment — so chunk boundaries agree across segments.
         Outcome-independent stats (access totals, privilege and write
         splits) are credited here; hit/miss counters accrue per chunk.
+
+        Chunks whose ticks all lie within the window of the segment's
+        first tick skip the decay test (``fastsim.retention.elided_chunks``).
         """
         addrs = np.asarray(addrs, dtype=np.uint64)
+        ticks = np.asarray(ticks)
         privs = np.asarray(privs)
         n = len(addrs)
-        self._n_chunks = n_chunks
         if n and int(privs.max()) > 1:
             raise ValueError(
                 f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
@@ -735,14 +740,26 @@ class EpochReplaySegment:
         # ``chunk_ids`` is non-decreasing, so each chunk is a contiguous
         # slice found by searchsorted.  The frame base (set * ways) is
         # precomputed so the replay loop never touches the set index.
-        self._ticks = np.asarray(ticks).tolist()
+        self._ticks = ticks.tolist()
         self._blocks = blocks.tolist()
         self._bases = (set_idx * self.ways).tolist()
         self._privs = privs.tolist()
         self._writes = np.asarray(writes).tolist()
         self._demand = np.asarray(demand).tolist()
         chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
-        self._chunk_starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
+        starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1))
+        self._chunk_starts = starts.tolist()
+
+        first = int(ticks.min())
+        self._tick_min = first if self._seqc == 0 else min(self._tick_min, first)
+        self._full_from = n_chunks
+        if self._window is not None:
+            late = ticks > self._tick_min + self._window
+            if late.any():
+                self._full_from = int(chunk_ids[late.argmax()])
+            elided = int(np.count_nonzero(np.diff(starts[:self._full_from + 1])))
+            if elided:
+                obs.inc("fastsim.retention.elided_chunks", elided)
 
     def chunk_first_tick(self, chunk: int) -> int | None:
         """Stream-order tick of this segment's first access in ``chunk``
@@ -760,7 +777,7 @@ class EpochReplaySegment:
         if lo == hi:
             return
         st = self.stats
-        window = self._window
+        window = self._window if chunk >= self._full_from else None
         powered = self.powered_ways
         track_ranks = (hi - lo) >= self.min_rank_accesses
         rank_hits = self.epoch_rank_hits
@@ -773,10 +790,6 @@ class EpochReplaySegment:
         lastref = self._lastref
         seqs = self._seqs
         blockw = self._blockw
-        dirty_hi = self._dirty_hi
-        valid_hi = self._valid_hi
-        max_dh = self._max_dirty_hi
-        max_vh = self._max_valid_hi
         misses = kernel_misses = demand_misses = hits = 0
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
@@ -817,11 +830,6 @@ class EpochReplaySegment:
                     if isw:
                         dirty[f] = 1
                         lastref[f] = tick  # a store rewrites the cells
-                        w1 = f - base + 1
-                        if w1 > dirty_hi[base]:
-                            dirty_hi[base] = w1
-                            if w1 > max_dh:
-                                max_dh = w1
                     continue
             misses += 1
             if priv:
@@ -859,18 +867,7 @@ class EpochReplaySegment:
             lastref[target] = tick
             seqs[target] = seqc
             tagmap[block] = target
-            w1 = target - base + 1
-            if w1 > valid_hi[base]:
-                valid_hi[base] = w1
-                if w1 > max_vh:
-                    max_vh = w1
-            if isw and w1 > dirty_hi[base]:
-                dirty_hi[base] = w1
-                if w1 > max_dh:
-                    max_dh = w1
         self._seqc = seqc
-        self._max_dirty_hi = max_dh
-        self._max_valid_hi = max_vh
         self.epoch_misses += misses
         st.hits += hits
         st.misses += misses

@@ -121,7 +121,7 @@ class ReplaySession:
             if self.engine == "auto" and not fastsim.enabled():
                 reason = "kill-switch"
             else:
-                with obs.span("replay", design=self.design_name, engine="fastsim"):
+                with self._replay_span(engine="fastsim"):
                     ran = runner(fastsim)
                 if ran:
                     self.sim_engine = "fastsim"
@@ -139,6 +139,10 @@ class ReplaySession:
             if self.engine == "auto" and reason in ("kill-switch", "kernel-declined"):
                 obs.event("pipeline.fallback", design=self.design_name, reason=reason)
         return self.sim_engine == "fastsim"
+
+    def _replay_span(self, **attrs):
+        """The ``replay`` span of this session, tagged with its row count."""
+        return obs.span("replay", design=self.design_name, rows=len(self.stream), **attrs)
 
     # ------------------------------------------------------------------
     # the reference loops
@@ -159,7 +163,7 @@ class ReplaySession:
         (a :class:`SetAssociativeCache` or a composite like the hybrid
         segment).  The caller finalizes its caches itself.
         """
-        with obs.span("replay", design=self.design_name, engine="reference", loop="routed"):
+        with self._replay_span(engine="reference", loop="routed"):
             for tick, addr, priv, is_write, is_demand in self.rows():
                 route(priv).access(addr, is_write, priv, tick, is_demand)
 
@@ -176,7 +180,7 @@ class ReplaySession:
         ``route(priv)`` returns a segment exposing wake-on-first-access
         (``wake(tick)``) and a ``cache.access`` method.
         """
-        with obs.span("replay", design=self.design_name, engine="reference", loop="epochs"):
+        with self._replay_span(engine="reference", loop="epochs"):
             next_epoch = epoch_ticks
             for tick, addr, priv, is_write, is_demand in self.rows():
                 while tick >= next_epoch:
@@ -212,7 +216,7 @@ class ReplaySession:
         dram_read_stall = 0
         prefetch_issued = 0
         prefetch_useful = 0
-        with obs.span("replay", design=self.design_name, engine="reference", loop="fixed"):
+        with self._replay_span(engine="reference", loop="fixed"):
             for tick, addr, priv, is_write, is_demand in self.rows():
                 cache = router(priv)
                 result = cache.access(addr, is_write, priv, tick, is_demand)

@@ -2,9 +2,10 @@
 
 ``repro obs summary run.jsonl`` renders, from one run log:
 
-* a per-phase table — for every span name, how often it ran, total and
-  mean duration, and its share of the batch wall time (shares can exceed
-  100% in multiprocess runs: attribution sums busy time across workers);
+* a per-phase table — for every span name, how often it ran, total,
+  exclusive ("self": minus the spans nested in it) and mean duration,
+  and its share of the batch wall time (shares can exceed 100% in
+  multiprocess runs: attribution sums busy time across workers);
 * the measured batch wall time and the *span coverage* — the fraction of
   the batch interval covered by the union of all non-batch spans.  Low
   coverage means time is going somewhere uninstrumented;
@@ -65,6 +66,7 @@ class PhaseStat:
     name: str
     count: int = 0
     total_s: float = 0.0
+    self_s: float = 0.0
 
     @property
     def mean_s(self) -> float:
@@ -81,6 +83,25 @@ def _interval_union(intervals: list[tuple[float, float]]) -> float:
         covered += t1 - max(t0, end)
         end = t1
     return covered
+
+
+def _self_times(spans: list[dict]) -> list[float]:
+    """Exclusive time of each span: its duration minus the durations of
+    the spans directly nested in it (same pid, inside its ``t0``..``t1``)."""
+    self_s = [sp["dur_s"] for sp in spans]
+    by_pid: dict[int, list[int]] = {}
+    for i, sp in enumerate(spans):
+        by_pid.setdefault(sp["pid"], []).append(i)
+    for order in by_pid.values():
+        order.sort(key=lambda i: (spans[i]["t0"], -spans[i]["t1"]))
+        stack: list[int] = []
+        for i in order:
+            while stack and spans[stack[-1]]["t1"] < spans[i]["t1"]:
+                stack.pop()
+            if stack:
+                self_s[stack[-1]] -= spans[i]["dur_s"]
+            stack.append(i)
+    return self_s
 
 
 @dataclass
@@ -109,12 +130,13 @@ class RunSummary:
                 stat.name,
                 str(stat.count),
                 f"{stat.total_s:8.3f}",
+                f"{stat.self_s:8.3f}",
                 f"{stat.mean_s * 1e3:9.2f}",
                 f"{share:7.1%}",
             ])
         table = format_table(
             "where the time went",
-            ["phase", "count", "total s", "mean ms", "of batch"],
+            ["phase", "count", "total s", "self s", "mean ms", "of batch"],
             rows,
             align_left_cols=1,
         )
@@ -139,15 +161,17 @@ def summarize(run: RunLog) -> RunSummary:
     all spans.  Coverage is the union of every *other* span clipped to
     that interval — nesting and cross-process overlap collapse to the
     question "was anything instrumented running at this instant?".
+    Self times nest each process's spans on their ``(t0, t1)`` intervals.
     """
     spans = run.spans()
     phases: dict[str, PhaseStat] = {}
-    for sp in spans:
+    for sp, self_s in zip(spans, _self_times(spans)):
         stat = phases.get(sp["name"])
         if stat is None:
             stat = phases[sp["name"]] = PhaseStat(sp["name"])
         stat.count += 1
         stat.total_s += sp["dur_s"]
+        stat.self_s += self_s
 
     batches = [sp for sp in spans if sp["name"] == "batch"]
     if batches:

@@ -13,18 +13,25 @@ envelope.  This file is that promise, tested three ways:
 4. the dynamic partition design's epoch-chunked kernel is swept over
    randomized controller x technology x burst-shape configurations and
    compared on the *whole* ``DesignResult`` (timelines and resize
-   counts included), plus its own dispatch rules.
+   counts included), plus its own dispatch rules and its gating scan;
+5. retention the stream cannot outlast replays retention-free, and the
+   ``fastsim.retention.*`` counters say when it did.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cache import fastsim
 from repro.cache.diffsim import (
-    RUN_CASES_FROM,
+    ELISION_CASES_FROM,
     _workload,
     assert_case_equal,
     assert_dynamic_case_equal,
+    run_case,
+    run_dynamic_case,
     sample_case,
     sample_dynamic_case,
 )
@@ -42,8 +49,11 @@ from conftest import make_trace, sequential_accesses
 # >= 20 randomized configurations covering both refresh modes (even seeds
 # replay retention "none", odd seeds "invalidate") across the full
 # geometry grid in diffsim.sample_case; seeds from RUN_CASES_FROM on add
-# same-block runs with writes inside them (the kernel's repeat collapse).
-DIFF_SEEDS = range(RUN_CASES_FROM + 16)
+# same-block runs with writes inside them (the kernel's repeat collapse);
+# seeds from ELISION_CASES_FROM on set the window around the stream's
+# tick span (the kernel's retention-free replay of such windows).
+ELISION_SEEDS = range(ELISION_CASES_FROM, ELISION_CASES_FROM + 16)
+DIFF_SEEDS = range(ELISION_SEEDS.stop)
 # The dynamic-design sampler has no run cases.
 DYNAMIC_SEEDS = range(24)
 
@@ -328,3 +338,147 @@ def test_dynamic_segment_rejects_bad_config():
         seg.set_powered_ways(0, tick=0)
     with pytest.raises(ValueError, match="new_powered"):
         seg.set_powered_ways(5, tick=0)
+
+
+def _warm_and_follow_rows():
+    """Rows for the gating tests: 32 warm-up stores/loads that fill an
+    8-set x 4-way cache exactly (block ``i`` lands in set ``i % 8``, way
+    ``i // 8``, at tick ``10 * i``; two blocks in three dirty), then 40
+    follow-up accesses over those blocks and 8 new ones."""
+    warm = [(10 * i, i * 64, i % 3 != 0) for i in range(32)]
+    follow = [(340 + 5 * j, (j * 7 % 40) * 64, j % 2 == 0) for j in range(40)]
+    return warm, follow
+
+
+@pytest.mark.parametrize("retains", [True, False], ids=["retains", "volatile"])
+@pytest.mark.parametrize("window", [None, 100, 10_000], ids=["none", "decaying", "outlasting"])
+def test_gating_scan_matches_reference(retains, window):
+    """Gate three of four ways over live and decayed dirty blocks, then
+    replay follow-up accesses one chunk each (re-enabling the ways half
+    way): flushes, expiry write-backs and every hit/miss outcome must
+    match the reference cache."""
+    geometry = CacheGeometry(8 * 4 * 64, 4, 64)
+    mode = "none" if window is None else "invalidate"
+    ref = SetAssociativeCache(geometry, "lru", retention_ticks=window, refresh_mode=mode,
+                              retains_when_gated=retains)
+    seg = fastsim.EpochReplaySegment(geometry, retention_ticks=window, refresh_mode=mode,
+                                     retains_when_gated=retains)
+    warm, follow = _warm_and_follow_rows()
+    ticks, addrs, writes = (np.array(col) for col in zip(*(warm + follow)))
+    n = len(ticks)
+    chunk_ids = np.r_[np.zeros(len(warm), dtype=np.int64), np.arange(1, len(follow) + 1)]
+    seg.load(ticks, addrs, np.zeros(n, dtype=np.uint8), writes, np.ones(n, dtype=bool),
+             chunk_ids, len(follow) + 1)
+    for tick, addr, isw in warm:
+        ref.access(addr, isw, 0, tick)
+    seg.replay_chunk(0)
+
+    assert seg.set_powered_ways(1, 330) == ref.set_powered_ways(1, 330)
+    for key in ("writebacks", "gate_flushes", "expiry_writebacks"):
+        assert getattr(seg.stats, key) == getattr(ref.stats, key), key
+    if window == 100:  # the gated ways held live and decayed dirty blocks
+        assert ref.stats.gate_flushes > 0 and ref.stats.expiry_writebacks > 0
+
+    for k, (tick, addr, isw) in enumerate(follow, start=1):
+        if k == 20:
+            assert seg.set_powered_ways(4, tick) == ref.set_powered_ways(4, tick)
+        hits = seg.stats.hits
+        seg.replay_chunk(k)
+        assert (seg.stats.hits > hits) == ref.access(addr, isw, 0, tick).hit, k
+    seg.finalize(600)
+    ref.finalize(600)
+    assert seg.stats.to_dict() == ref.stats.to_dict()
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-window", "past-window"])
+def test_segment_decay_bound_is_exact(past):
+    """Dirty blocks stored at the segment's first tick decay exactly one
+    tick past the window: gating and finalize at that bound must charge
+    the same flushes and expiry write-backs as the reference."""
+    window, first = 50, 5
+    geometry = CacheGeometry(2 * 2 * 64, 2, 64)
+    ref = SetAssociativeCache(geometry, "lru", retention_ticks=window, refresh_mode="invalidate")
+    seg = fastsim.EpochReplaySegment(geometry, retention_ticks=window, refresh_mode="invalidate")
+    addrs = np.array([0, 128], dtype=np.uint64)  # ways 0 and 1 of set 0
+    ones = np.ones(2, dtype=bool)
+    seg.load(np.full(2, first), addrs, np.zeros(2, dtype=np.uint8), ones, ones,
+             np.zeros(2, dtype=np.int64), 1)
+    seg.replay_chunk(0)
+    for addr in addrs.tolist():
+        ref.access(addr, True, 0, first)
+    bound = first + window + past
+    assert seg.set_powered_ways(1, bound) == ref.set_powered_ways(1, bound)
+    seg.finalize(bound)
+    ref.finalize(bound)
+    assert seg.stats.to_dict() == ref.stats.to_dict()
+    assert ref.stats.expiry_writebacks == 2 * past
+
+
+# ----------------------------------------------------------------------
+# 5. retention the stream cannot outlast
+
+
+def _counted(name, run) -> int:
+    """How much ``run()`` adds to counter ``name``."""
+    before = obs.REGISTRY.counters.get(name, 0)
+    run()
+    return obs.REGISTRY.counters.get(name, 0) - before
+
+
+def test_elision_cases_straddle_the_bound():
+    """A window one tick short of the stream's span keeps the retention
+    loop; the span itself and anything longer replay retention-free.
+    (``test_kernel_matches_reference`` checks both against the reference.)"""
+    for seed in ELISION_SEEDS:
+        elided = _counted("fastsim.retention.elided", lambda: run_case(sample_case(seed)))
+        assert elided == (seed % 4 != 0), sample_case(seed).describe()
+
+
+def test_dynamic_seeds_mix_elided_and_full_chunks(monkeypatch):
+    """Some dynamic differential case replays a segment's early chunks
+    without the decay test and its later chunks with it, so both sides
+    of the per-chunk bound are compared with the reference engine."""
+    loaded = []
+    load = fastsim.EpochReplaySegment.load
+
+    def spy(self, *args):
+        loaded.append(self)
+        return load(self, *args)
+
+    monkeypatch.setattr(fastsim.EpochReplaySegment, "load", spy)
+
+    def mixes(seed):
+        loaded.clear()
+        run_dynamic_case(sample_dynamic_case(seed))
+        for seg in loaded:
+            starts = seg._chunk_starts
+            replayed = [k for k in range(len(starts) - 1) if starts[k + 1] > starts[k]]
+            if seg._window is not None and replayed[0] < seg._full_from <= replayed[-1]:
+                return True
+        return False
+
+    assert any(mixes(seed) for seed in DYNAMIC_SEEDS)
+
+
+@pytest.fixture(scope="module")
+def browser_stream_240k():
+    from repro.trace.workloads import suite_trace
+
+    return l1_filter(suite_trace("browser", 240_000, 0), DEFAULT_PLATFORM)
+
+
+def test_retention_elision_counters(browser_stream_240k):
+    """At the benchmark's trace length both static-stt windows outlast
+    the stream and the dynamic design's chunks skip the decay test; a
+    10x slower clock shrinks the windows below the stream's span."""
+    from repro.core.designs import make_design
+
+    stream = browser_stream_240k
+
+    def run(design, platform=DEFAULT_PLATFORM):
+        return lambda: make_design(design).run(stream, platform)
+
+    assert _counted("fastsim.retention.elided", run("static-stt")) == 2
+    assert _counted("fastsim.retention.elided_chunks", run("dynamic-stt")) > 0
+    slow = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
+    assert _counted("fastsim.retention.elided", run("static-stt", slow)) == 0

@@ -191,6 +191,40 @@ class TestTracedSweep:
         assert "counters" in text
 
 
+def _write_spans(path, spans):
+    """Write a run log of ``(name, pid, t0, t1)`` spans."""
+    path.write_text("".join(
+        json.dumps({"type": "span", "name": name, "ts": t0, "t0": t0, "t1": t1,
+                    "dur_s": t1 - t0, "pid": pid, "attrs": {}}) + "\n"
+        for name, pid, t0, t1 in spans
+    ))
+    return path
+
+
+class TestSelfTime:
+    # dyadic times, so every sum below is exact
+    SERIAL = [
+        ("job", 7, 0.0, 1.0), ("replay", 7, 0.25, 0.75),
+        ("job", 7, 1.0, 2.0), ("replay", 7, 1.5, 1.75),
+    ]
+
+    def test_serial_self_times_partition_the_wall(self, tmp_path):
+        summary = summarize(load_run(_write_spans(tmp_path / "serial.jsonl", self.SERIAL)))
+        assert summary.phase("job").total_s == 2.0
+        assert summary.phase("job").self_s == 1.25
+        assert summary.phase("replay").self_s == 0.75
+        shares = sum(stat.self_s / summary.batch_wall_s for stat in summary.phases)
+        assert shares <= 1.0
+        assert "self s" in summary.render()
+
+    def test_spans_nest_only_within_their_process(self, tmp_path):
+        # a second worker's job overlaps pid 7's jobs but is nobody's child
+        spans = self.SERIAL + [("job", 8, 0.5, 1.5)]
+        summary = summarize(load_run(_write_spans(tmp_path / "two.jsonl", spans)))
+        assert summary.phase("job").self_s == 1.25 + 1.0
+        assert summary.phase("replay").self_s == 0.75
+
+
 class TestResultsUnperturbed:
     def test_bit_identical_with_tracing_on_and_off(self, tmp_path):
         stream = l1_filter(suite_trace("browser", 12000, 3), DEFAULT_PLATFORM)
@@ -203,6 +237,21 @@ class TestResultsUnperturbed:
         assert traced.to_dict() == baseline.to_dict()
         # and the log actually recorded the traced run
         assert any(e["type"] == "span" for e in load_run(tmp_path / "traced.jsonl").events)
+
+
+class TestReplaySpans:
+    def test_replay_spans_carry_row_counts(self, browser_stream_small, tmp_path):
+        obs.configure(tmp_path / "rows.jsonl")
+        try:
+            for design, engine in (("static-stt", "fast"), ("static-stt", "reference"),
+                                   ("dynamic-stt", "reference")):
+                make_design(design).run(browser_stream_small, DEFAULT_PLATFORM, engine=engine)
+        finally:
+            obs.configure(None)
+        replays = [sp for sp in load_run(tmp_path / "rows.jsonl").spans()
+                   if sp["name"] == "replay"]
+        assert [sp["attrs"]["engine"] for sp in replays] == ["fastsim", "reference", "reference"]
+        assert all(sp["attrs"]["rows"] == len(browser_stream_small) for sp in replays)
 
 
 class TestDispatchCounters:
