@@ -24,6 +24,13 @@ collapse with retention (a store refreshes the block).  Seeds from
 is set from their own stream's tick span (one tick short of it, exactly
 it, one past it, twice it), so the kernel's retention-free replay of a
 window the stream cannot outlast is checked on both sides of its bound.
+Seeds from :data:`FOOTPRINT_CASES_FROM` on give every set ``ways - 1``,
+``ways``, ``ways + 1`` or ``2 * ways`` distinct blocks, arriving one by
+one so that early blocks recur (and take writes) before the set's next
+new block: the shape of the eviction-free prefix the kernel resolves in
+NumPy, and of the state it seeds its LRU loop with at a set's first
+eviction.  Even footprint seeds are retention-free; odd ones are
+``invalidate`` with the window at the stream's span (elided).
 """
 
 from __future__ import annotations
@@ -43,10 +50,14 @@ RUN_CASES_FROM = 24
 #: First :func:`sample_case` seed whose window is set from its stream's
 #: tick span; lower seeds keep their original windows unchanged.
 ELISION_CASES_FROM = 40
+#: First :func:`sample_case` seed with per-set footprints around the
+#: associativity; lower seeds keep their original workloads unchanged.
+FOOTPRINT_CASES_FROM = 56
 
 __all__ = [
     "RUN_CASES_FROM",
     "ELISION_CASES_FROM",
+    "FOOTPRINT_CASES_FROM",
     "DiffCase",
     "sample_case",
     "run_case",
@@ -75,6 +86,7 @@ class DiffCase:
     kernel_frac: float
     wb_frac: float              # fraction of rows marked non-demand
     run_mean: float = 1.0       # mean same-block run length (1 = no runs)
+    per_set_footprint: bool = False  # each set's distinct blocks around ways
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -89,6 +101,7 @@ class DiffCase:
             + (f"(ret={self.retention_ticks})" if self.retention_ticks else "")
             + f" n={self.length} blocks={self.addr_blocks} gap<={self.max_gap}"
             + (f" runs~{self.run_mean:g}" if self.run_mean > 1.0 else "")
+            + (" per-set-footprints" if self.per_set_footprint else "")
         )
 
 
@@ -99,12 +112,18 @@ def sample_case(seed: int) -> DiffCase:
     :data:`ELISION_CASES_FROM` on are all ``invalidate``, with the window
     ``span - 1``, ``span``, ``span + 1`` or ``2 * span`` by ``seed % 4``,
     where ``span`` runs from the stream's first tick to its finalize
-    tick."""
+    tick.  Seeds from :data:`FOOTPRINT_CASES_FROM` on draw each set's
+    footprint around the associativity; even ones are retention-free,
+    odd ones use the window ``span``."""
     rng = np.random.default_rng(seed)
     sets = int(rng.choice([1, 2, 4, 16, 64]))
     ways = int(rng.choice([1, 2, 3, 4, 8, 16]))
     block_size = int(rng.choice([32, 64, 128]))
-    refresh_mode = "invalidate" if seed % 2 or seed >= ELISION_CASES_FROM else "none"
+    footprint_case = seed >= FOOTPRINT_CASES_FROM
+    if footprint_case:
+        refresh_mode = "invalidate" if seed % 2 else "none"
+    else:
+        refresh_mode = "invalidate" if seed % 2 or seed >= ELISION_CASES_FROM else "none"
     retention_ticks = int(rng.integers(20, 2_000)) if refresh_mode == "invalidate" else None
     capacity_blocks = sets * ways
     footprint = max(1, int(capacity_blocks * float(rng.choice([0.5, 1.0, 2.0, 4.0]))))
@@ -128,11 +147,14 @@ def sample_case(seed: int) -> DiffCase:
         wb_frac=float(rng.uniform(0.0, 0.25)),
         # drawn last, so the fields above match the run-free sampler
         run_mean=float(rng.choice([2.0, 4.0, 8.0])) if seed >= RUN_CASES_FROM else 1.0,
+        per_set_footprint=footprint_case,
     )
-    if seed < ELISION_CASES_FROM:
+    if seed < ELISION_CASES_FROM or refresh_mode == "none":
         return case
     ticks, _, _, _, _, final_tick = _workload(case)
     span = final_tick - int(ticks.min())  # the finalize tick is the latest
+    if footprint_case:
+        return replace(case, retention_ticks=span)
     return replace(case, retention_ticks=(span - 1, span, span + 1, 2 * span)[seed % 4])
 
 
@@ -140,7 +162,10 @@ def _workload(case: DiffCase):
     """Generate the access columns of one case (deterministic per seed)."""
     rng = np.random.default_rng(case.seed ^ 0xFA57)
     n = case.length
-    blocks = rng.integers(0, case.addr_blocks, size=n).astype(np.uint64)
+    if case.per_set_footprint:
+        blocks = _footprint_blocks(case, rng)
+    else:
+        blocks = rng.integers(0, case.addr_blocks, size=n).astype(np.uint64)
     if case.run_mean > 1.0:
         runs = rng.geometric(1.0 / case.run_mean, size=n)
         blocks = np.repeat(blocks, runs)[:n]
@@ -152,6 +177,27 @@ def _workload(case: DiffCase):
     demand = rng.random(n) >= case.wb_frac
     final_tick = int(ticks[-1]) + case.max_gap + 1
     return ticks, addrs, privs, writes, demand, final_tick
+
+
+def _footprint_blocks(case: DiffCase, rng) -> np.ndarray:
+    """Block column whose sets each hold ``ways - 1``, ``ways``,
+    ``ways + 1`` or ``2 * ways`` distinct blocks.  A set's ``t``-th access
+    draws uniformly from its first ``1 + t`` blocks, so blocks arrive one
+    by one and early ones recur (and take writes) before the next.  Only
+    as many sets are used as get about ``4 * ways`` accesses each after
+    the same-block runs are expanded."""
+    ways = case.ways
+    footprints = rng.choice([max(1, ways - 1), ways, ways + 1, 2 * ways], size=case.sets)
+    used = int(min(case.sets, max(1, case.length // (case.run_mean * 4 * ways))))
+    sets = rng.integers(0, used, size=case.length)
+    counts = np.bincount(sets, minlength=case.sets)
+    ordinal = np.empty(case.length, dtype=np.int64)
+    ordinal[np.argsort(sets, kind="stable")] = (
+        np.arange(case.length) - np.repeat(np.cumsum(counts) - counts, counts)
+    )
+    unlocked = np.minimum(footprints[sets], 1 + ordinal)
+    ks = (rng.random(case.length) * unlocked).astype(np.int64)
+    return (ks * case.sets + sets).astype(np.uint64)
 
 
 def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:

@@ -18,9 +18,19 @@ replays an *entire trace at once* instead:
    the block already at MRU, so it changes nothing but the dirty bit,
    which the kept first row of the run takes as the OR of the run's
    write flags.  Totals still come from the full columns.
-4. Each set is then replayed by a tight loop over packed parallel arrays
-   (tag / privilege / dirty / last-refresh, plus an integer LRU recency
-   sequence) — no objects, no dispatch, no per-access allocation.
+4. Still with retention ``none``, each set's *eviction-free prefix* — its
+   rows before the (ways+1)-th distinct block — is resolved in NumPy: a
+   row there misses if it is its block's first occurrence and hits
+   otherwise, and nothing is evicted.  One argsort by block finds the
+   first occurrences; only sets that evict go on to step 5, starting at
+   their first eviction with their state built vectorially (way = the
+   block's first-occurrence rank, privilege from that first occurrence,
+   dirty = OR of the block's prefix writes, recency by its last prefix
+   row).  Only the rows the loop replays are converted to Python values.
+5. The remaining rows of each set are replayed by a tight loop over
+   packed parallel per-way lists (tag / privilege / dirty, plus the LRU
+   recency order; last-refresh ticks with retention) — no objects, no
+   dispatch, no per-access allocation.
 
 The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
@@ -53,6 +63,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -97,7 +108,7 @@ def supports_cache(cache) -> bool:
         and cache.powered_ways == cache.ways
         and cache.ways == cache.geometry.associativity
         and cache.stats.accesses == 0
-        and all(not tagmap for tagmap in cache._tagmaps)
+        and cache.is_empty()
     )
 
 
@@ -105,11 +116,12 @@ def supports_cache(cache) -> bool:
 class MissEvents:
     """Per-miss side channel of one :func:`simulate_trace` run.
 
-    ``miss_idx`` lists the caller-supplied index of every missing access
-    (in replay order); ``wb_idx``/``wb_addr``/``wb_priv`` describe the
-    dirty LRU victim written back by the miss at the same index.  The L1
-    filter turns these into the demand/write-back rows of an
-    :class:`~repro.cache.hierarchy.L2Stream`.
+    ``miss_idx`` lists the caller-supplied index of every missing access,
+    in no particular order (prefix misses come first, set by set);
+    ``wb_idx``/``wb_addr``/``wb_priv`` describe the dirty LRU victim
+    written back by the miss at the same index, in the same order as each
+    other.  The L1 filter sorts these rows into program order to build the
+    demand/write-back rows of an :class:`~repro.cache.hierarchy.L2Stream`.
     """
 
     miss_idx: list
@@ -194,70 +206,29 @@ def simulate_trace(
     demand_accesses = n if demand is None else int(np.count_nonzero(np.asarray(demand)))
 
     blocks = addrs >> np.uint64(block_bits)
-    set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.int64)
-    tags = blocks >> np.uint64(set_bits)
-
-    # A 16-bit key lets the stable argsort run as a radix sort; the
-    # stable order is the same for any key dtype.
-    sort_key = set_idx.astype(np.uint16) if num_sets <= 1 << 16 else set_idx
-    order = np.argsort(sort_key, kind="stable")
-    sorted_writes = writes[order]
-    if refresh_mode == "none":
-        # Under plain LRU a row whose block equals the previous row of the
-        # same set is a guaranteed hit on the MRU block: it leaves the
-        # recency order and the block's privilege unchanged and can only
-        # set the dirty bit.  Keep the first row of every such run and
-        # give it the OR of the run's write flags.  (With retention a
-        # store also refreshes the block's timestamp, so repeats are not
-        # free there.)
-        sorted_blocks = blocks[order]
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=keep[1:])
-        kept = np.flatnonzero(keep)
-        sorted_writes = np.logical_or.reduceat(sorted_writes.astype(bool), kept)
-        order = order[kept]
-        set_idx = set_idx[order]
-    starts = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(set_idx, minlength=num_sets), out=starts[1:])
-    active_sets = np.nonzero(starts[1:] > starts[:-1])[0].tolist()
-    starts = starts.tolist()
-
-    # Bulk-convert the sorted columns to plain Python values once; the
-    # per-set loops below then run on C-backed lists, not numpy scalars.
-    # Columns a given replay variant never reads are not converted.
-    s_tags = tags[order].tolist()
-    s_privs = privs[order].tolist()
-    s_writes = sorted_writes.tolist()
-    if demand is None:
-        s_demand = None
-    else:
-        s_demand = np.asarray(demand)[order].tolist()
+    if demand is not None:
+        demand = np.asarray(demand)
     if record_events:
-        if orig_indices is None:
-            s_orig = order.tolist()
-        else:
-            s_orig = np.asarray(orig_indices)[order].tolist()
-    else:
-        s_orig = None
+        orig_indices = np.arange(n) if orig_indices is None else np.asarray(orig_indices)
 
     if refresh_mode == "none":
-        if events is None and s_demand is None:
-            counters = _replay_sets_simple(
-                ways, active_sets, starts, s_tags, s_privs, s_writes,
-            )
-            wb_set: list = []
-            wb_tag: list = []
-        else:
-            counters, wb_set, wb_tag = _replay_sets(
-                ways, active_sets, starts, s_tags, s_privs, s_writes,
-                s_demand, s_orig, events,
-            )
+        counters, wb_set, wb_tag = _replay_retention_free(
+            ways, num_sets, blocks, privs, writes, demand, orig_indices, events,
+        )
     else:
-        s_ticks = ticks[order].tolist()
+        order = _set_order(blocks, num_sets)
+        sorted_blocks = blocks[order]
+        starts = _set_starts(sorted_blocks, num_sets)
+        active_sets = np.nonzero(starts[1:] > starts[:-1])[0].tolist()
+        # Bulk-convert the sorted columns to plain Python values once; the
+        # per-set loop then runs on C-backed lists, not numpy scalars.
         counters, wb_set, wb_tag = _replay_sets_retention(
-            ways, active_sets, starts, s_ticks, s_tags, s_privs, s_writes,
-            s_demand, s_orig, events, retention_ticks, finalize_tick,
+            ways, active_sets, starts.tolist(), ticks[order].tolist(),
+            (sorted_blocks >> np.uint64(set_bits)).tolist(),
+            privs[order].tolist(), writes[order].tolist(),
+            None if demand is None else demand[order].tolist(),
+            orig_indices[order].tolist() if record_events else None,
+            events, retention_ticks, finalize_tick,
         )
     (misses, kernel_misses, demand_misses, evictions, writebacks,
      expiry_invalidations, expiry_writebacks, ec00, ec01, ec10, ec11) = counters
@@ -286,74 +257,130 @@ def simulate_trace(
     return stats, events
 
 
-def _replay_sets_simple(ways, active_sets, starts, TG, PV, WR):
-    """Hottest replay variant: no retention, no demand column, no event
-    recording.  Kept separate from :func:`_replay_sets` so the inner loop
-    unpacks three columns and carries zero per-access branches for
-    features the caller did not ask for.
+def _set_order(blocks, num_sets):
+    """Stable order of the rows grouped by set (one argsort)."""
+    set_idx = blocks & np.uint64(num_sets - 1)
+    # A 16-bit key lets the stable argsort run as a radix sort; the
+    # stable order is the same for any key dtype.
+    return np.argsort(set_idx.astype(np.uint16 if num_sets <= 1 << 16 else np.int64),
+                      kind="stable")
 
-    LRU state is a move-to-back way list (front = least recent).  Recency
-    sequences are unique and strictly increasing, so the list stays in
-    exact ascending-sequence order and popping the front selects the same
+
+def _set_starts(sorted_blocks, num_sets):
+    """Row offset of each set in set-sorted rows (``num_sets + 1`` entries)."""
+    starts = np.zeros(num_sets + 1, dtype=np.int64)
+    set_idx = (sorted_blocks & np.uint64(num_sets - 1)).astype(np.int64)
+    np.cumsum(np.bincount(set_idx, minlength=num_sets), out=starts[1:])
+    return starts
+
+
+def _replay_retention_free(ways, num_sets, blocks, privs, writes, demand, orig_indices,
+                           events):
+    """Retention-free replay of the access rows with block numbers ``blocks``.
+
+    Collapses same-block repeats, resolves every set's eviction-free
+    prefix in NumPy, and hands only the sets that evict to
+    :func:`_replay_sets`, seeded with their state at the first eviction.
+    """
+    # Under plain LRU a row whose block equals the previous row of the
+    # same set is a guaranteed hit on the MRU block: it leaves the
+    # recency order and the block's privilege unchanged and can only set
+    # the dirty bit.  Keep the first row of every such run and give it
+    # the OR of the run's write flags.  (With retention a store also
+    # refreshes the block's timestamp, so repeats are not free there.)
+    # Only the kept rows outlive this step.
+    order = _set_order(blocks, num_sets)
+    sorted_blocks = blocks[order]
+    keep = np.empty(len(order), dtype=bool)
+    keep[0] = True
+    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=keep[1:])
+    kept = np.flatnonzero(keep)
+    del keep
+    k_writes = np.logical_or.reduceat(writes[order].astype(bool, copy=False), kept)
+    k_blocks = sorted_blocks[kept]
+    del sorted_blocks
+    order = order[kept]
+    del kept
+    m = len(order)
+    starts = _set_starts(k_blocks, num_sets)
+    k_set = (k_blocks & np.uint64(num_sets - 1)).astype(np.int64)
+    set_bits = np.uint64(num_sets.bit_length() - 1)
+
+    # A block's rows all lie in its set's range, so grouping rows by block
+    # (any sort order) and taking each group's smallest row finds the
+    # block's first occurrence in its set.
+    by_block = np.argsort(k_blocks)
+    grouped = k_blocks[by_block]
+    group_lo = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    first_pos = np.minimum.reduceat(by_block, group_lo)
+    groups = np.argsort(first_pos)  # groups in first-occurrence order
+    first_rows = first_pos[groups]
+    distinct_before = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k_set[first_rows], minlength=num_sets), out=distinct_before[1:])
+
+    # A set has never evicted before its (ways+1)-th distinct block: each
+    # row up to there is a miss if it is its block's first occurrence and
+    # a hit otherwise, and fills took free ways in first-occurrence order.
+    evicting = np.flatnonzero(np.diff(distinct_before) > ways)
+    first_evict = first_rows[distinct_before[evicting] + ways]
+    prefix_end = starts[1:].copy()
+    prefix_end[evicting] = first_evict
+    in_prefix = np.arange(m) < prefix_end[k_set]
+    prefix_misses = order[first_rows[in_prefix[first_rows]]]
+    misses = len(prefix_misses)
+    kernel_misses = int(np.count_nonzero(privs[prefix_misses]))
+    demand_misses = 0 if demand is None else int(np.count_nonzero(demand[prefix_misses]))
+    if events is not None:
+        events.miss_idx.extend(orig_indices[prefix_misses].tolist())
+
+    # Each evicting set's state at its first eviction: way = the block's
+    # first-occurrence rank, tag and privilege from that first
+    # occurrence, dirty = OR of the block's prefix writes, recency order
+    # by the block's last prefix row.
+    grouped_prefix = in_prefix[by_block]
+    last_row = np.maximum.reduceat(np.where(grouped_prefix, by_block, -1), group_lo)
+    dirty = np.logical_or.reduceat(grouped_prefix & k_writes[by_block], group_lo)
+    slots = distinct_before[evicting][:, None] + np.arange(ways)
+    fills = first_rows[slots]
+    slot_groups = groups[slots]
+    lru = np.argsort(last_row[slot_groups], axis=1)
+
+    # Only the rows the loop replays are converted to Python values.
+    loop_rows = np.flatnonzero(~in_prefix)
+    loop_orig = order[loop_rows]
+    bounds = np.zeros(len(evicting) + 1, dtype=np.int64)
+    np.cumsum(starts[evicting + 1] - first_evict, out=bounds[1:])
+    obs.inc("fastsim.prefix.rows", m - len(loop_rows))
+    obs.inc("fastsim.loop.rows", len(loop_rows))
+    counters, wb_set, wb_tag = _replay_sets(
+        evicting.tolist(), bounds.tolist(), (k_blocks[fills] >> set_bits).tolist(),
+        privs[order[fills]].tolist(), dirty[slot_groups].tolist(), lru.tolist(),
+        (k_blocks[loop_rows] >> set_bits).tolist(), privs[loop_orig].tolist(),
+        k_writes[loop_rows].tolist(),
+        None if demand is None else demand[loop_orig].tolist(),
+        orig_indices[loop_orig].tolist() if events is not None else None,
+        events,
+    )
+    counters[0] += misses
+    counters[1] += kernel_misses
+    counters[2] += demand_misses
+    return counters, wb_set, wb_tag
+
+
+def _replay_sets(sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, events):
+    """Replay full sets from their first eviction on.
+
+    Set ``sets[i]`` replays rows ``bounds[i]:bounds[i + 1]`` starting
+    from way tags ``TAGW[i]``, fill privileges ``PRIVW[i]``, dirty bits
+    ``DIRTY[i]`` and recency order ``LRU[i]`` (ways, least recent first).
+    A full set never regains a free way without retention, so every miss
+    evicts.  LRU state is a move-to-back way list: recency sequences are
+    unique and strictly increasing, so popping the front selects the same
     victim as the reference ``LRUPolicy.victim`` first-strict-minimum
-    scan; sets fill in way order exactly like the reference free-frame
     scan."""
-    misses = kernel_misses = 0
-    evictions = writebacks = 0
-    # evictions_cross flattened: index = (victim_priv << 1) | aggressor_priv
-    ec = [0, 0, 0, 0]
-    for s in active_sets:
-        lo, hi = starts[s], starts[s + 1]
-        tagmap: dict = {}
-        mget = tagmap.get
-        tagw: list = []
-        privw: list = []
-        dirty: list = []
-        lru: list = []
-        lru_remove = lru.remove
-        lru_append = lru.append
-        lru_pop = lru.pop
-        filled = 0
-        for tag, priv, isw in zip(TG[lo:hi], PV[lo:hi], WR[lo:hi]):
-            w = mget(tag)
-            if w is not None:
-                lru_remove(w)
-                lru_append(w)
-                if isw:
-                    dirty[w] = True
-                continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if filled < ways:
-                tagmap[tag] = filled
-                tagw.append(tag)
-                privw.append(priv)
-                dirty.append(isw)
-                lru_append(filled)
-                filled += 1
-            else:
-                w = lru_pop(0)
-                lru_append(w)
-                evictions += 1
-                ec[(privw[w] << 1) | priv] += 1
-                if dirty[w]:
-                    writebacks += 1
-                del tagmap[tagw[w]]
-                tagmap[tag] = w
-                tagw[w] = tag
-                privw[w] = priv
-                dirty[w] = isw
-    return (misses, kernel_misses, 0, evictions, writebacks,
-            0, 0, ec[0], ec[1], ec[2], ec[3])
-
-
-def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
-    """General no-retention replay: like :func:`_replay_sets_simple`
-    (same move-to-back LRU list) but tracking the demand column and/or
-    recording per-miss events."""
     misses = kernel_misses = demand_misses = 0
-    evictions = writebacks = 0
+    writebacks = 0
+    # evictions_cross flattened: index = (victim_priv << 1) | aggressor_priv
     ec = [0, 0, 0, 0]
     track_dm = DM is not None
     record = events is not None
@@ -363,22 +390,22 @@ def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
         miss_idx = events.miss_idx
         wb_idx = events.wb_idx
         wb_priv = events.wb_priv
-    for s in active_sets:
-        lo, hi = starts[s], starts[s + 1]
-        tagmap: dict = {}
+    unused = repeat(0)
+    for i, s in enumerate(sets):
+        lo, hi = bounds[i], bounds[i + 1]
+        tagw = TAGW[i]
+        privw = PRIVW[i]
+        dirty = DIRTY[i]
+        lru = LRU[i]
+        tagmap = dict(zip(tagw, range(len(tagw))))
         mget = tagmap.get
-        tagw: list = []
-        privw: list = []
-        dirty: list = []
-        lru: list = []
         lru_remove = lru.remove
         lru_append = lru.append
         lru_pop = lru.pop
-        filled = 0
         for tag, priv, isw, dm, oi in zip(
             TG[lo:hi], PV[lo:hi], WR[lo:hi],
-            DM[lo:hi] if track_dm else TG[lo:hi],
-            OR[lo:hi] if record else TG[lo:hi],
+            DM[lo:hi] if track_dm else unused,
+            OR[lo:hi] if record else unused,
         ):
             w = mget(tag)
             if w is not None:
@@ -390,37 +417,29 @@ def _replay_sets(ways, active_sets, starts, TG, PV, WR, DM, OR, events):
             misses += 1
             if priv:
                 kernel_misses += 1
-            if track_dm and dm:
+            if dm:
                 demand_misses += 1
             if record:
                 miss_idx.append(oi)
-            if filled < ways:
-                tagmap[tag] = filled
-                tagw.append(tag)
-                privw.append(priv)
-                dirty.append(isw)
-                lru_append(filled)
-                filled += 1
-            else:
-                w = lru_pop(0)
-                lru_append(w)
-                evictions += 1
-                vp = privw[w]
-                ec[(vp << 1) | priv] += 1
-                if dirty[w]:
-                    writebacks += 1
-                    if record:
-                        wb_idx.append(oi)
-                        wb_set.append(s)
-                        wb_tag.append(tagw[w])
-                        wb_priv.append(vp)
-                del tagmap[tagw[w]]
-                tagmap[tag] = w
-                tagw[w] = tag
-                privw[w] = priv
-                dirty[w] = isw
-    counters = (misses, kernel_misses, demand_misses, evictions, writebacks,
-                0, 0, ec[0], ec[1], ec[2], ec[3])
+            w = lru_pop(0)
+            lru_append(w)
+            vp = privw[w]
+            ec[(vp << 1) | priv] += 1
+            if dirty[w]:
+                writebacks += 1
+                if record:
+                    wb_idx.append(oi)
+                    wb_set.append(s)
+                    wb_tag.append(tagw[w])
+                    wb_priv.append(vp)
+            del tagmap[tagw[w]]
+            tagmap[tag] = w
+            tagw[w] = tag
+            privw[w] = priv
+            dirty[w] = isw
+    # Every loop miss evicts.
+    counters = [misses, kernel_misses, demand_misses, misses, writebacks,
+                0, 0, ec[0], ec[1], ec[2], ec[3]]
     return counters, wb_set, wb_tag
 
 

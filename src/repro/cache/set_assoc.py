@@ -136,11 +136,11 @@ class SetAssociativeCache:
         self.powered_ways = self.ways
         self.retains_when_gated = retains_when_gated
         self.gated_misses = 0
-        self._frames: list[list[Entry | None]] = [
-            [None] * self.ways for _ in range(self._num_sets)
-        ]
-        self._tagmaps: list[dict[int, int]] = [dict() for _ in range(self._num_sets)]
-        self._pstates: list[object] = [self.policy.init_set(self.ways) for _ in range(self._num_sets)]
+        # Per-set state is built on first use: a cache whose replay the
+        # fast kernel takes over never pays for it.
+        self._frames: list[list[Entry | None]] = _Unbuilt(self, "_frames")
+        self._tagmaps: list[dict[int, int]] = _Unbuilt(self, "_tagmaps")
+        self._pstates: list[object] = _Unbuilt(self, "_pstates")
         self._track_ranks = isinstance(self.policy, LRUPolicy)
         # Reused hit outcome: every hit returns this one object (with the
         # rank refreshed) instead of allocating a new AccessResult.  All
@@ -151,6 +151,16 @@ class SetAssociativeCache:
         self.epoch_accesses = 0
         self.epoch_misses = 0
         self.epoch_rank_hits: list[int] = [0] * self.ways
+
+    def _build_sets(self) -> None:
+        """Build the per-set frames, tag maps and replacement states."""
+        self._frames = [[None] * self.ways for _ in range(self._num_sets)]
+        self._tagmaps = [dict() for _ in range(self._num_sets)]
+        self._pstates = [self.policy.init_set(self.ways) for _ in range(self._num_sets)]
+
+    def is_empty(self) -> bool:
+        """True when no block is resident (without building per-set state)."""
+        return type(self._tagmaps) is _Unbuilt or not any(self._tagmaps)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -519,3 +529,31 @@ class SetAssociativeCache:
             f"{self.ways}-way, policy={self.policy.name}, "
             f"retention={self.retention_ticks}, refresh={self.refresh_mode})"
         )
+
+
+class _Unbuilt:
+    """Stand-in for one per-set state list of a cache until first use.
+
+    Indexing or iterating it builds the cache's per-set state and forwards
+    to the real list.  The attributes stay plain instance
+    attributes (no class-level lookup hook), so once built the access
+    path pays nothing for the laziness.
+    """
+
+    __slots__ = ("cache", "name")
+
+    def __init__(self, cache: SetAssociativeCache, name: str) -> None:
+        self.cache = cache
+        self.name = name
+
+    def _built(self) -> list:
+        cache = self.cache
+        if type(getattr(cache, self.name)) is _Unbuilt:
+            cache._build_sets()
+        return getattr(cache, self.name)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())

@@ -15,7 +15,9 @@ envelope.  This file is that promise, tested three ways:
    compared on the *whole* ``DesignResult`` (timelines and resize
    counts included), plus its own dispatch rules and its gating scan;
 5. retention the stream cannot outlast replays retention-free, and the
-   ``fastsim.retention.*`` counters say when it did.
+   ``fastsim.retention.*`` counters say when it did;
+6. the eviction-free prefix each set resolves in NumPy, and the state
+   the LRU loop is seeded with at a set's first eviction.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro import obs
 from repro.cache import fastsim
 from repro.cache.diffsim import (
     ELISION_CASES_FROM,
+    FOOTPRINT_CASES_FROM,
     _workload,
     assert_case_equal,
     assert_dynamic_case_equal,
@@ -51,9 +54,12 @@ from conftest import make_trace, sequential_accesses
 # geometry grid in diffsim.sample_case; seeds from RUN_CASES_FROM on add
 # same-block runs with writes inside them (the kernel's repeat collapse);
 # seeds from ELISION_CASES_FROM on set the window around the stream's
-# tick span (the kernel's retention-free replay of such windows).
-ELISION_SEEDS = range(ELISION_CASES_FROM, ELISION_CASES_FROM + 16)
-DIFF_SEEDS = range(ELISION_SEEDS.stop)
+# tick span (the kernel's retention-free replay of such windows); seeds
+# from FOOTPRINT_CASES_FROM on give each set a footprint around the
+# associativity (the kernel's eviction-free prefix and seeded loop).
+ELISION_SEEDS = range(ELISION_CASES_FROM, FOOTPRINT_CASES_FROM)
+FOOTPRINT_SEEDS = range(FOOTPRINT_CASES_FROM, FOOTPRINT_CASES_FROM + 16)
+DIFF_SEEDS = range(FOOTPRINT_SEEDS.stop)
 # The dynamic-design sampler has no run cases.
 DYNAMIC_SEEDS = range(24)
 
@@ -100,7 +106,7 @@ def test_run_cases_make_repeat_writes_decide_writebacks():
 
 
 def test_kernel_matches_reference_without_demand_column():
-    """The no-demand specialization (the bench-shaped call) is exact too."""
+    """A replay without a demand column (the bench-shaped call) is exact too."""
     case = sample_case(3)
     geometry = case.geometry
     rng = np.random.default_rng(99)
@@ -482,3 +488,111 @@ def test_retention_elision_counters(browser_stream_240k):
     assert _counted("fastsim.retention.elided_chunks", run("dynamic-stt")) > 0
     slow = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
     assert _counted("fastsim.retention.elided", run("static-stt", slow)) == 0
+
+
+# ----------------------------------------------------------------------
+# 6. the eviction-free prefix
+
+
+def _prefix_and_loop_rows(run) -> tuple[int, int]:
+    """How many rows ``run()`` resolves in the prefix and in the loop."""
+    names = ("fastsim.prefix.rows", "fastsim.loop.rows")
+    before = [obs.REGISTRY.counters.get(name, 0) for name in names]
+    run()
+    prefix, loop = (obs.REGISTRY.counters.get(name, 0) - b for name, b in zip(names, before))
+    return prefix, loop
+
+
+def test_footprint_cases_mix_prefix_and_loop():
+    """Most footprint cases resolve some rows in the NumPy prefix and
+    replay others in the seeded loop, so ``test_kernel_matches_reference``
+    checks both and their boundary against the reference."""
+    mixed = [
+        seed for seed in FOOTPRINT_SEEDS
+        if all(_prefix_and_loop_rows(lambda: run_case(sample_case(seed))))
+    ]
+    assert len(mixed) >= 8, mixed
+
+
+def test_prefix_dirty_block_evicted_by_first_new_block():
+    """A dirty block last touched early in the prefix is the LRU victim of
+    the set's (ways+1)-th distinct block.  Set 0 writes its block at the
+    first occurrence but re-reads another block first, so seeding the
+    recency order by first access picks a clean victim; set 1 writes its
+    block on a later prefix row, so dropping prefix writes from the dirty
+    bit loses the write-back.  Stats and write-back events must match the
+    reference engine."""
+    geometry = CacheGeometry(4 * 4 * 64, 4, 64)  # 4 sets x 4 ways
+
+    def block(set_i, k):
+        return (k * 4 + set_i) * 64
+
+    rows = []
+    for k, isw in [(1, False), (0, True), (2, False), (3, False),
+                   (1, False), (2, False), (3, False), (4, False)]:
+        rows.append((block(0, k), isw, 0))
+    for k, isw in [(0, False), (1, False), (0, True), (2, False), (3, False),
+                   (1, False), (2, False), (3, False), (4, False)]:
+        rows.append((block(1, k), isw, 1))
+    rows.append((block(2, 0), True, 0))  # a set that never evicts
+    addrs, writes, privs = (np.array(col) for col in zip(*rows))
+    n = len(rows)
+
+    ref = SetAssociativeCache(geometry, "lru")
+    ref_wb = []
+    for i, (addr, isw, priv) in enumerate(rows):
+        result = ref.access(addr, isw, priv, i)
+        if result.writeback:
+            ref_wb.append((i, result.victim_addr, result.victim_priv))
+    assert ref_wb == [(7, block(0, 0), 0), (16, block(1, 0), 1)]
+
+    for record in (False, True):
+        stats, events = fastsim.simulate_trace(
+            geometry, np.arange(n), addrs.astype(np.uint64), privs.astype(np.uint8),
+            writes.astype(bool), record_events=record,
+        )
+        assert stats.to_dict() == ref.stats.to_dict()
+    fast_wb = list(zip(events.wb_idx, events.wb_addr.tolist(), events.wb_priv))
+    assert fast_wb == ref_wb
+    assert sorted(events.miss_idx) == [0, 1, 2, 3, 7, 8, 9, 11, 12, 16, 17]
+
+
+def test_prefix_counters(browser_stream_240k):
+    """At the benchmark's trace length the baseline design resolves most
+    of its rows in NumPy, and some sets still evict."""
+    from repro.core.designs import make_design
+
+    prefix, loop = _prefix_and_loop_rows(
+        lambda: make_design("baseline").run(browser_stream_240k, DEFAULT_PLATFORM)
+    )
+    assert prefix > loop > 0
+
+
+def test_fast_fixed_replay_leaves_reference_state_unbuilt(browser_stream_small, monkeypatch):
+    """A fixed design replayed by the kernel never builds the reference
+    engine's per-set state; the reference path still builds and uses it."""
+    built = []
+    build = SetAssociativeCache._build_sets
+
+    def spy(self):
+        built.append(self.name)
+        build(self)
+
+    monkeypatch.setattr(SetAssociativeCache, "_build_sets", spy)
+    fast = StaticPartitionDesign().run(browser_stream_small, DEFAULT_PLATFORM, engine="fast")
+    assert built == []
+    ref = StaticPartitionDesign().run(browser_stream_small, DEFAULT_PLATFORM, engine="reference")
+    assert built
+    fast_d, ref_d = fast.to_dict(), ref.to_dict()
+    fast_d["extras"].pop("sim_engine")
+    ref_d["extras"].pop("sim_engine")
+    assert fast_d == ref_d
+
+
+def test_lazy_reference_state():
+    cache = SetAssociativeCache(CacheGeometry(8192, 4), "lru")
+    assert cache.is_empty()
+    assert cache.occupancy() == 0.0
+    assert type(cache._frames) is list  # built on first use
+    cache.access(0, True, 0, 0)
+    assert not cache.is_empty() and cache.contains(0)
