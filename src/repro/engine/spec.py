@@ -20,6 +20,7 @@ from repro.core.designs import REGISTERED_DESIGNS
 
 __all__ = [
     "EXPERIMENT_TRACE_LENGTH",
+    "MODEL_VERSION",
     "SCHEMA_VERSION",
     "JobSpec",
     "canonical_json",
@@ -38,6 +39,13 @@ EXPERIMENT_TRACE_LENGTH = 720_000
 #: layout changes — old cache entries then become silent misses instead
 #: of stale hits.
 SCHEMA_VERSION = 2
+
+#: Version of the simulation model: what traces, streams and results a
+#: given input produces.  ``tests/golden/golden.json`` records it beside
+#: the output digests it was generated with; a change that moves any of
+#: those digests must bump it and regenerate the file
+#: (``python tests/golden/regen.py``).  It is not part of any key yet.
+MODEL_VERSION = 1
 
 #: Kwarg value types that survive canonical JSON encoding unchanged.
 _SCALARS = (bool, int, float, str, type(None))
