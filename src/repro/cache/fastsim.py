@@ -920,58 +920,49 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     """
     from repro.cache.hierarchy import L2Stream
 
-    kinds = trace.kinds
-    ifetch_mask = kinds == np.uint8(AccessKind.IFETCH)
-    data_mask = ~ifetch_mask
-    all_idx = np.arange(len(trace), dtype=np.int64)
-
-    i_idx = all_idx[ifetch_mask]
+    # One stable partition, instruction fetches first, each side in
+    # program order; every column is gathered once in that order.
+    is_data = trace.kinds != np.uint8(AccessKind.IFETCH)
+    split = np.argsort(is_data, kind="stable")
+    n_i = len(trace) - int(np.count_nonzero(is_data))
+    del is_data
+    ticks, addrs, privs = trace.ticks[split], trace.addrs[split], trace.privs[split]
     i_stats, i_ev = simulate_trace(
-        platform.l1i,
-        trace.ticks[ifetch_mask],
-        trace.addrs[ifetch_mask],
-        trace.privs[ifetch_mask],
-        np.zeros(len(i_idx), dtype=bool),
-        record_events=True,
-        orig_indices=i_idx,
+        platform.l1i, ticks[:n_i], addrs[:n_i], privs[:n_i],
+        np.zeros(n_i, dtype=bool), record_events=True, orig_indices=split[:n_i],
     )
-    d_idx = all_idx[data_mask]
     d_stats, d_ev = simulate_trace(
-        platform.l1d,
-        trace.ticks[data_mask],
-        trace.addrs[data_mask],
-        trace.privs[data_mask],
-        kinds[data_mask] == np.uint8(AccessKind.STORE),
-        record_events=True,
-        orig_indices=d_idx,
+        platform.l1d, ticks[n_i:], addrs[n_i:], privs[n_i:],
+        trace.kinds[split[n_i:]] == np.uint8(AccessKind.STORE),
+        record_events=True, orig_indices=split[n_i:],
     )
+    del split, ticks, addrs, privs
 
-    miss_idx = np.asarray(i_ev.miss_idx + d_ev.miss_idx, dtype=np.int64)
-    wb_idx = np.asarray(i_ev.wb_idx + d_ev.wb_idx, dtype=np.int64)
-    wb_addr = np.concatenate([i_ev.wb_addr, d_ev.wb_addr])
-    wb_priv = np.asarray(i_ev.wb_priv + d_ev.wb_priv, dtype=np.uint8)
-
-    # Merge demand rows (sub-key 0) and write-back rows (sub-key 1) back
-    # into program order: a write-back lands right after the miss that
-    # evicted it, exactly like the reference filter's append order.
-    row_idx = np.concatenate([miss_idx, wb_idx])
-    row_sub = np.concatenate([
-        np.zeros(len(miss_idx), dtype=np.int8),
-        np.ones(len(wb_idx), dtype=np.int8),
-    ])
-    merge = np.lexsort((row_sub, row_idx))
-    row_idx = row_idx[merge]
-    writes_col = row_sub[merge] == 1
-    addr_col = np.concatenate([trace.addrs[miss_idx], wb_addr])[merge]
-    priv_col = np.concatenate([trace.privs[miss_idx], wb_priv])[merge]
+    # Program order: the misses sorted by trace index, each L1D
+    # write-back placed right after the miss that evicted it, exactly like
+    # the reference filter's append order.  The L1I never writes back.
+    miss_idx = np.sort(np.asarray(i_ev.miss_idx + d_ev.miss_idx, dtype=np.int64))
+    wb_idx = np.asarray(d_ev.wb_idx, dtype=np.int64)
+    wb_order = np.argsort(wb_idx)
+    wb_idx = wb_idx[wb_order]
+    writes = np.zeros(len(miss_idx) + len(wb_idx), dtype=bool)
+    writes[np.searchsorted(miss_idx, wb_idx) + np.arange(1, len(wb_idx) + 1)] = True
+    demand = ~writes
+    row_idx = np.empty(len(writes), dtype=np.int64)
+    row_idx[demand] = miss_idx
+    row_idx[writes] = wb_idx
+    addrs = trace.addrs[row_idx]
+    addrs[writes] = d_ev.wb_addr[wb_order]
+    privs = trace.privs[row_idx]
+    privs[writes] = np.asarray(d_ev.wb_priv, dtype=np.uint8)[wb_order]
 
     return L2Stream(
         name=trace.name,
         ticks=trace.ticks[row_idx].astype(np.int64),
-        addrs=addr_col.astype(np.uint64),
-        privs=priv_col.astype(np.uint8),
-        writes=writes_col,
-        demand=~writes_col,
+        addrs=addrs,
+        privs=privs,
+        writes=writes,
+        demand=demand,
         instructions=trace.instructions,
         trace_accesses=len(trace),
         duration_ticks=trace.duration_ticks,

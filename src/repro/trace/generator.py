@@ -2,8 +2,11 @@
 
 The generator replaces the Android/gem5 full-system traces of the paper
 (see the substitution table in ``DESIGN.md``).  It is deterministic for a
-given ``(profile, length, seed)`` triple and vectorised per phase dwell,
-so multi-hundred-thousand-access traces generate in well under a second.
+given ``(profile, length, seed)`` triple.  A per-dwell loop makes only the
+random-number calls, in the order that defines the trace; one batched pass
+per trace then turns the stored draws into addresses, kinds and ticks
+(``docs/performance.md``, "Trace generation: draws per dwell, the rest
+once per trace").
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from repro import obs
 from repro.trace.access import Trace
-from repro.trace.phases import AppProfile, PhaseSpec, Region
+from repro.trace.phases import AppProfile, Region
 from repro.types import CACHE_BLOCK_SIZE, TRACE_DTYPE, KERNEL_SPACE_START, Privilege
 
 __all__ = ["generate_trace"]
@@ -51,88 +54,106 @@ def _region_blocks(region: Region) -> int:
     return max(1, region.size // CACHE_BLOCK_SIZE)
 
 
-def _draw_blocks(
-    region: Region,
-    n: int,
-    rng: np.random.Generator,
-    stream_cursor: dict[str, int],
-) -> np.ndarray:
-    """Draw ``n`` distinct block selections following the region pattern."""
-    nblocks = _region_blocks(region)
-    if region.pattern == "hot":
-        u = rng.random(n)
-        ranks = np.floor(nblocks * u**region.hotness).astype(np.int64)
-        # Permute ranks into block positions with a fixed stride so hot
-        # blocks spread across cache sets instead of clustering at the
-        # region base (a real hot working set is scattered).
-        stride = 97  # coprime with any power-of-two block count
-        return (ranks * stride) % nblocks
-    if region.pattern == "uniform":
-        return rng.integers(0, nblocks, size=n)
-    if region.pattern == "rotating":
-        dwells = stream_cursor.get(region.name + "/dwells", 0)
-        active = (dwells // region.rotate_dwells) % region.subsets
-        sub = max(1, nblocks // region.subsets)
-        return active * sub + rng.integers(0, sub, size=n)
-    # stream: sequential walk that wraps, cursor persists across dwells
-    start = stream_cursor.get(region.name, 0)
-    idx = (start + np.arange(n, dtype=np.int64)) % nblocks
-    stream_cursor[region.name] = int((start + n) % nblocks)
-    return idx
+#: Hot ranks map to block positions with this stride, coprime with any
+#: power-of-two block count, so hot blocks spread across cache sets
+#: instead of clustering at the region base (a real hot working set is
+#: scattered).
+_HOT_STRIDE = 97
 
 
-def _sample_region_offsets(
-    region: Region,
-    n: int,
-    rng: np.random.Generator,
-    stream_cursor: dict[str, int],
-) -> np.ndarray:
-    """Draw ``n`` block indices: pattern-selected blocks expanded into
-    geometric runs of consecutive same-block accesses (word-level spatial
-    locality within a line)."""
-    if region.run_mean <= 1.0:
-        return _draw_blocks(region, n, rng, stream_cursor)
-    parts: list[np.ndarray] = []
-    remaining = n
-    while remaining > 0:
-        draws = max(1, int(remaining / region.run_mean) + 1)
-        blocks = _draw_blocks(region, draws, rng, stream_cursor)
-        runs = rng.geometric(1.0 / region.run_mean, size=draws)
-        expanded = np.repeat(blocks, runs)
-        parts.append(expanded[:remaining])
-        remaining -= min(remaining, len(expanded))
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+class _RegionDraws:
+    """The random draws of one region over a whole trace, in draw order.
+
+    :meth:`draw` makes one dwell's RNG calls; :meth:`addresses` and
+    :meth:`kinds` transform all of them at once, with the scalar operands
+    a per-dwell transform would use, so every value is identical.
+    """
+
+    def __init__(self, region: Region) -> None:
+        self.region = region
+        self.nblocks = _region_blocks(region)
+        self.sub = max(1, self.nblocks // region.subsets)  # rotating subset size
+        self.dwells = 0
+        # per block-draw call: the draws (hot uniforms or block integers),
+        # their number, the dwells the region saw before, the run lengths
+        # and the accesses those runs keep; per dwell: the kind uniforms
+        self.blocks, self.calls, self.call_dwells, self.runs, self.keeps, self.kind_u = (
+            [], [], [], [], [], [])
+
+    def draw(self, rng: np.random.Generator, n: int) -> None:
+        """Draw one dwell's ``n`` accesses: blocks, expanded into geometric
+        runs of same-block accesses (word-level spatial locality within a
+        line) until the runs cover ``n``, then the kinds."""
+        pattern, run_mean = self.region.pattern, self.region.run_mean
+        remaining = n
+        while remaining > 0:
+            draws = n if run_mean <= 1.0 else int(remaining / run_mean) + 1
+            if pattern == "hot":
+                self.blocks.append(rng.random(draws))
+            elif pattern != "stream":  # a stream walks on, drawing nothing
+                high = self.nblocks if pattern == "uniform" else self.sub
+                self.blocks.append(rng.integers(0, high, size=draws))
+            self.calls.append(draws)
+            self.call_dwells.append(self.dwells)
+            if run_mean <= 1.0:
+                break
+            runs = rng.geometric(1.0 / run_mean, size=draws)
+            self.runs.append(runs)
+            self.keeps.append(min(remaining, int(runs.sum())))
+            remaining -= self.keeps[-1]
+        self.dwells += 1
+        self.kind_u.append(rng.random(n))
+
+    def addresses(self) -> np.ndarray:
+        """Address of every access drawn, in draw order."""
+        region, nblocks = self.region, self.nblocks
+        if region.pattern == "hot":
+            u = np.concatenate(self.blocks)
+            ranks = np.floor(nblocks * u**region.hotness).astype(np.int64)
+            blocks = (ranks * _HOT_STRIDE) % nblocks
+        elif region.pattern == "uniform":
+            blocks = np.concatenate(self.blocks)
+        elif region.pattern == "rotating":
+            active = (np.asarray(self.call_dwells) // region.rotate_dwells) % region.subsets
+            blocks = np.repeat(active * self.sub, self.calls) + np.concatenate(self.blocks)
+        else:  # the stream walk wraps and continues across dwells
+            blocks = np.arange(sum(self.calls), dtype=np.int64) % nblocks
+        addrs = blocks.astype(np.uint64)
+        addrs *= np.uint64(CACHE_BLOCK_SIZE)
+        addrs += np.uint64(region.base)
+        if region.run_mean <= 1.0:
+            return addrs
+        # expand the runs, each call's expansion cut to the accesses it keeps
+        runs = np.concatenate(self.runs)
+        calls = np.asarray(self.calls)
+        starts = np.cumsum(runs) - runs
+        limits = starts[np.cumsum(calls) - calls] + np.asarray(self.keeps)
+        return np.repeat(addrs, np.clip(np.repeat(limits, calls) - starts, 0, runs))
+
+    def kinds(self) -> np.ndarray:
+        """Access kind of every access drawn, in draw order: the number of
+        kind-CDF edges at or below each uniform, which is what
+        ``searchsorted(side="right")`` returns."""
+        u = np.concatenate(self.kind_u)
+        kinds = np.zeros(len(u), dtype=np.uint8)
+        for edge in _cdf(self.region.kind_weights):
+            kinds += u >= edge
+        return kinds
 
 
-def _generate_phase_burst(
-    phase: PhaseSpec,
-    n: int,
-    rng: np.random.Generator,
-    stream_cursor: dict[str, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the address and kind columns of one ``n``-access dwell in
-    ``phase``."""
-    region_idx = _choice(rng, phase.weights, n)
-    kinds = np.empty(n, dtype=np.uint8)
-    addrs = np.empty(n, dtype=np.uint64)
-    counts = np.bincount(region_idx, minlength=len(phase.regions)).tolist()
-    for ri, (region, cnt) in enumerate(zip(phase.regions, counts)):
-        if not cnt:
-            continue
-        mask = region_idx == ri
-        offs = _sample_region_offsets(region, cnt, rng, stream_cursor)
-        if region.pattern == "rotating":
-            key = region.name + "/dwells"
-            stream_cursor[key] = stream_cursor.get(key, 0) + 1
-        addrs[mask] = np.uint64(region.base) + offs.astype(np.uint64) * np.uint64(CACHE_BLOCK_SIZE)
-        kinds[mask] = _choice(rng, region.kind_weights, cnt)
-    return addrs, kinds
-
-
-def _validate_profile_addresses(profile: AppProfile) -> None:
-    """Check privilege/address-space consistency of every region."""
+def _validate_profile(profile: AppProfile) -> None:
+    """Check privilege/address-space consistency of every region, and that
+    a region name denotes one region: the name keys its walk state (stream
+    position, rotating subset) across phases."""
+    by_name: dict[str, Region] = {}
     for phase in profile.phases:
+        if len({region.name for region in phase.regions}) != len(phase.regions):
+            raise ValueError(f"profile {profile.name!r}: phase {phase.name!r} "
+                             f"lists a region name twice")
         for region in phase.regions:
+            if by_name.setdefault(region.name, region) != region:
+                raise ValueError(f"profile {profile.name!r}: two different regions "
+                                 f"are named {region.name!r}")
             in_kernel = region.base >= KERNEL_SPACE_START
             if (phase.privilege is Privilege.KERNEL) != in_kernel:
                 raise ValueError(
@@ -156,12 +177,14 @@ def generate_trace(profile: AppProfile, length: int, seed: int = 0) -> Trace:
     """
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
-    _validate_profile_addresses(profile)
-    with obs.span("trace.generate", app=profile.name, length=length, seed=seed):
-        return _generate(profile, length, seed)
+    _validate_profile(profile)
+    with obs.span("trace.generate", app=profile.name, length=length, seed=seed) as sp:
+        trace, dwells = _generate(profile, length, seed)
+        sp.note(dwells=dwells)
+        return trace
 
 
-def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
+def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
     # zlib.crc32, not hash(): str hashing is salted per process
     # (PYTHONHASHSEED), which would make the same (profile, length, seed)
     # triple yield a different trace in every interpreter — breaking the
@@ -169,30 +192,46 @@ def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
     name_seed = zlib.crc32(profile.name.encode("utf-8"))
     rng = np.random.default_rng(np.random.SeedSequence([name_seed, length, seed]))
 
-    # Per-dwell columns, assembled into one record array at the end.
-    addr_parts: list[np.ndarray] = []
-    kind_parts: list[np.ndarray] = []
+    # One draw store per region name: the name keys a region's walk state
+    # (stream position, rotating subset), so phases share it.
+    regions: dict[str, _RegionDraws] = {}
+    phase_draws = [
+        [regions.setdefault(r.name, _RegionDraws(r)) for r in phase.regions]
+        for phase in profile.phases
+    ]
+    ids = {name: i for i, name in enumerate(regions)}
+    key_dtype = np.min_scalar_type(len(regions) - 1)
+    phase_keys = [
+        np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
+        for phase in profile.phases
+    ]
+
+    # The dwell loop makes every RNG call, in the order that defines the
+    # trace; everything else happens once per trace below.
+    key_parts: list[np.ndarray] = []
     gap_parts: list[np.ndarray] = []
     dwell_privs: list[int] = []
     dwells: list[int] = []
+    idle_at: list[int] = []
+    idle_ticks: list[int] = []
     produced = 0
     phase_i = profile.start_phase
-    stream_cursor: dict[str, int] = {}
-    idle_total = 0
     pending_idle = 0
     while produced < length:
         phase = profile.phases[phase_i]
         dwell = int(rng.geometric(1.0 / phase.mean_accesses))
         dwell = min(max(dwell, 1), length - produced)
-        addrs, kinds = _generate_phase_burst(phase, dwell, rng, stream_cursor)
-        gaps = np.maximum(1, rng.poisson(phase.mean_gap, size=dwell)).astype(np.uint64)
+        region_idx = _choice(rng, phase.weights, dwell)
+        key_parts.append(phase_keys[phase_i][region_idx])
+        counts = np.bincount(region_idx, minlength=len(phase.regions)).tolist()
+        for draws, cnt in zip(phase_draws[phase_i], counts):
+            if cnt:
+                draws.draw(rng, cnt)
+        gap_parts.append(rng.poisson(phase.mean_gap, size=dwell))
         if pending_idle:
-            gaps[0] += np.uint64(pending_idle)
-            idle_total += pending_idle
+            idle_at.append(produced)
+            idle_ticks.append(pending_idle)
             pending_idle = 0
-        addr_parts.append(addrs)
-        kind_parts.append(kinds)
-        gap_parts.append(gaps)  # converted to absolute ticks below
         dwell_privs.append(int(phase.privilege))
         dwells.append(dwell)
         produced += dwell
@@ -204,12 +243,33 @@ def _generate(profile: AppProfile, length: int, seed: int) -> Trace:
             pending_idle = int(rng.exponential(profile.idle_mean_ticks))
             if profile.wake_phase is not None:
                 phase_i = profile.wake_phase  # the wake interrupt handler
+    del phase_draws  # so that popping a region below frees its draws
 
     records = np.zeros(produced, dtype=TRACE_DTYPE)
-    records["addr"] = np.concatenate(addr_parts)
-    records["kind"] = np.concatenate(kind_parts)
     records["priv"] = np.repeat(np.asarray(dwell_privs, dtype=np.uint8), dwells)
-    records["tick"] = np.concatenate(gap_parts)
-    records["tick"] = np.cumsum(records["tick"]) - records["tick"][0]
-    instructions = int(records["tick"][-1]) + 1 - idle_total
-    return Trace(profile.name, records, max(instructions, length))
+    gaps = np.concatenate(gap_parts)
+    del gap_parts
+    np.maximum(gaps, 1, out=gaps)
+    gaps[idle_at] += np.asarray(idle_ticks, dtype=np.int64)
+    ticks = np.cumsum(gaps, out=gaps)
+    records["tick"] = ticks - ticks[0]
+    del gaps, ticks
+
+    # Each region's accesses, generated region-major, land at the stream
+    # positions its key marks, in order (a stable sort keeps dwell order).
+    keys = np.concatenate(key_parts)
+    del key_parts
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=len(regions))).tolist()
+    del keys
+    addr_col, kind_col = records["addr"], records["kind"]
+    start = 0
+    for name, end in zip(list(regions), ends):
+        draws = regions.pop(name)  # drop each region's draws once placed
+        if end > start:
+            at = order[start:end]
+            addr_col[at] = draws.addresses()
+            kind_col[at] = draws.kinds()
+        start = end
+    instructions = int(records["tick"][-1]) + 1 - sum(idle_ticks)
+    return Trace(profile.name, records, max(instructions, length)), len(dwells)

@@ -139,8 +139,10 @@ def _build_profile(
     return AppProfile(name, description, phases, transitions, wake_phase=2)
 
 
+@lru_cache(maxsize=None)
 def _profiles() -> dict[str, AppProfile]:
-    """Construct the suite; one entry per name in :data:`APP_NAMES`."""
+    """Construct every profile, once per process: one entry per name in
+    :data:`APP_NAMES` and :data:`EXTRA_APP_NAMES`."""
     return {
         "browser": _build_profile(
             "browser",
@@ -238,7 +240,6 @@ def _profiles() -> dict[str, AppProfile]:
     }
 
 
-@lru_cache(maxsize=None)
 def app_profile(name: str) -> AppProfile:
     """Return the :class:`AppProfile` for ``name`` (see :data:`APP_NAMES`)."""
     profiles = _profiles()

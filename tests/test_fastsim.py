@@ -182,6 +182,36 @@ def test_fast_l1_filter_tiny_traces(tiny_platform):
     _assert_streams_identical(ref, fast)
 
 
+@pytest.mark.parametrize(
+    "kind_weights, expect_writebacks",
+    [
+        ((1.0, 0.0, 0.0), False),  # fetches only: no L1D rows at all
+        ((0.0, 1.0, 0.0), False),  # loads only: no L1I rows, nothing dirty
+        ((0.5, 0.5, 0.0), False),  # both L1s, still no write-backs
+        ((0.0, 0.0, 1.0), True),  # stores only: no L1I rows
+        ((0.4, 0.35, 0.25), True),
+    ],
+    ids=["ifetch", "load", "ifetch+load", "store", "mixed"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_fast_l1_filter_split_and_merge(tiny_platform, kind_weights, expect_writebacks, seed):
+    # Random traces over a footprint that thrashes the tiny L1s, with
+    # several misses per tick, so the partition by kind and the merge of
+    # write-backs right after their misses are both exercised.
+    rng = np.random.default_rng(seed)
+    n = 600
+    records = np.zeros(n, dtype=TRACE_DTYPE)
+    records["tick"] = np.sort(rng.integers(0, n // 3, size=n))
+    records["addr"] = rng.integers(0, 96, size=n).astype(np.uint64) * np.uint64(64)
+    records["kind"] = rng.choice(3, size=n, p=kind_weights)
+    records["priv"] = rng.integers(0, 2, size=n)
+    trace = Trace("split-merge", records, n)
+    ref = l1_filter(trace, tiny_platform, engine="reference")
+    fast = l1_filter(trace, tiny_platform, engine="fast")
+    _assert_streams_identical(ref, fast)
+    assert bool(fast.writes.any()) == expect_writebacks
+
+
 def test_fast_l1_filter_empty_trace(tiny_platform):
     trace = Trace("empty", np.zeros(0, dtype=TRACE_DTYPE), 0)
     ref = l1_filter(trace, tiny_platform, engine="reference")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -23,7 +24,10 @@ from repro.engine.executor import BatchProgress
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.summary import load_run, summarize
+from repro.trace.generator import generate_trace
+from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.trace.workloads import suite_trace
+from repro.types import KERNEL_SPACE_START, Privilege
 
 
 @pytest.fixture(autouse=True)
@@ -252,6 +256,31 @@ class TestReplaySpans:
                    if sp["name"] == "replay"]
         assert [sp["attrs"]["engine"] for sp in replays] == ["fastsim", "reference", "reference"]
         assert all(sp["attrs"]["rows"] == len(browser_stream_small) for sp in replays)
+
+
+class TestGenerateSpan:
+    def test_generate_span_counts_dwells(self, tmp_path):
+        # Two phases that strictly alternate, with no idle periods: every
+        # dwell flips the privilege, so the dwells are the privilege runs.
+        user = Region("u", 0x1000_0000, 64 * 1024, "uniform", kind_weights=(0.0, 0.7, 0.3))
+        kern = Region("k", KERNEL_SPACE_START + 0x10000, 32 * 1024, "hot",
+                      kind_weights=(0.5, 0.3, 0.2))
+        profile = AppProfile(
+            "alternating", "test",
+            (PhaseSpec("user", Privilege.USER, (user,), (1.0,), mean_accesses=40),
+             PhaseSpec("kern", Privilege.KERNEL, (kern,), (1.0,), mean_accesses=40)),
+            ((0.0, 1.0), (1.0, 0.0)), idle_prob=0.0,
+        )
+        obs.configure(tmp_path / "gen.jsonl")
+        try:
+            trace = generate_trace(profile, 5000, seed=2)
+        finally:
+            obs.configure(None)
+        (span,) = [sp for sp in load_run(tmp_path / "gen.jsonl").spans()
+                   if sp["name"] == "trace.generate"]
+        runs = 1 + int(np.count_nonzero(np.diff(trace.privs.astype(np.int8))))
+        assert span["attrs"]["dwells"] == runs > 1
+        assert span["attrs"]["length"] == 5000
 
 
 class TestDispatchCounters:

@@ -103,6 +103,39 @@ class TestPrivilegeAddressConsistency:
         assert 0.2 < frac < 0.8
 
 
+class TestRegionNames:
+    # a region's name keys its walk state (stream position, rotating
+    # subset) across phases, so it must denote exactly one region
+
+    def test_rejects_two_regions_with_one_name(self):
+        a = Region("r", 0x1000_0000, 64 * 1024, "stream", kind_weights=_DATA)
+        b = Region("r", 0x2000_0000, 64 * 1024, "stream", kind_weights=_DATA)
+        phases = (PhaseSpec("p", Privilege.USER, (a,), (1.0,)),
+                  PhaseSpec("q", Privilege.USER, (b,), (1.0,)))
+        profile = AppProfile("x", "d", phases, ((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="two different regions"):
+            generate_trace(profile, 100)
+
+    def test_rejects_name_listed_twice_in_a_phase(self):
+        a = Region("r", 0x1000_0000, 64 * 1024, "uniform", kind_weights=_DATA)
+        phases = (PhaseSpec("p", Privilege.USER, (a, a), (0.5, 0.5)),)
+        profile = AppProfile("x", "d", phases, ((1.0,),))
+        with pytest.raises(ValueError, match="lists a region name twice"):
+            generate_trace(profile, 100)
+
+    def test_shared_region_walks_on_across_phases(self):
+        # one stream region in two strictly alternating phases: the walk
+        # continues where the other phase left it, never restarting
+        stream = Region("s", 0x1000_0000, 1024 * 1024, "stream", kind_weights=_DATA,
+                        run_mean=1.0)
+        phases = (PhaseSpec("p", Privilege.USER, (stream,), (1.0,), mean_accesses=50),
+                  PhaseSpec("q", Privilege.USER, (stream,), (1.0,), mean_accesses=50))
+        profile = AppProfile("x", "d", phases, ((0.0, 1.0), (1.0, 0.0)), idle_prob=0.0)
+        t = generate_trace(profile, 3000, seed=1)
+        blocks = (t.addrs - np.uint64(0x1000_0000)) // np.uint64(CACHE_BLOCK_SIZE)
+        assert np.array_equal(blocks, np.arange(3000))
+
+
 class TestAddressRanges:
     def test_addresses_stay_inside_regions(self):
         t = generate_trace(two_phase_profile(), 5000, seed=5)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.trace import workloads
 from repro.trace.generator import generate_trace
 from repro.trace.workloads import (
     APP_NAMES,
     DEFAULT_TRACE_LENGTH,
+    EXTRA_APP_NAMES,
     app_profile,
     default_suite,
     suite_trace,
@@ -45,6 +47,25 @@ class TestSuiteDefinitions:
 
     def test_profile_cache_returns_same_object(self):
         assert app_profile("game") is app_profile("game")
+
+    def test_profiles_built_once_per_process(self, monkeypatch):
+        # looking up a new name must not rebuild (and re-validate) the
+        # whole table: every profile is constructed exactly once
+        built = []
+        real = workloads._build_profile
+
+        def counting(name, *args, **kwargs):
+            built.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(workloads, "_build_profile", counting)
+        workloads._profiles.cache_clear()
+        try:
+            for name in APP_NAMES + EXTRA_APP_NAMES:
+                assert app_profile(name).name == name
+            assert sorted(built) == sorted(APP_NAMES + EXTRA_APP_NAMES)
+        finally:
+            workloads._profiles.cache_clear()
 
 
 class TestSuiteTraces:
