@@ -12,7 +12,10 @@ replays an *entire trace at once* instead:
    is reduced vectorially.
 2. ``invalidate`` retention whose window covers the stream's whole tick
    span (finalize tick included) replays as retention ``none``: no decay
-   test ``t - lastref > window`` can fire inside that span.
+   test ``t - lastref > window`` can fire inside that span.  Any other
+   ``invalidate`` stream replays in set-major order as one chunk of an
+   :class:`EpochReplaySegment` (all ways powered, no hit ranks), whose
+   decay-aware loop is the only one in this module.
 3. With retention ``none``, every row whose block equals the previous
    row of its set is dropped before the loop: under LRU it is a hit on
    the block already at MRU, so it changes nothing but the dirty bit,
@@ -29,8 +32,7 @@ replays an *entire trace at once* instead:
    row).  Only the rows the loop replays are converted to Python values.
 5. The remaining rows of each set are replayed by a tight loop over
    packed parallel per-way lists (tag / privilege / dirty, plus the LRU
-   recency order; last-refresh ticks with retention) — no objects, no
-   dispatch, no per-access allocation.
+   recency order) — no objects, no dispatch, no per-access allocation.
 
 The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
@@ -39,13 +41,14 @@ supported envelope (checked by :func:`supports_cache`):
 * fixed geometry: no way resizing, no power gating, no drowsy mode,
 * retention ``none``, or ``invalidate`` with the fixed-window model.
 
-On top of the whole-trace kernel, :class:`EpochReplaySegment` extends
-the envelope to the dynamic partition design's **epoch-chunked replay**:
-the geometry stays fixed *within* a chunk (one controller epoch), while
-powered-way gating and wake-on-first-access are applied between chunks —
-exactly where the reference engine applies them — so the epoch
-controller's decisions, timelines and resize counters come out
-bit-identical too.  Step 2 applies there per chunk.
+:class:`EpochReplaySegment` replays every stream that can decay, and
+extends the envelope to the dynamic partition design's **epoch-chunked
+replay**: the geometry stays fixed *within* a chunk (one controller
+epoch), while powered-way gating and wake-on-first-access are applied
+between chunks — exactly where the reference engine applies them — so
+the epoch controller's decisions, timelines and resize counters come out
+bit-identical too.  Step 2's elision applies there per chunk; a fixed
+design's expiring stream is the special case of one chunk.
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
@@ -157,7 +160,8 @@ def simulate_trace(
         finalize_tick: When given, settle end-of-simulation accounting at
             this tick exactly like ``SetAssociativeCache.finalize`` (the
             expiry write-backs of dirty blocks that decayed unobserved).
-        record_events: Collect a :class:`MissEvents` side channel.
+        record_events: Collect a :class:`MissEvents` side channel
+            (refresh mode ``"none"`` only).
         orig_indices: Caller-space index of each access, recorded in the
             events (defaults to 0..n-1).
 
@@ -171,6 +175,8 @@ def simulate_trace(
         )
     if refresh_mode == "invalidate" and retention_ticks is None:
         raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
+    if refresh_mode == "invalidate" and record_events:
+        raise ValueError("record_events needs refresh_mode 'none'")
 
     addrs = np.asarray(addrs, dtype=np.uint64)
     n = len(addrs)
@@ -182,7 +188,6 @@ def simulate_trace(
     block_bits = geometry.block_size.bit_length() - 1
     num_sets = geometry.num_sets
     set_bits = num_sets.bit_length() - 1
-    ways = geometry.associativity
 
     privs = np.asarray(privs)
     writes = np.asarray(writes)
@@ -191,48 +196,39 @@ def simulate_trace(
         raise ValueError(
             f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
         )
-    ticks = np.asarray(ticks)
+    blocks = addrs >> np.uint64(block_bits)
+    if demand is not None:
+        demand = np.asarray(demand)
     if refresh_mode == "invalidate":
         # With nothing able to expire, fills take the lowest free way and
         # victims the least recent block: the retention-free replay.
+        ticks = np.asarray(ticks)
         horizon = int(ticks.max())
         if finalize_tick is not None:
             horizon = max(horizon, finalize_tick)
         if horizon - int(ticks.min()) <= retention_ticks:
-            refresh_mode = "none"
             obs.inc("fastsim.retention.elided")
-    kernel_accesses = int(np.count_nonzero(privs))
-    write_accesses = int(np.count_nonzero(writes))
-    demand_accesses = n if demand is None else int(np.count_nonzero(np.asarray(demand)))
+        else:
+            # Sets are independent under a fixed geometry, so the rows
+            # replay in set-major order as one chunk of an epoch segment:
+            # all ways powered, and no controller reads the hit ranks.
+            order = _set_order(blocks, num_sets)
+            seg = EpochReplaySegment(geometry, retention_ticks=retention_ticks,
+                                     refresh_mode="invalidate", min_rank_accesses=n + 1)
+            seg.load(ticks[order], addrs[order], privs[order], writes[order],
+                     np.ones(n, dtype=bool) if demand is None else demand[order],
+                     np.zeros(n, dtype=np.int64), 1)
+            seg.replay_chunk(0)
+            if finalize_tick is not None:
+                seg.finalize(finalize_tick)
+            return seg.stats, None
 
-    blocks = addrs >> np.uint64(block_bits)
-    if demand is not None:
-        demand = np.asarray(demand)
     if record_events:
         orig_indices = np.arange(n) if orig_indices is None else np.asarray(orig_indices)
-
-    if refresh_mode == "none":
-        counters, wb_set, wb_tag = _replay_retention_free(
-            ways, num_sets, blocks, privs, writes, demand, orig_indices, events,
-        )
-    else:
-        order = _set_order(blocks, num_sets)
-        sorted_blocks = blocks[order]
-        starts = _set_starts(sorted_blocks, num_sets)
-        active_sets = np.nonzero(starts[1:] > starts[:-1])[0].tolist()
-        # Bulk-convert the sorted columns to plain Python values once; the
-        # per-set loop then runs on C-backed lists, not numpy scalars.
-        counters, wb_set, wb_tag = _replay_sets_retention(
-            ways, active_sets, starts.tolist(), ticks[order].tolist(),
-            (sorted_blocks >> np.uint64(set_bits)).tolist(),
-            privs[order].tolist(), writes[order].tolist(),
-            None if demand is None else demand[order].tolist(),
-            orig_indices[order].tolist() if record_events else None,
-            events, retention_ticks, finalize_tick,
-        )
-    (misses, kernel_misses, demand_misses, evictions, writebacks,
-     expiry_invalidations, expiry_writebacks, ec00, ec01, ec10, ec11) = counters
-
+    wb_set, wb_tag = _replay_retention_free(
+        stats, geometry.associativity, num_sets, blocks, privs, writes, demand,
+        orig_indices, events,
+    )
     if events is not None and wb_tag:
         events.wb_addr = (
             (np.asarray(wb_tag, dtype=np.uint64) << np.uint64(set_bits)
@@ -240,20 +236,15 @@ def simulate_trace(
             << np.uint64(block_bits)
         )
 
+    kernel_accesses = int(np.count_nonzero(privs))
     stats.accesses = n
-    stats.hits = n - misses
-    stats.misses = misses
-    stats.fills = misses
-    stats.evictions = evictions
-    stats.writebacks = writebacks
-    stats.expiry_invalidations = expiry_invalidations
-    stats.expiry_writebacks = expiry_writebacks
-    stats.demand_accesses = demand_accesses
-    stats.demand_misses = misses if demand is None else demand_misses
-    stats.write_accesses = write_accesses
+    stats.hits = n - stats.misses
+    stats.fills = stats.misses
+    stats.demand_accesses = n if demand is None else int(np.count_nonzero(demand))
+    if demand is None:
+        stats.demand_misses = stats.misses
+    stats.write_accesses = int(np.count_nonzero(writes))
     stats.accesses_by_priv = [n - kernel_accesses, kernel_accesses]
-    stats.misses_by_priv = [misses - kernel_misses, kernel_misses]
-    stats.evictions_cross = [[ec00, ec01], [ec10, ec11]]
     return stats, events
 
 
@@ -274,13 +265,15 @@ def _set_starts(sorted_blocks, num_sets):
     return starts
 
 
-def _replay_retention_free(ways, num_sets, blocks, privs, writes, demand, orig_indices,
-                           events):
+def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
+                           orig_indices, events):
     """Retention-free replay of the access rows with block numbers ``blocks``.
 
     Collapses same-block repeats, resolves every set's eviction-free
     prefix in NumPy, and hands only the sets that evict to
     :func:`_replay_sets`, seeded with their state at the first eviction.
+    Credits the outcome counters to ``stats`` and returns the write-back
+    victims' ``(sets, tags)`` when ``events`` records them.
     """
     # Under plain LRU a row whose block equals the previous row of the
     # same set is a guaranteed hit on the MRU block: it leaves the
@@ -327,9 +320,11 @@ def _replay_retention_free(ways, num_sets, blocks, privs, writes, demand, orig_i
     prefix_end[evicting] = first_evict
     in_prefix = np.arange(m) < prefix_end[k_set]
     prefix_misses = order[first_rows[in_prefix[first_rows]]]
-    misses = len(prefix_misses)
     kernel_misses = int(np.count_nonzero(privs[prefix_misses]))
-    demand_misses = 0 if demand is None else int(np.count_nonzero(demand[prefix_misses]))
+    stats.misses = len(prefix_misses)
+    stats.misses_by_priv = [stats.misses - kernel_misses, kernel_misses]
+    if demand is not None:
+        stats.demand_misses = int(np.count_nonzero(demand[prefix_misses]))
     if events is not None:
         events.miss_idx.extend(orig_indices[prefix_misses].tolist())
 
@@ -352,8 +347,8 @@ def _replay_retention_free(ways, num_sets, blocks, privs, writes, demand, orig_i
     np.cumsum(starts[evicting + 1] - first_evict, out=bounds[1:])
     obs.inc("fastsim.prefix.rows", m - len(loop_rows))
     obs.inc("fastsim.loop.rows", len(loop_rows))
-    counters, wb_set, wb_tag = _replay_sets(
-        evicting.tolist(), bounds.tolist(), (k_blocks[fills] >> set_bits).tolist(),
+    return _replay_sets(
+        stats, evicting.tolist(), bounds.tolist(), (k_blocks[fills] >> set_bits).tolist(),
         privs[order[fills]].tolist(), dirty[slot_groups].tolist(), lru.tolist(),
         (k_blocks[loop_rows] >> set_bits).tolist(), privs[loop_orig].tolist(),
         k_writes[loop_rows].tolist(),
@@ -361,13 +356,9 @@ def _replay_retention_free(ways, num_sets, blocks, privs, writes, demand, orig_i
         orig_indices[loop_orig].tolist() if events is not None else None,
         events,
     )
-    counters[0] += misses
-    counters[1] += kernel_misses
-    counters[2] += demand_misses
-    return counters, wb_set, wb_tag
 
 
-def _replay_sets(sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, events):
+def _replay_sets(stats, sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, events):
     """Replay full sets from their first eviction on.
 
     Set ``sets[i]`` replays rows ``bounds[i]:bounds[i + 1]`` starting
@@ -377,7 +368,8 @@ def _replay_sets(sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, even
     evicts.  LRU state is a move-to-back way list: recency sequences are
     unique and strictly increasing, so popping the front selects the same
     victim as the reference ``LRUPolicy.victim`` first-strict-minimum
-    scan."""
+    scan.  Adds the loop's outcome counters to ``stats`` and returns the
+    write-back victims' ``(sets, tags)``."""
     misses = kernel_misses = demand_misses = 0
     writebacks = 0
     # evictions_cross flattened: index = (victim_priv << 1) | aggressor_priv
@@ -437,117 +429,14 @@ def _replay_sets(sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, even
             tagw[w] = tag
             privw[w] = priv
             dirty[w] = isw
-    # Every loop miss evicts.
-    counters = [misses, kernel_misses, demand_misses, misses, writebacks,
-                0, 0, ec[0], ec[1], ec[2], ec[3]]
-    return counters, wb_set, wb_tag
-
-
-def _replay_sets_retention(ways, active_sets, starts, T, TG, PV, WR, DM, OR,
-                           events, window, finalize_tick):
-    """Per-set replay with fixed-window invalidate-on-expiry retention.
-
-    Mirrors the reference engine access path exactly: an expired resident
-    block turns its access into an expiry invalidation + plain miss; the
-    fill frame is the lowest free way, else the lowest expired way
-    (reclaimed without eviction accounting), else the LRU victim.
-    """
-    misses = kernel_misses = demand_misses = 0
-    evictions = writebacks = 0
-    expiry_invalidations = expiry_writebacks = 0
-    ec = [0, 0, 0, 0]
-    track_dm = DM is not None
-    record = events is not None
-    wb_set: list = []
-    wb_tag: list = []
-    if record:
-        miss_idx = events.miss_idx
-        wb_idx = events.wb_idx
-        wb_priv = events.wb_priv
-    way_range = range(ways)
-    for s in active_sets:
-        lo, hi = starts[s], starts[s + 1]
-        tagmap: dict = {}
-        mget = tagmap.get
-        valid = [False] * ways
-        tagw = [0] * ways
-        privw = [0] * ways
-        dirty = [False] * ways
-        lastref = [0] * ways
-        seqs = [0] * ways
-        seqc = 0
-        for tick, tag, priv, isw, dm, oi in zip(
-            T[lo:hi], TG[lo:hi], PV[lo:hi], WR[lo:hi],
-            DM[lo:hi] if track_dm else TG[lo:hi],
-            OR[lo:hi] if record else TG[lo:hi],
-        ):
-            seqc += 1
-            w = mget(tag)
-            if w is not None:
-                if tick - lastref[w] > window:
-                    # Resident but decayed: a retention-caused miss.
-                    expiry_invalidations += 1
-                    if dirty[w]:
-                        expiry_writebacks += 1
-                    valid[w] = False
-                    del tagmap[tag]
-                else:
-                    seqs[w] = seqc
-                    if isw:
-                        dirty[w] = True
-                        lastref[w] = tick  # a store rewrites the cells
-                    continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if track_dm and dm:
-                demand_misses += 1
-            if record:
-                miss_idx.append(oi)
-            target = -1
-            expired_way = -1
-            for i in way_range:
-                if not valid[i]:
-                    target = i
-                    break
-                if expired_way < 0 and tick - lastref[i] > window:
-                    expired_way = i
-            if target < 0:
-                if expired_way >= 0:
-                    # Reclaim a decayed frame: not an interference eviction.
-                    target = expired_way
-                    if dirty[target]:
-                        expiry_writebacks += 1
-                    del tagmap[tagw[target]]
-                else:
-                    target = seqs.index(min(seqs))
-                    evictions += 1
-                    vp = privw[target]
-                    ec[(vp << 1) | priv] += 1
-                    if dirty[target]:
-                        writebacks += 1
-                        if record:
-                            wb_idx.append(oi)
-                            wb_set.append(s)
-                            wb_tag.append(tagw[target])
-                            wb_priv.append(vp)
-                    del tagmap[tagw[target]]
-            valid[target] = True
-            tagw[target] = tag
-            privw[target] = priv
-            dirty[target] = isw
-            lastref[target] = tick
-            seqs[target] = seqc
-            tagmap[tag] = target
-        if finalize_tick is not None:
-            # SetAssociativeCache.finalize: drain dirty blocks that decayed
-            # unobserved before the end of the simulated window.
-            for i in way_range:
-                if valid[i] and dirty[i] and finalize_tick - lastref[i] > window:
-                    expiry_writebacks += 1
-    counters = (misses, kernel_misses, demand_misses, evictions, writebacks,
-                expiry_invalidations, expiry_writebacks, ec[0], ec[1], ec[2], ec[3])
-    return counters, wb_set, wb_tag
+    stats.misses += misses
+    stats.misses_by_priv[0] += misses - kernel_misses
+    stats.misses_by_priv[1] += kernel_misses
+    stats.demand_misses += demand_misses
+    stats.evictions = misses  # every loop miss evicts
+    stats.writebacks = writebacks
+    stats.evictions_cross = [ec[:2], ec[2:]]
+    return wb_set, wb_tag
 
 
 # ----------------------------------------------------------------------
@@ -571,6 +460,8 @@ class EpochReplaySegment:
     the caller applies via ``set_powered_ways`` before the chunk replays
     — the geometry is constant inside every chunk and the replay is
     bit-identical to the reference engine's per-access loop.
+    :func:`simulate_trace` replays a fixed design's expiring stream as a
+    single chunk of a segment.
 
     The envelope matches :func:`supports_cache` plus gating: true LRU,
     retention ``none`` or fixed-window ``invalidate``, and power-gated
@@ -755,10 +646,12 @@ class EpochReplaySegment:
         blocks = addrs >> np.uint64(block_bits)
         set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.int64)
 
-        # Rows stay in stream order (exactly the reference loop's order);
-        # ``chunk_ids`` is non-decreasing, so each chunk is a contiguous
-        # slice found by searchsorted.  The frame base (set * ways) is
-        # precomputed so the replay loop never touches the set index.
+        # Rows replay in the order given: stream order (exactly the
+        # reference loop's order), or any order that keeps each set's rows
+        # in stream order while the geometry is fixed.  ``chunk_ids`` is
+        # non-decreasing, so each chunk is a contiguous slice found by
+        # searchsorted.  The frame base (set * ways) is precomputed so the
+        # replay loop never touches the set index.
         self._ticks = ticks.tolist()
         self._blocks = blocks.tolist()
         self._bases = (set_idx * self.ways).tolist()
@@ -809,7 +702,7 @@ class EpochReplaySegment:
         lastref = self._lastref
         seqs = self._seqs
         blockw = self._blockw
-        misses = kernel_misses = demand_misses = hits = 0
+        misses = kernel_misses = demand_misses = 0
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
         for tick, block, base, priv, isw, dm in zip(
@@ -837,7 +730,6 @@ class EpochReplaySegment:
                     valid[f] = 0
                     del tagmap[block]
                 else:
-                    hits += 1
                     if track_ranks:
                         mine = seqs[f]
                         rank = 0
@@ -888,7 +780,7 @@ class EpochReplaySegment:
             tagmap[block] = target
         self._seqc = seqc
         self.epoch_misses += misses
-        st.hits += hits
+        st.hits += hi - lo - misses  # every row that does not miss hits
         st.misses += misses
         st.fills += misses
         st.demand_misses += demand_misses

@@ -3,7 +3,7 @@
 The subsystem has three modules:
 
 * :mod:`repro.obs.metrics` — the always-on process-local registry of
-  counters, gauges and timers (cheap dict writes at per-job
+  counters and timers (cheap dict writes at per-job
   granularity).
 * :mod:`repro.obs.trace` — span-based tracing behind an opt-in JSONL
   recorder (``REPRO_TRACE=path`` or :func:`configure`); disabled, every
@@ -20,7 +20,7 @@ off (instrumentation only observes), and the disabled path is covered
 by an overhead budget asserted in ``benchmarks/bench_sim_throughput.py``.
 """
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry, inc, observe, set_gauge, snapshot, timed
+from repro.obs.metrics import REGISTRY, MetricsRegistry, inc, observe, snapshot
 from repro.obs.trace import (
     NULL_RECORDER,
     TRACE_ENV,
@@ -39,9 +39,7 @@ __all__ = [
     "MetricsRegistry",
     "inc",
     "observe",
-    "set_gauge",
     "snapshot",
-    "timed",
     "NULL_RECORDER",
     "TRACE_ENV",
     "JsonlRecorder",

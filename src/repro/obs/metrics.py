@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges and timers.
+"""Process-local metrics: counters and timers.
 
 The registry is always on.  Instrumentation points touch plain dict
 entries at *coarse* granularity — once per dispatch decision, per store
@@ -16,7 +16,6 @@ Counter naming convention: dot-separated ``layer.subject.detail``
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 __all__ = [
@@ -24,9 +23,7 @@ __all__ = [
     "TimerStat",
     "REGISTRY",
     "inc",
-    "set_gauge",
     "observe",
-    "timed",
     "snapshot",
 ]
 
@@ -61,41 +58,18 @@ class TimerStat:
         }
 
 
-class _Timer:
-    """Context manager recording one duration into a registry timer."""
-
-    __slots__ = ("_registry", "_name", "_t0")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._registry.observe(self._name, time.perf_counter() - self._t0)
-        return False
-
-
 class MetricsRegistry:
-    """Counters, gauges and timers for one process."""
+    """Counters and timers for one process."""
 
-    __slots__ = ("counters", "gauges", "timers")
+    __slots__ = ("counters", "timers")
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
         self.timers: dict[str, TimerStat] = {}
 
     def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` to counter ``name`` (creating it at zero)."""
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the latest value of gauge ``name``."""
-        self.gauges[name] = float(value)
 
     def observe(self, name: str, seconds: float) -> None:
         """Fold one duration into timer ``name``."""
@@ -104,22 +78,16 @@ class MetricsRegistry:
             stat = self.timers[name] = TimerStat()
         stat.add(seconds)
 
-    def timed(self, name: str) -> _Timer:
-        """``with registry.timed("phase"):`` — measure and observe."""
-        return _Timer(self, name)
-
     def snapshot(self) -> dict:
         """JSON-ready copy of everything currently recorded."""
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "timers": {name: stat.to_dict() for name, stat in self.timers.items()},
         }
 
     def reset(self) -> None:
         """Drop all recorded values (tests and long-lived processes)."""
         self.counters.clear()
-        self.gauges.clear()
         self.timers.clear()
 
 
@@ -127,7 +95,5 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 inc = REGISTRY.inc
-set_gauge = REGISTRY.set_gauge
 observe = REGISTRY.observe
-timed = REGISTRY.timed
 snapshot = REGISTRY.snapshot

@@ -148,6 +148,21 @@ def test_kernel_rejects_unsupported_refresh_mode():
                                refresh_mode="invalidate")
 
 
+@pytest.mark.parametrize("window", [1, 10_000])
+def test_kernel_rejects_miss_events_under_retention(window):
+    """Miss events come from the retention-free replay only, so asking
+    for them with ``invalidate`` fails up front, whether or not the
+    window outlasts the stream."""
+    geometry = CacheGeometry(4096, 4)
+    n = 64
+    with pytest.raises(ValueError, match="record_events"):
+        fastsim.simulate_trace(
+            geometry, np.arange(n), np.arange(n, dtype=np.uint64) * np.uint64(64),
+            np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=bool),
+            retention_ticks=window, refresh_mode="invalidate", record_events=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # 2. production entry points
 
@@ -506,7 +521,8 @@ def browser_stream_240k():
 def test_retention_elision_counters(browser_stream_240k):
     """At the benchmark's trace length both static-stt windows outlast
     the stream and the dynamic design's chunks skip the decay test; a
-    10x slower clock shrinks the windows below the stream's span."""
+    10x slower clock shrinks the windows below the stream's span, and
+    the fast engine's expiring replay then matches the reference."""
     from repro.core.designs import make_design
 
     stream = browser_stream_240k
@@ -518,6 +534,16 @@ def test_retention_elision_counters(browser_stream_240k):
     assert _counted("fastsim.retention.elided_chunks", run("dynamic-stt")) > 0
     slow = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
     assert _counted("fastsim.retention.elided", run("static-stt", slow)) == 0
+
+    fast, ref = (
+        make_design("static-stt").run(stream, slow, engine=engine).to_dict()
+        for engine in ("fast", "reference")
+    )
+    assert fast["extras"].pop("sim_engine") == "fastsim"
+    assert ref["extras"].pop("sim_engine") == "reference"
+    assert fast == ref
+    kernel = next(seg for seg in fast["segments"] if seg["name"] == "kernel")
+    assert kernel["stats"]["expiry_invalidations"] > 0
 
 
 # ----------------------------------------------------------------------

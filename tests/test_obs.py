@@ -68,25 +68,16 @@ class TestMetricsRegistry:
         reg.inc("b")
         assert reg.counters == {"a": 5, "b": 1}
 
-    def test_gauges_and_timers(self):
+    def test_timers(self):
         reg = obs_metrics.MetricsRegistry()
-        reg.set_gauge("g", 3)
         reg.observe("t", 0.25)
         reg.observe("t", 0.75)
-        assert reg.gauges["g"] == 3.0
         stat = reg.timers["t"]
         assert stat.count == 2
         assert stat.total_s == pytest.approx(1.0)
         assert stat.min_s == pytest.approx(0.25)
         assert stat.max_s == pytest.approx(0.75)
         assert stat.mean_s == pytest.approx(0.5)
-
-    def test_timed_context_manager(self):
-        reg = obs_metrics.MetricsRegistry()
-        with reg.timed("phase"):
-            time.sleep(0.002)
-        assert reg.timers["phase"].count == 1
-        assert reg.timers["phase"].total_s > 0
 
     def test_snapshot_and_reset(self):
         reg = obs_metrics.MetricsRegistry()
@@ -97,7 +88,7 @@ class TestMetricsRegistry:
         assert snap["timers"]["y"]["count"] == 1
         assert json.loads(json.dumps(snap)) == snap  # JSON-clean
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
+        assert reg.snapshot() == {"counters": {}, "timers": {}}
 
 
 class TestNullRecorder:
