@@ -30,7 +30,11 @@ one so that early blocks recur (and take writes) before the set's next
 new block: the shape of the eviction-free prefix the kernel resolves in
 NumPy, and of the state it seeds its LRU loop with at a set's first
 eviction.  Even footprint seeds are retention-free; odd ones are
-``invalidate`` with the window at the stream's span (elided).
+``invalidate`` with the window at the stream's span (elided).  The
+dynamic-design sampler's seeds from :data:`CLEAN_DYNAMIC_CASES_FROM` on
+hold a few blocks per set, so the epoch replay resolves most rows of
+its clean sets in NumPy and hands sets to its loop mid-run, in each of
+the ways :data:`CLEAN_SCENARIOS` names.
 """
 
 from __future__ import annotations
@@ -53,11 +57,18 @@ ELISION_CASES_FROM = 40
 #: First :func:`sample_case` seed with per-set footprints around the
 #: associativity; lower seeds keep their original workloads unchanged.
 FOOTPRINT_CASES_FROM = 56
+#: First :func:`sample_dynamic_case` seed whose footprint keeps most sets
+#: clean, cycling through :data:`CLEAN_SCENARIOS`; lower seeds keep their
+#: original configurations unchanged.
+CLEAN_DYNAMIC_CASES_FROM = 24
+CLEAN_SCENARIOS = ("overflow", "dirty-gate", "sram-gate", "decay", "shrunk-rank")
 
 __all__ = [
     "RUN_CASES_FROM",
     "ELISION_CASES_FROM",
     "FOOTPRINT_CASES_FROM",
+    "CLEAN_DYNAMIC_CASES_FROM",
+    "CLEAN_SCENARIOS",
     "DiffCase",
     "sample_case",
     "run_case",
@@ -287,6 +298,7 @@ class DynamicDiffCase:
     write_frac: float
     kernel_frac: float
     wb_frac: float
+    shrink_last_way_util: float = 0.002  # the controller's default
 
     def describe(self) -> str:
         return (
@@ -305,13 +317,25 @@ def sample_dynamic_case(seed: int) -> DynamicDiffCase:
     regrowth all fire.  Technologies mix retention classes with SRAM
     (volatile gating: contents lost when a way powers off), and low
     clock rates pull the retention windows inside the trace span.
+
+    Seeds from :data:`CLEAN_DYNAMIC_CASES_FROM` on shrink the footprint
+    to a few blocks per set, so most sets stay *clean* (never evicted,
+    see :class:`~repro.cache.fastsim.EpochReplaySegment`) for long
+    stretches, and cycle through :data:`CLEAN_SCENARIOS`: ``overflow``
+    (a footprint at the segments' start capacity: a few sets overflow
+    mid-chunk), ``dirty-gate`` (idle gating over dirty clean frames),
+    ``sram-gate`` (the same with SRAM, whose gates invalidate clean
+    sets), ``decay`` (a slow clock: clean blocks decay between hits) and
+    ``shrunk-rank`` (full start capacity the controller shrinks below
+    some sets' footprints, so clean hits see ranks restricted to the
+    powered ways).
     """
     rng = np.random.default_rng(seed ^ 0xD1FF)
     epoch_ticks = int(rng.choice([2_000, 5_000, 12_500, 25_000]))
     max_user = int(rng.integers(2, 11))
     max_kernel = int(rng.integers(2, 7))
     techs = ["short", "medium", "long", "sram"]
-    return DynamicDiffCase(
+    case = DynamicDiffCase(
         seed=seed,
         sets=int(rng.choice([4, 16, 64])),
         block_size=int(rng.choice([32, 64])),
@@ -335,6 +359,27 @@ def sample_dynamic_case(seed: int) -> DynamicDiffCase:
         kernel_frac=float(rng.uniform(0.1, 0.7)),
         wb_frac=float(rng.uniform(0.0, 0.25)),
     )
+    if seed < CLEAN_DYNAMIC_CASES_FROM:
+        return case
+    scenario = CLEAN_SCENARIOS[(seed - CLEAN_DYNAMIC_CASES_FROM) % len(CLEAN_SCENARIOS)]
+    if scenario == "overflow":
+        # block b maps to set b % sets: a quarter of the sets get one
+        # block more than the smaller start capacity
+        start = min(case.start_user_ways, case.start_kernel_ways)
+        return replace(case, user_tech="long", kernel_tech="long",
+                       addr_blocks=case.sets * start + case.sets // 4)
+    if scenario in ("dirty-gate", "sram-gate"):
+        tech = "sram" if scenario == "sram-gate" else "medium"
+        return replace(case, user_tech=tech, kernel_tech=tech, idle_accesses=24,
+                       idle_gap=6 * epoch_ticks, addr_blocks=2 * case.sets, write_frac=0.5)
+    if scenario == "decay":
+        return replace(case, clock_hz=1e5, user_tech="short", kernel_tech="short",
+                       sets=64, burst_gap=40, addr_blocks=128)
+    # a controller eager to shrink takes the powered ways below the
+    # three blocks every set holds
+    return replace(case, user_tech="long", kernel_tech="long", start_user_ways=max_user,
+                   start_kernel_ways=max_kernel, decision_accesses=40, burst_gap=4,
+                   addr_blocks=3 * case.sets, shrink_last_way_util=0.5)
 
 
 def _dynamic_stream(case: DynamicDiffCase):
@@ -387,6 +432,7 @@ def run_dynamic_case(case: DynamicDiffCase):
         idle_accesses=case.idle_accesses,
         decision_accesses=case.decision_accesses,
         grow_step=case.grow_step,
+        shrink_last_way_util=case.shrink_last_way_util,
     )
     design = DynamicPartitionDesign(
         config=config,

@@ -14,8 +14,9 @@ replays an *entire trace at once* instead:
    span (finalize tick included) replays as retention ``none``: no decay
    test ``t - lastref > window`` can fire inside that span.  Any other
    ``invalidate`` stream replays in set-major order as one chunk of an
-   :class:`EpochReplaySegment` (all ways powered, no hit ranks), whose
-   decay-aware loop is the only one in this module.
+   :class:`EpochReplaySegment` (all ways powered, no hit ranks): its
+   clean sets (below) resolve in NumPy, and its decay-aware loop takes
+   each set from its first eviction or expiry on.
 3. With retention ``none``, every row whose block equals the previous
    row of its set is dropped before the loop: under LRU it is a hit on
    the block already at MRU, so it changes nothing but the dirty bit,
@@ -48,7 +49,14 @@ epoch), while powered-way gating and wake-on-first-access are applied
 between chunks — exactly where the reference engine applies them — so
 the epoch controller's decisions, timelines and resize counters come out
 bit-identical too.  Step 2's elision applies there per chunk; a fixed
-design's expiring stream is the special case of one chunk.
+design's expiring stream is the special case of one chunk.  Step 4
+generalises there to *clean sets*: until a set's first eviction, gated
+miss, decayed hit or invalidating gate, its ``j``-th distinct block
+sits in way ``j``, so each of its rows is a fill of way ``j`` or a hit
+whose LRU rank is a popcount of the ways accessed since the block's
+previous access.  A chunk's clean rows are resolved in NumPy; the loop
+only replays each set from its first event on (counters
+``fastsim.prefix.rows`` and ``fastsim.loop.rows``).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
@@ -88,6 +96,10 @@ __all__ = [
 
 #: Refresh modes the kernel reproduces exactly.
 SUPPORTED_REFRESH_MODES = ("none", "invalidate")
+
+#: Widest way index a clean set's rank mask holds; rows of a clean set
+#: at way ``_MASK_BITS`` or beyond leave it (no real geometry gets there).
+_MASK_BITS = 64
 
 
 def enabled() -> bool:
@@ -265,6 +277,43 @@ def _set_starts(sorted_blocks, num_sets):
     return starts
 
 
+def _block_order(blocks):
+    """Stable argsort of ``blocks``: rows grouped by block, each block's
+    rows in their original order."""
+    n = len(blocks)
+    if int(blocks.max()) < np.iinfo(np.int64).max // n:
+        # block * n + row is unique and sorts the same: a quicksort
+        # instead of the slower stable sort
+        return np.argsort(blocks.astype(np.int64) * n + np.arange(n))
+    return np.argsort(blocks, kind="stable")
+
+
+def _first_occurrences(set_blocks, set_idx, num_sets):
+    """Each set's distinct blocks in first-occurrence order.
+
+    ``set_blocks`` are block numbers in set-major order (each set's rows
+    contiguous and in stream order) and ``set_idx`` their sets.  Returns
+    ``(by_block, group_lo, groups, first_rows, distinct_before)``: the
+    rows grouped by block (``by_block``; group ``g`` starts at
+    ``group_lo[g]``, its rows in ascending order), the groups in
+    first-occurrence order (``groups``) with their first rows
+    (``first_rows``, ascending), and each set's offset into that order
+    (``distinct_before``, ``num_sets + 1`` entries): the ``j``-th distinct
+    block of set ``s`` is group ``groups[distinct_before[s] + j]``.
+    """
+    # A block's rows all lie in its set's range, so each block group's
+    # first row is the block's first occurrence in its set.
+    by_block = _block_order(set_blocks)
+    grouped = set_blocks[by_block]
+    group_lo = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    first_pos = by_block[group_lo]
+    groups = np.argsort(first_pos)
+    first_rows = first_pos[groups]
+    distinct_before = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(set_idx[first_rows], minlength=num_sets), out=distinct_before[1:])
+    return by_block, group_lo, groups, first_rows, distinct_before
+
+
 def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
                            orig_indices, events):
     """Retention-free replay of the access rows with block numbers ``blocks``.
@@ -298,18 +347,8 @@ def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
     starts = _set_starts(k_blocks, num_sets)
     k_set = (k_blocks & np.uint64(num_sets - 1)).astype(np.int64)
     set_bits = np.uint64(num_sets.bit_length() - 1)
-
-    # A block's rows all lie in its set's range, so grouping rows by block
-    # (any sort order) and taking each group's smallest row finds the
-    # block's first occurrence in its set.
-    by_block = np.argsort(k_blocks)
-    grouped = k_blocks[by_block]
-    group_lo = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    first_pos = np.minimum.reduceat(by_block, group_lo)
-    groups = np.argsort(first_pos)  # groups in first-occurrence order
-    first_rows = first_pos[groups]
-    distinct_before = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(k_set[first_rows], minlength=num_sets), out=distinct_before[1:])
+    by_block, group_lo, groups, first_rows, distinct_before = _first_occurrences(
+        k_blocks, k_set, num_sets)
 
     # A set has never evicted before its (ways+1)-th distinct block: each
     # row up to there is a miss if it is its block's first occurrence and
@@ -439,6 +478,33 @@ def _replay_sets(stats, sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, O
     return wb_set, wb_tag
 
 
+def _between_masks(way, prev, ways, dtype):
+    """Bitset of the ways accessed strictly between each set-major row
+    and the previous access of its block (``prev``, -1 for none; a first
+    access gets 0).  Rows at way ``min(ways, _MASK_BITS)`` or beyond
+    add no bit.  A sparse table of OR-ed way bits over power-of-two
+    spans answers each gap with two lookups."""
+    n = len(way)
+    bit = np.zeros(n, dtype)
+    low = way < min(ways, _MASK_BITS)
+    bit[low] = np.left_shift(dtype.type(1), way[low].astype(dtype))
+    mask = np.zeros(n, dtype)
+    span = np.arange(n) - prev - 1
+    gaps = np.flatnonzero((prev >= 0) & (span > 0))
+    if len(gaps) == 0:
+        return mask
+    span = span[gaps]
+    # table[k, i]: OR of bit[i : i + 2**k] (valid for i <= n - 2**k)
+    table = np.empty((int(span.max()).bit_length(), n), dtype)
+    table[0] = bit
+    for k in range(1, len(table)):
+        half = 1 << (k - 1)
+        np.bitwise_or(table[k - 1, :n - half], table[k - 1, half:], out=table[k, :n - half])
+    k = np.frexp(span)[1] - 1  # floor(log2(span))
+    mask[gaps] = table[k, prev[gaps] + 1] | table[k, gaps - (1 << k)]
+    return mask
+
+
 # ----------------------------------------------------------------------
 # epoch-chunked replay (the dynamic partition design)
 
@@ -462,6 +528,17 @@ class EpochReplaySegment:
     bit-identical to the reference engine's per-access loop.
     :func:`simulate_trace` replays a fixed design's expiring stream as a
     single chunk of a segment.
+
+    Most rows never reach that loop.  A set is *clean* until its first
+    event: an eviction, a gated miss, a decayed hit, a decayed-frame
+    reclaim, or a gate that invalidates its blocks.  In a clean set the
+    ``j``-th distinct block sits in way ``j``, so under ``P`` powered
+    ways a row is a miss filling way ``j`` (first occurrence) or a hit
+    whose LRU rank is the number of powered ways accessed since the
+    block's last access — all known from :meth:`load`'s per-row columns.
+    ``replay_chunk`` resolves a chunk's clean rows in NumPy, hands each
+    set to the loop at its first event row (way ``j >= P``, or a decayed
+    hit), and loops only over the rows from there on.
 
     The envelope matches :func:`supports_cache` plus gating: true LRU,
     retention ``none`` or fixed-window ``invalidate``, and power-gated
@@ -496,7 +573,7 @@ class EpochReplaySegment:
         self.retains_when_gated = retains_when_gated
         # Rank-utility hits are only read by controller decisions, which
         # require at least ``decision_accesses`` samples; chunks below
-        # ``min_rank_accesses`` rows skip the O(ways)-per-hit tracking.
+        # ``min_rank_accesses`` rows skip the rank computation.
         self.min_rank_accesses = min_rank_accesses
         self._window = retention_ticks if refresh_mode == "invalidate" else None
         self.stats = CacheStats()
@@ -508,9 +585,12 @@ class EpochReplaySegment:
         # rarely revisit a set (L1s absorb the locality), so per-set
         # state objects would be re-fetched on almost every access;
         # flat arrays plus one block-keyed tag dict keep the per-access
-        # work to a few C-level index operations.  An invalid frame is
-        # always clean (``dirty`` implies ``valid``): the gating and
-        # finalize scans rely on it.
+        # work to a few C-level index operations.  A frame without a
+        # resident block is always clean: the gating and finalize scans
+        # rely on it.  ``dirty`` covers every set (``replay_chunk`` writes
+        # the clean rows' stores in bulk) and has a NumPy view for those
+        # scans; the tag map, ``valid``, ``privw``, ``lastref``, ``seqs``
+        # and ``blockw`` only cover the sets the loop replays.
         n_frames = geometry.num_sets * self.ways
         self._valid = bytearray(n_frames)
         self._dirty = bytearray(n_frames)
@@ -519,7 +599,23 @@ class EpochReplaySegment:
         self._seqs = [0] * n_frames
         self._blockw = [0] * n_frames
         self._tagmap: dict[int, int] = {}
+        self._valid_np = np.frombuffer(self._valid, np.uint8)
+        self._dirty_np = np.frombuffer(self._dirty, np.uint8)
+        self._privw_np = np.frombuffer(self._privw, np.uint8)
+        # Clean-set state: the block and privilege that fill each frame
+        # while its set is clean (from :meth:`load`), each frame's last
+        # access as a recency sequence (0 until the frame fills) and its
+        # last cell write, and which sets are still clean.
+        self._way_block = np.zeros(n_frames, np.uint64)
+        self._way_priv = np.zeros(n_frames, np.uint8)
+        self._clean_seq = np.zeros(n_frames, np.int64)
+        self._clean_ref = np.zeros(n_frames, np.int64)
+        self._clean_set = np.ones(geometry.num_sets, dtype=bool)
+        # The loop's recency sequence: a clean row's is its row number
+        # plus one; the loop counts on from the row count, so it stays
+        # above every sequence a set brings from its clean state.
         self._seqc = 0
+        self._loaded = False
         self._chunk_starts: list[int] = [0]
         # Lower bound of every ``lastref``, and the first chunk that may
         # outlast the window from it (see :meth:`_decay_window`).
@@ -550,31 +646,37 @@ class EpochReplaySegment:
             raise ValueError(f"new_powered must be in [1, {self.ways}], got {new_powered}")
         flushes = 0
         if new_powered < self.powered_ways:
-            lo, hi = new_powered, self.powered_ways
-            dirty, frames = self._gated(self._dirty, lo, hi)
+            gated = np.s_[:, new_powered:self.powered_ways]
+            dirty = self._dirty_np.reshape(-1, self.ways)[gated]
+            held = int(np.count_nonzero(dirty))
             window = self._decay_window(tick)
-            lastref = self._lastref
-            expired = 0 if window is None else sum(tick - lastref[f] > window for f in frames)
-            flushes = len(frames) - expired
+            expired = 0
+            if held and window is not None:
+                sets, ways = dirty.nonzero()
+                frames = sets * self.ways + ways + new_powered
+                expired = int(np.count_nonzero(tick - self._refs(frames) > window))
+            flushes = held - expired
             st = self.stats
             st.expiry_writebacks += expired
             st.writebacks += flushes
             st.gate_flushes += flushes
             dirty[...] = 0
             if not self.retains_when_gated:
-                valid, frames = self._gated(self._valid, lo, hi)
-                for f in frames:
-                    del self._tagmap[self._blockw[f]]
+                # Dropping a clean set's blocks ends its clean state: the
+                # loop replays all its remaining rows.
+                filled = self._clean_seq.reshape(-1, self.ways)[gated] > 0
+                turned = np.flatnonzero(self._clean_set & filled.any(axis=1))
+                if len(turned):
+                    self._to_loop(turned, self._set_bounds[turned])
+                    self._materialise(turned)
+                valid = self._valid_np.reshape(-1, self.ways)[gated]
+                sets, ways = valid.nonzero()
+                tagmap, blockw = self._tagmap, self._blockw
+                for f in (sets * self.ways + ways + new_powered).tolist():
+                    del tagmap[blockw[f]]
                 valid[...] = 0
         self.powered_ways = new_powered
         return flushes
-
-    def _gated(self, column: bytearray, lo: int, hi: int):
-        """(set, way) view of a frame-state column over ways ``lo:hi``,
-        and the flat indices of its set frames: one numpy scan."""
-        view = np.frombuffer(column, np.uint8).reshape(-1, self.ways)[:, lo:hi]
-        sets, ways = np.nonzero(view)
-        return view, (sets * self.ways + ways + lo).tolist()
 
     def begin_epoch(self) -> None:
         self.epoch_accesses = 0
@@ -588,15 +690,11 @@ class EpochReplaySegment:
         window = self._decay_window(tick)
         if window is None:
             return
-        dirty = self._dirty
-        lastref = self._lastref
-        f = dirty.find(1)
-        while f >= 0:
-            # dirty implies valid (class invariant), no valid check needed
-            if tick - lastref[f] > window:
-                self.stats.expiry_writebacks += 1
-                dirty[f] = 0
-            f = dirty.find(1, f + 1)
+        # dirty implies resident (class invariant), no valid check needed
+        frames = self._dirty_np.nonzero()[0]
+        stale = frames[tick - self._refs(frames) > window]
+        self.stats.expiry_writebacks += len(stale)
+        self._dirty_np[stale] = 0
 
     def _decay_window(self, tick: int) -> int | None:
         """The retention window, or None when no decay test at ``tick``
@@ -606,6 +704,41 @@ class EpochReplaySegment:
         if window is None or tick - self._tick_min <= window:
             return None
         return window
+
+    # -- clean sets ----------------------------------------------------
+
+    def _refs(self, frames):
+        """Last cell write of each of ``frames`` (flat indices): from the
+        clean-set array, or from the loop's list for a set it replays."""
+        refs = self._clean_ref[frames]
+        looped = ~self._clean_set[frames // self.ways]
+        lastref = self._lastref
+        refs[looped] = [lastref[f] for f in frames[looped].tolist()]
+        return refs
+
+    def _to_loop(self, sets, positions) -> None:
+        """Mark the rows of ``sets`` from set-major ``positions`` on for
+        the loop."""
+        self._clean_set[sets] = False
+        lens = self._set_bounds[sets + 1] - positions
+        shift = (positions - lens.cumsum() + lens).repeat(lens)
+        self._reach[self._set_rows[shift + np.arange(len(shift))]] = -1
+
+    def _materialise(self, sets) -> None:
+        """Hand clean ``sets`` to the loop: their resident blocks enter
+        the tag map and the loop-only frame columns."""
+        frames = (sets[:, None] * self.ways + np.arange(self.ways)).ravel()
+        frames = frames[self._clean_seq[frames] > 0]
+        self._valid_np[frames] = 1
+        self._privw_np[frames] = self._way_priv[frames]
+        blockw, seqs, lastref, tagmap = self._blockw, self._seqs, self._lastref, self._tagmap
+        for f, block, seq, ref in zip(frames.tolist(), self._way_block[frames].tolist(),
+                                      self._clean_seq[frames].tolist(),
+                                      self._clean_ref[frames].tolist()):
+            blockw[f] = block
+            seqs[f] = seq
+            lastref[f] = ref
+            tagmap[block] = f
 
     # -- chunked replay ------------------------------------------------
 
@@ -617,13 +750,19 @@ class EpochReplaySegment:
         to the segment — so chunk boundaries agree across segments.
         Outcome-independent stats (access totals, privilege and write
         splits) are credited here; hit/miss counters accrue per chunk.
+        A segment loads its rows once.
 
         Chunks whose ticks all lie within the window of the segment's
         first tick skip the decay test (``fastsim.retention.elided_chunks``).
         """
+        if self._loaded:
+            raise RuntimeError(f"{self.name}: a segment loads its rows once")
+        self._loaded = True
         addrs = np.asarray(addrs, dtype=np.uint64)
-        ticks = np.asarray(ticks)
+        ticks = np.asarray(ticks, dtype=np.int64)
         privs = np.asarray(privs)
+        writes = np.asarray(writes, dtype=bool)
+        demand = np.asarray(demand, dtype=bool)
         n = len(addrs)
         if n and int(privs.max()) > 1:
             raise ValueError(
@@ -634,36 +773,21 @@ class EpochReplaySegment:
         kernel_accesses = int(np.count_nonzero(privs))
         st.accesses_by_priv[0] += n - kernel_accesses
         st.accesses_by_priv[1] += kernel_accesses
-        st.write_accesses += int(np.count_nonzero(np.asarray(writes)))
-        st.demand_accesses += int(np.count_nonzero(np.asarray(demand)))
-        if n == 0:
-            self._chunk_starts = [0] * (n_chunks + 1)
-            return
-
-        geometry = self.geometry
-        block_bits = geometry.block_size.bit_length() - 1
-        num_sets = geometry.num_sets
-        blocks = addrs >> np.uint64(block_bits)
-        set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.int64)
-
+        st.write_accesses += int(np.count_nonzero(writes))
+        st.demand_accesses += int(np.count_nonzero(demand))
         # Rows replay in the order given: stream order (exactly the
         # reference loop's order), or any order that keeps each set's rows
         # in stream order while the geometry is fixed.  ``chunk_ids`` is
         # non-decreasing, so each chunk is a contiguous slice found by
-        # searchsorted.  The frame base (set * ways) is precomputed so the
-        # replay loop never touches the set index.
-        self._ticks = ticks.tolist()
-        self._blocks = blocks.tolist()
-        self._bases = (set_idx * self.ways).tolist()
-        self._privs = privs.tolist()
-        self._writes = np.asarray(writes).tolist()
-        self._demand = np.asarray(demand).tolist()
+        # searchsorted.
         chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
         starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1))
         self._chunk_starts = starts.tolist()
+        if n == 0:
+            return
 
-        first = int(ticks.min())
-        self._tick_min = first if self._seqc == 0 else min(self._tick_min, first)
+        self._seqc = n
+        self._tick_min = int(ticks.min())
         self._full_from = n_chunks
         if self._window is not None:
             late = ticks > self._tick_min + self._window
@@ -672,6 +796,95 @@ class EpochReplaySegment:
             elided = int(np.count_nonzero(np.diff(starts[:self._full_from + 1])))
             if elided:
                 obs.inc("fastsim.retention.elided_chunks", elided)
+        self._model_rows(ticks, addrs, privs, writes, demand,
+                         bool((np.diff(starts) >= self.min_rank_accesses).any()))
+
+    def _model_rows(self, ticks, addrs, privs, writes, demand, ranked: bool) -> None:
+        """Per-row columns of the clean-set model, in row order.
+
+        Row ``r`` accesses the ``j``-th distinct block of its set (in
+        first-occurrence order), which a clean set holds in frame
+        ``_frame[r]`` (way ``j``); ``_first`` marks the block's first row
+        and ``_nxt`` its next row (``n`` if none).  ``_reach`` is ``j``,
+        or the int32 maximum for a hit whose block decayed since its last
+        cell write (its fill or latest store, ``_ref`` under retention):
+        the row keeps its set clean while ``_reach`` is below the powered
+        ways.  When some chunk tracks ranks, ``_mask`` holds a hit's
+        bitset of the ways accessed in its set since its block's previous
+        access.
+        """
+        geometry = self.geometry
+        num_sets, ways = geometry.num_sets, self.ways
+        n = len(addrs)
+        blocks = addrs >> np.uint64(geometry.block_size.bit_length() - 1)
+        set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.intp)
+        self._ticks, self._blocks, self._set = ticks, blocks, set_idx
+        self._privs, self._writes, self._demand = privs, writes, demand
+
+        # First-occurrence ranks need each set's rows together: work in
+        # set-major order (``order`` maps its positions to rows).
+        order = _set_order(blocks, num_sets)
+        s_blocks, s_set = blocks[order], set_idx[order]
+        by_block, group_lo, groups, first_rows, distinct_before = _first_occurrences(
+            s_blocks, s_set, num_sets)
+        n_groups = len(group_lo)
+        group_way = np.empty(n_groups, np.int64)
+        group_way[groups] = np.arange(n_groups) - distinct_before[s_set[first_rows]]
+        way = np.empty(n, np.int64)
+        way[by_block] = np.repeat(group_way, np.diff(np.r_[group_lo, n]))
+        # The fill of frame (set, j) while the set is clean.
+        fills = first_rows[way[first_rows] < ways]
+        frames = s_set[fills] * ways + way[fills]
+        self._way_block[frames] = s_blocks[fills]
+        self._way_priv[frames] = privs[order[fills]]
+        self._frame = np.empty(n, np.intp)
+        self._frame[order] = s_set * ways + way
+        self._set_rows = order
+        self._set_pos = np.empty(n, np.intp)
+        self._set_pos[order] = np.arange(n)
+        self._set_bounds = np.zeros(num_sets + 1, np.intp)
+        np.cumsum(np.bincount(set_idx, minlength=num_sets), out=self._set_bounds[1:])
+
+        # Each block's accesses in row order: ``by_block`` lists their
+        # set-major positions block by block, ``r_rows`` their rows, and
+        # ``opens`` marks each block's first.
+        opens = np.zeros(n, dtype=bool)
+        opens[group_lo] = True
+        r_rows = order[by_block]
+        shifted = np.empty(n, np.intp)
+        shifted[0] = -1
+        shifted[1:] = by_block[:-1]
+        shifted[opens] = -1
+        prev = np.empty(n, np.intp)
+        prev[by_block] = shifted
+        shifted[:-1] = r_rows[1:]
+        shifted[-1] = n
+        shifted[:-1][opens[1:]] = n
+        self._nxt = np.empty(n, np.intp)
+        self._nxt[r_rows] = shifted
+        self._first = np.empty(n, dtype=bool)
+        self._first[r_rows] = opens
+        # Rows the loop replays get reach -1; ``_reach[n]`` stands for
+        # "no next row" in ``replay_chunk``.
+        self._reach = np.zeros(n + 1, np.int32)
+        self._reach[order] = way
+        if self._window is not None:
+            # A hit decays when its tick is past the window from the
+            # block's last cell write; no row of a chunk before
+            # ``_full_from`` can, so the test is exact in every chunk.
+            r_ticks = ticks[r_rows]
+            stores = opens | writes[r_rows]
+            ref = r_ticks[np.maximum.accumulate(np.where(stores, np.arange(n), 0))]
+            decayed = np.zeros(n, dtype=bool)
+            np.greater(r_ticks[1:] - ref[:-1], self._window, out=decayed[1:])
+            decayed &= ~opens
+            self._reach[r_rows[decayed]] = np.iinfo(np.int32).max
+            self._ref = np.empty(n, np.int64)
+            self._ref[r_rows] = ref
+
+        if ranked:
+            self._mask = np.empty(n, np.uint16 if ways <= 16 else np.uint64)
+            self._mask[order] = _between_masks(way, prev, ways, self._mask.dtype)
 
     def chunk_first_tick(self, chunk: int) -> int | None:
         """Stream-order tick of this segment's first access in ``chunk``
@@ -679,10 +892,14 @@ class EpochReplaySegment:
         lo = self._chunk_starts[chunk]
         if lo == self._chunk_starts[chunk + 1]:
             return None
-        return self._ticks[lo]
+        return int(self._ticks[lo])
 
     def replay_chunk(self, chunk: int) -> None:
-        """Replay one chunk's accesses under the current powered ways."""
+        """Replay one chunk's accesses under the current powered ways.
+
+        The clean sets' rows are resolved in NumPy; a set whose first
+        event falls in the chunk is materialised at that row, and the
+        per-access loop replays it from there on."""
         lo = self._chunk_starts[chunk]
         hi = self._chunk_starts[chunk + 1]
         self.epoch_accesses += hi - lo
@@ -691,9 +908,61 @@ class EpochReplaySegment:
         st = self.stats
         window = self._window if chunk >= self._full_from else None
         powered = self.powered_ways
+        rows = slice(lo, hi)
+        reach = self._reach[lo:hi]
+        # A clean set's first event: a row past the powered ways (a miss
+        # that must evict or reclaim, or a gated miss) or a decayed hit.
+        event = reach >= min(powered, _MASK_BITS)
+        turned = None
+        if event.any():
+            at = event.nonzero()[0] + lo
+            turned, first = np.unique(self._set[at], return_index=True)
+            self._to_loop(turned, self._set_pos[at[first]])
+        looped = reach < 0
+        loop = looped.nonzero()[0] + lo
+
+        # Clean rows: a first occurrence misses into its free way, any
+        # other row hits.  Stores, and each block's last row in the
+        # chunk, reach the frame state in bulk.
+        frames = self._frame[rows]
+        fills = self._first[rows]
+        stores = self._writes[rows]
+        nxt = self._nxt[rows]
+        last = nxt >= hi
+        if len(loop):
+            clean = ~looped
+            fills = fills & clean
+            stores = stores & clean
+            last = clean & (last | (self._reach[nxt] < 0))
+        misses = int(np.count_nonzero(fills))
+        kernel_misses = int(np.count_nonzero(fills & self._privs[rows]))
+        demand_misses = int(np.count_nonzero(fills & self._demand[rows]))
+        self._dirty_np[frames[stores]] = 1
+        at = last.nonzero()[0]
+        frames = frames[at]
+        self._clean_seq[frames] = at + (lo + 1)
+        if self._window is not None:
+            self._clean_ref[frames] = self._ref[rows][at]
+        if turned is not None:
+            self._materialise(turned)
         track_ranks = (hi - lo) >= self.min_rank_accesses
+        if track_ranks:
+            # A hit's rank: the powered ways accessed since its block's
+            # previous access (a clean set has no stale frames).  Misses
+            # have an empty mask: take them out of rank 0.
+            mask = self._mask[rows]
+            if len(loop):
+                mask = mask[clean]
+            ranks = np.bincount(
+                np.bitwise_count(mask & ((1 << min(powered, _MASK_BITS)) - 1)),
+                minlength=self.ways).tolist()
+            ranks[0] -= misses
+            self.epoch_rank_hits = [a + b for a, b in zip(self.epoch_rank_hits, ranks)]
+        obs.inc("fastsim.prefix.rows", hi - lo - len(loop))
+        obs.inc("fastsim.loop.rows", len(loop))
+
+        # The rows from each set's first event on: the per-access loop.
         rank_hits = self.epoch_rank_hits
-        seqc = self._seqc
         tagmap = self._tagmap
         mget = tagmap.get
         valid = self._valid
@@ -702,13 +971,15 @@ class EpochReplaySegment:
         lastref = self._lastref
         seqs = self._seqs
         blockw = self._blockw
-        misses = kernel_misses = demand_misses = 0
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
-        for tick, block, base, priv, isw, dm in zip(
-            self._ticks[lo:hi], self._blocks[lo:hi], self._bases[lo:hi],
-            self._privs[lo:hi], self._writes[lo:hi], self._demand[lo:hi],
-        ):
+        seqc = self._seqc
+        cols = () if not len(loop) else zip(
+            self._ticks[loop].tolist(), self._blocks[loop].tolist(),
+            (self._set[loop] * self.ways).tolist(), self._privs[loop].tolist(),
+            self._writes[loop].tolist(), self._demand[loop].tolist(),
+        )
+        for tick, block, base, priv, isw, dm in cols:
             seqc += 1
             f = mget(block)
             if f is not None:

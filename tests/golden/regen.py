@@ -93,11 +93,12 @@ def trace_digests() -> dict[str, dict[str, str]]:
     return out
 
 
-def job_records() -> dict[str, dict]:
-    """One record per registered design × suite app job, keyed by label."""
+def job_records(designs=REGISTERED_DESIGNS) -> dict[str, dict]:
+    """One record per design (all registered ones by default) × suite app
+    job, keyed by label."""
     specs = [
         JobSpec(design, app, GRID_LENGTH, GRID_SEED)
-        for design in REGISTERED_DESIGNS
+        for design in designs
         for app in APP_NAMES
     ]
     out = {}

@@ -13,11 +13,13 @@ envelope.  This file is that promise, tested three ways:
 4. the dynamic partition design's epoch-chunked kernel is swept over
    randomized controller x technology x burst-shape configurations and
    compared on the *whole* ``DesignResult`` (timelines and resize
-   counts included), plus its own dispatch rules and its gating scan;
+   counts included), plus its own dispatch rules and its gating scan,
+   and on every suite app at the benchmark's trace length;
 5. retention the stream cannot outlast replays retention-free, and the
    ``fastsim.retention.*`` counters say when it did;
 6. the eviction-free prefix each set resolves in NumPy, and the state
-   the LRU loop is seeded with at a set's first eviction.
+   the LRU loop is seeded with at a set's first eviction; the epoch
+   replay's clean sets, resolved in NumPy up to their first event.
 """
 
 import dataclasses
@@ -28,6 +30,8 @@ import pytest
 from repro import obs
 from repro.cache import fastsim
 from repro.cache.diffsim import (
+    CLEAN_DYNAMIC_CASES_FROM,
+    CLEAN_SCENARIOS,
     ELISION_CASES_FROM,
     FOOTPRINT_CASES_FROM,
     _workload,
@@ -60,8 +64,9 @@ from conftest import make_trace, sequential_accesses
 ELISION_SEEDS = range(ELISION_CASES_FROM, FOOTPRINT_CASES_FROM)
 FOOTPRINT_SEEDS = range(FOOTPRINT_CASES_FROM, FOOTPRINT_CASES_FROM + 16)
 DIFF_SEEDS = range(FOOTPRINT_SEEDS.stop)
-# The dynamic-design sampler has no run cases.
-DYNAMIC_SEEDS = range(24)
+# The dynamic-design sampler has no run cases; seeds from
+# CLEAN_DYNAMIC_CASES_FROM on keep most sets clean, two per scenario.
+DYNAMIC_SEEDS = range(CLEAN_DYNAMIC_CASES_FROM + 2 * len(CLEAN_SCENARIOS))
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +355,30 @@ def test_dynamic_kernel_matches_reference(seed):
     assert_dynamic_case_equal(sample_dynamic_case(seed))
 
 
+@pytest.mark.parametrize("seed", DYNAMIC_SEEDS)
+def test_dynamic_epoch_counters_match_reference(seed, monkeypatch):
+    """Every controller step reads the same epoch counters from both
+    engines: accesses, misses and, once the epoch has enough samples for
+    a decision, the hit-rank histogram.  A rank no decision hinges on
+    leaves the result unchanged, so the result alone cannot vouch for it."""
+    from repro.core.dynamic_partition import DynamicPartitionDesign
+
+    steps = []
+    step = DynamicPartitionDesign._controller_step
+
+    def spy(self, seg, tick):
+        cache = seg.cache
+        decides = cache.epoch_accesses >= self.config.decision_accesses
+        ranks = list(cache.epoch_rank_hits) if decides else None
+        steps.append((seg.name, tick, cache.epoch_accesses, cache.epoch_misses, ranks))
+        step(self, seg, tick)
+
+    monkeypatch.setattr(DynamicPartitionDesign, "_controller_step", spy)
+    run_dynamic_case(sample_dynamic_case(seed))  # the reference engine first, then the kernel
+    half = len(steps) // 2
+    assert steps[:half] == steps[half:]
+
+
 def test_dynamic_auto_engine_uses_fast_kernel(browser_stream_small):
     from repro.core.dynamic_partition import DynamicPartitionDesign
 
@@ -485,10 +514,9 @@ def test_elision_cases_straddle_the_bound():
         assert elided == (seed % 4 != 0), sample_case(seed).describe()
 
 
-def test_dynamic_seeds_mix_elided_and_full_chunks(monkeypatch):
-    """Some dynamic differential case replays a segment's early chunks
-    without the decay test and its later chunks with it, so both sides
-    of the per-chunk bound are compared with the reference engine."""
+def _dynamic_segments(monkeypatch):
+    """A function running one dynamic seed and returning the epoch
+    replay segments it loaded rows into."""
     loaded = []
     load = fastsim.EpochReplaySegment.load
 
@@ -498,24 +526,70 @@ def test_dynamic_seeds_mix_elided_and_full_chunks(monkeypatch):
 
     monkeypatch.setattr(fastsim.EpochReplaySegment, "load", spy)
 
-    def mixes(seed):
+    def run(seed):
         loaded.clear()
         run_dynamic_case(sample_dynamic_case(seed))
-        for seg in loaded:
-            starts = seg._chunk_starts
-            replayed = [k for k in range(len(starts) - 1) if starts[k + 1] > starts[k]]
-            if seg._window is not None and replayed[0] < seg._full_from <= replayed[-1]:
-                return True
-        return False
+        return [seg for seg in loaded if seg._chunk_starts[-1]]
 
-    assert any(mixes(seed) for seed in DYNAMIC_SEEDS)
+    return run
+
+
+def test_dynamic_seeds_mix_elided_and_full_chunks(monkeypatch):
+    """Some dynamic differential case replays a segment's early chunks
+    without the decay test and its later chunks with it, so both sides
+    of the per-chunk bound are compared with the reference engine."""
+    segments = _dynamic_segments(monkeypatch)
+
+    def mixes(seg):
+        starts = seg._chunk_starts
+        replayed = [k for k in range(len(starts) - 1) if starts[k + 1] > starts[k]]
+        return seg._window is not None and replayed[0] < seg._full_from <= replayed[-1]
+
+    assert any(mixes(seg) for seed in DYNAMIC_SEEDS for seg in segments(seed))
+
+
+def test_dynamic_seeds_mix_clean_and_looped_rows(monkeypatch):
+    """Some dynamic differential case resolves part of a segment's rows
+    in NumPy (its clean sets) and replays the rest in the per-access
+    loop (each set from its first event on), so both, and the hand-over
+    between them, are compared with the reference engine."""
+    segments = _dynamic_segments(monkeypatch)
+
+    def mixes(seg):
+        looped = seg._reach[:-1] < 0  # the loop's rows are marked -1
+        return looped.any() and not looped.all()
+
+    assert any(mixes(seg) for seed in DYNAMIC_SEEDS for seg in segments(seed))
 
 
 @pytest.fixture(scope="module")
-def browser_stream_240k():
-    from repro.trace.workloads import suite_trace
+def suite_streams_240k():
+    """Every suite app's L2 stream at the benchmark's trace length."""
+    from repro.trace.workloads import APP_NAMES, suite_trace
 
-    return l1_filter(suite_trace("browser", 240_000, 0), DEFAULT_PLATFORM)
+    return {app: l1_filter(suite_trace(app, 240_000, 0), DEFAULT_PLATFORM) for app in APP_NAMES}
+
+
+@pytest.fixture(scope="module")
+def browser_stream_240k(suite_streams_240k):
+    return suite_streams_240k["browser"]
+
+
+def test_dynamic_kernel_matches_reference_on_suite(suite_streams_240k):
+    """At 240k accesses the controller's rank rules fire (the 60k golden
+    grid never shrinks on the last-way rule), most rows are clean and
+    some sets leave the clean state: the epoch replay must match the
+    reference engine on every suite app."""
+    from repro.core.designs import make_design
+
+    for app, stream in suite_streams_240k.items():
+        fast, ref = (
+            make_design("dynamic-stt").run(stream, DEFAULT_PLATFORM, engine=engine).to_dict()
+            for engine in ("fast", "reference")
+        )
+        assert fast["extras"].pop("sim_engine") == "fastsim"
+        assert ref["extras"].pop("sim_engine") == "reference"
+        assert fast == ref, app
 
 
 def test_retention_elision_counters(browser_stream_240k):
@@ -613,6 +687,15 @@ def test_prefix_dirty_block_evicted_by_first_new_block():
     assert sorted(events.miss_idx) == [0, 1, 2, 3, 7, 8, 9, 11, 12, 16, 17]
 
 
+def test_block_order_is_a_stable_argsort():
+    """Each block's rows keep their order, whether the block numbers
+    leave room for the row number in one int64 sort key or not."""
+    rng = np.random.default_rng(5)
+    for top in (1 << 20, 1 << 62):
+        blocks = rng.integers(0, 8, 500).astype(np.uint64) * np.uint64(top // 8)
+        assert np.array_equal(fastsim._block_order(blocks), np.argsort(blocks, kind="stable"))
+
+
 def test_prefix_counters(browser_stream_240k):
     """At the benchmark's trace length the baseline design resolves most
     of its rows in NumPy, and some sets still evict."""
@@ -622,6 +705,18 @@ def test_prefix_counters(browser_stream_240k):
         lambda: make_design("baseline").run(browser_stream_240k, DEFAULT_PLATFORM)
     )
     assert prefix > loop > 0
+
+
+def test_epoch_replay_counters(browser_stream_240k):
+    """At the benchmark's trace length the dynamic design resolves well
+    over nine in ten rows in NumPy (its sets stay clean), and some sets
+    still reach the per-access loop."""
+    from repro.core.designs import make_design
+
+    prefix, loop = _prefix_and_loop_rows(
+        lambda: make_design("dynamic-stt").run(browser_stream_240k, DEFAULT_PLATFORM)
+    )
+    assert prefix > 9 * loop > 0
 
 
 def test_fast_fixed_replay_leaves_reference_state_unbuilt(browser_stream_small, monkeypatch):

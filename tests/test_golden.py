@@ -7,6 +7,7 @@ intended change bumps ``MODEL_VERSION`` and regenerates the file.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,3 +78,21 @@ def test_design_results(golden):
             mismatches.append(f"{job}: sha256 of to_dict() (headline fields unchanged)")
     if mismatches:
         _fail("design results", mismatches, golden)
+
+
+def test_controller_threshold_edit_moves_dynamic_records(golden, monkeypatch):
+    """Mutation check: raising the controller's ``grow_deep_util``
+    default from 0.004 to 0.04 moves every dynamic-stt record, so the
+    gate catches a controller edit that leaves the cache model alone."""
+    from repro.core import dynamic_partition
+
+    monkeypatch.setattr(
+        dynamic_partition,
+        "DynamicControllerConfig",
+        partial(dynamic_partition.DynamicControllerConfig, grow_deep_util=0.04),
+    )
+    records = regen.job_records(["dynamic-stt"])
+    assert len(records) == 8
+    unmoved = [job for job, record in records.items()
+               if record["sha256"] == golden["jobs"][job]["sha256"]]
+    assert not unmoved, f"the controller edit left {unmoved} unchanged"
