@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="1.1.0",
     description=(
         "Energy-efficient user/kernel-partitioned STT-RAM L2 cache design "
         "for mobile platforms (DATE'15 / TODAES'17 reproduction)"
@@ -18,6 +18,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23"],
+    install_requires=["numpy>=2.0"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

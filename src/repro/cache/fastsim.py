@@ -61,7 +61,9 @@ only replays each set from its first event on (counters
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
 replay that needs per-access interleaving (bank-level DRAM, prefetching)
-— falls back to the reference engine.  ``tests/test_fastsim.py`` holds
+— replays on the reference engine.  Designs decide the engine before
+replay: a fixed design checks :func:`fixed_envelope` and then replays
+unconditionally with :func:`run_fixed`.  ``tests/test_fastsim.py`` holds
 the randomized differential harness (:mod:`repro.cache.diffsim`) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
 module promises, for fixed and epoch-chunked replay alike.
@@ -91,7 +93,8 @@ __all__ = [
     "EpochReplaySegment",
     "MissEvents",
     "fast_l1_filter",
-    "try_run_fixed",
+    "fixed_envelope",
+    "run_fixed",
 ]
 
 #: Refresh modes the kernel reproduces exactly.
@@ -886,14 +889,6 @@ class EpochReplaySegment:
             self._mask = np.empty(n, np.uint16 if ways <= 16 else np.uint64)
             self._mask[order] = _between_masks(way, prev, ways, self._mask.dtype)
 
-    def chunk_first_tick(self, chunk: int) -> int | None:
-        """Stream-order tick of this segment's first access in ``chunk``
-        (None when the chunk has no accesses for this segment)."""
-        lo = self._chunk_starts[chunk]
-        if lo == self._chunk_starts[chunk + 1]:
-            return None
-        return int(self._ticks[lo])
-
     def replay_chunk(self, chunk: int) -> None:
         """Replay one chunk's accesses under the current powered ways.
 
@@ -1134,28 +1129,34 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     )
 
 
-def try_run_fixed(stream, segments, router) -> bool:
-    """Replay ``stream`` through fixed segments with the fast kernel.
+def fixed_envelope(segments, router) -> bool:
+    """True when :func:`run_fixed` replays ``segments`` exactly.
 
-    Returns False (leaving every cache untouched) unless all segment
-    caches are inside the envelope and the router is a pure
-    privilege→segment mapping.  On success the per-segment ``stats``
-    (including finalize accounting) are installed on each cache and the
-    caller must skip its own replay loop and ``finalize`` pass.
+    Every segment cache must be inside :func:`supports_cache`, and the
+    router must be a pure privilege→segment mapping.  Designs decide
+    their engine with this check before replay; each refusal books a
+    ``fastsim.decline.*`` counter.
     """
     caches = [seg.cache for seg in segments]
     if not caches or not all(supports_cache(c) for c in caches):
         obs.inc("fastsim.decline.unsupported-cache")
         return False
+    for priv in (Privilege.USER, Privilege.KERNEL):
+        if not any(router(int(priv)) is c for c in caches):
+            obs.inc("fastsim.decline.router")
+            return False
+    return True
+
+
+def run_fixed(stream, segments, router) -> None:
+    """Replay ``stream`` through fixed segments with the fast kernel.
+
+    The segments and router must pass :func:`fixed_envelope`.  The
+    per-segment ``stats`` (including finalize accounting) are installed
+    on each cache, so the caller skips its own ``finalize`` pass.
+    """
     user_cache = router(int(Privilege.USER))
     kernel_cache = router(int(Privilege.KERNEL))
-    if not any(user_cache is c for c in caches):
-        obs.inc("fastsim.decline.router")
-        return False
-    if not any(kernel_cache is c for c in caches):
-        obs.inc("fastsim.decline.router")
-        return False
-
     final_tick = stream.duration_ticks
     if user_cache is kernel_cache:
         jobs = [(user_cache, slice(None))]
@@ -1175,4 +1176,3 @@ def try_run_fixed(stream, segments, router) -> bool:
             finalize_tick=final_tick,
         )
         cache.stats = stats
-    return True

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry, PlatformConfig
-from repro.core.pipeline import ReplaySession, ResultAssembler, SegmentOutcome
+from repro.core.pipeline import FixedSegment, ReplaySession, ResultAssembler, SegmentOutcome
 from repro.core.result import DesignResult
 from repro.energy.model import EnergyBreakdown
 from repro.energy.technology import MemoryTechnology, sram
@@ -78,13 +78,12 @@ class DrowsySRAMDesign:
         geometry = self.geometry if self.geometry is not None else platform.l2
         session = ReplaySession(self.name, stream, engine)
         session.dispatch_fast(
-            False, None, "per-line drowsy voltage tracking needs the per-access engine"
+            None, "per-line drowsy voltage tracking needs the per-access engine"
         )
         cache = SetAssociativeCache(
             geometry, self.policy, drowsy_window=self.drowsy_window, name="l2-drowsy"
         )
-        session.replay_routed(lambda priv: cache)
-        cache.finalize(stream.duration_ticks)
+        session.replay_fixed([FixedSegment("shared", cache, self.tech)], lambda priv: cache)
 
         stats = cache.stats
         assembler = ResultAssembler(session, platform)

@@ -19,6 +19,14 @@ Controller per epoch and per segment (classic utility feedback):
 
 Short-retention STT-RAM integrates naturally: blocks gated off are lost
 anyway, and the short write pulse keeps the resize/refill traffic cheap.
+
+Both replay engines share one driver.  The stream is cut into *chunks*,
+the accesses between consecutive controller-epoch boundaries; between
+chunks the controller steps and the way timeline is sampled, and before
+a segment's chunk replays the segment wakes at its first access.  Only
+the chunk replay itself differs: the vectorized kernel's
+:class:`~repro.cache.fastsim.EpochReplaySegment` replays the chunk at
+once, the reference :class:`SetAssociativeCache` one access at a time.
 """
 
 from __future__ import annotations
@@ -74,12 +82,18 @@ class DynamicControllerConfig:
 
 
 class _Segment:
-    """Run-time state of one dynamically sized segment."""
+    """Run-time state of one dynamically sized segment.
+
+    ``cache`` is a :class:`SetAssociativeCache` on the reference engine
+    or a :class:`~repro.cache.fastsim.EpochReplaySegment` on the fast
+    one; both expose the powered-way and epoch-counter protocol the
+    controller drives.
+    """
 
     def __init__(
         self,
         name: str,
-        cache: SetAssociativeCache,
+        cache,
         tech: MemoryTechnology,
         max_ways: int,
         block_bytes_per_way: int,
@@ -93,11 +107,38 @@ class _Segment:
         self.last_integral_tick = 0
         self.resizes = 0
         self.busy_ways = cache.powered_ways
+        self._rows: tuple | None = None
+
+    def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int) -> None:
+        """Take this segment's rows; ``chunk_ids`` (non-decreasing) is
+        each row's chunk, so chunk ``k`` is rows
+        ``_starts[k]:_starts[k + 1]``."""
+        self._ticks = ticks
+        self._starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
+        if isinstance(self.cache, SetAssociativeCache):
+            self._rows = tuple(col.tolist() for col in (ticks, addrs, privs, writes, demand))
+        else:
+            self.cache.load(ticks, addrs, privs, writes, demand, chunk_ids, n_chunks)
+
+    def replay_chunk(self, chunk: int) -> None:
+        """Wake at the chunk's first access, then replay its accesses."""
+        lo, hi = self._starts[chunk], self._starts[chunk + 1]
+        if lo == hi:
+            return
+        self.wake(int(self._ticks[lo]))
+        if self._rows is None:
+            self.cache.replay_chunk(chunk)
+            return
+        access = self.cache.access
+        for tick, addr, priv, is_write, is_demand in zip(*(col[lo:hi] for col in self._rows)):
+            access(addr, is_write, priv, tick, is_demand)
 
     def wake(self, tick: int) -> None:
         """Restore the pre-idle way count on the first access after a
         gated period (wake-on-demand; power-up latency is negligible
-        against the idle spans being bridged)."""
+        against the idle spans being bridged).  The controller only
+        changes the way count between chunks, so waking at a chunk's
+        first access covers every access of the chunk."""
         if self.cache.powered_ways < self.busy_ways:
             self.integrate_to(tick)
             self.cache.set_powered_ways(self.busy_ways, tick)
@@ -141,18 +182,24 @@ class DynamicPartitionDesign:
 
     def _make_segment(
         self, platform: PlatformConfig, label: str, start_ways: int, max_ways: int,
-        tech: MemoryTechnology,
+        tech: MemoryTechnology, fast: bool,
     ) -> _Segment:
         geometry = platform.l2.with_ways(max_ways)
         retention = tech.retention_ticks(platform.clock_hz)
-        cache = SetAssociativeCache(
-            geometry,
-            self.policy,
+        common = dict(
             retention_ticks=retention,
             refresh_mode="none" if retention is None else self.refresh_mode,
             retains_when_gated=tech.non_volatile,
             name=f"l2-{label}",
         )
+        if fast:
+            from repro.cache.fastsim import EpochReplaySegment
+
+            cache = EpochReplaySegment(
+                geometry, min_rank_accesses=self.config.decision_accesses, **common
+            )
+        else:
+            cache = SetAssociativeCache(geometry, self.policy, **common)
         cache.set_powered_ways(start_ways, 0)
         bytes_per_way = geometry.num_sets * geometry.block_size
         return _Segment(label, cache, tech, max_ways, bytes_per_way)
@@ -207,74 +254,6 @@ class DynamicPartitionDesign:
             for tech in (self.user_tech, self.kernel_tech)
         )
 
-    def _make_fast_segment(
-        self, fastsim, platform: PlatformConfig, label: str, start_ways: int,
-        max_ways: int, tech: MemoryTechnology,
-    ) -> _Segment:
-        """Mirror of :meth:`_make_segment` over the epoch-chunked kernel."""
-        geometry = platform.l2.with_ways(max_ways)
-        retention = tech.retention_ticks(platform.clock_hz)
-        cache = fastsim.EpochReplaySegment(
-            geometry,
-            retention_ticks=retention,
-            refresh_mode="none" if retention is None else self.refresh_mode,
-            retains_when_gated=tech.non_volatile,
-            min_rank_accesses=self.config.decision_accesses,
-            name=f"l2-{label}",
-        )
-        cache.set_powered_ways(start_ways, 0)
-        bytes_per_way = geometry.num_sets * geometry.block_size
-        return _Segment(label, cache, tech, max_ways, bytes_per_way)
-
-    def _run_fast(self, fastsim, stream: L2Stream, platform: PlatformConfig, out: list) -> bool:
-        """Epoch-chunked replay through the vectorized kernel.
-
-        Chunk ``k`` holds the accesses the reference loop replays between
-        controller boundaries ``k*epoch_ticks`` and ``(k+1)*epoch_ticks``
-        — the running tick maximum decides the boundary crossings, so a
-        non-monotonic trace chunks exactly like the reference's lazy
-        ``while tick >= next_epoch`` stepping.  Both segments share the
-        boundaries; each replays its own rows chunk by chunk, with
-        controller steps (and timeline samples) in between and
-        wake-on-first-access applied before a chunk replays.
-        """
-        cfg = self.config
-        user = self._make_fast_segment(
-            fastsim, platform, "user", cfg.start_user_ways, cfg.max_user_ways, self.user_tech
-        )
-        kernel = self._make_fast_segment(
-            fastsim, platform, "kernel", cfg.start_kernel_ways, cfg.max_kernel_ways,
-            self.kernel_tech,
-        )
-        segments = [user, kernel]
-        timeline_ticks: list[int] = [0]
-        timeline_user: list[int] = [user.cache.powered_ways]
-        timeline_kernel: list[int] = [kernel.cache.powered_ways]
-        if len(stream.ticks):
-            epoch_idx = np.maximum.accumulate(stream.ticks) // cfg.epoch_ticks
-            n_chunks = int(epoch_idx[-1]) + 1
-            kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
-            for seg, rows in ((user, ~kernel_rows), (kernel, kernel_rows)):
-                seg.cache.load(
-                    stream.ticks[rows], stream.addrs[rows], stream.privs[rows],
-                    stream.writes[rows], stream.demand[rows], epoch_idx[rows], n_chunks,
-                )
-            for k in range(n_chunks):
-                if k:
-                    boundary = k * cfg.epoch_ticks
-                    for seg in segments:
-                        self._controller_step(seg, boundary)
-                    timeline_ticks.append(boundary)
-                    timeline_user.append(user.cache.powered_ways)
-                    timeline_kernel.append(kernel.cache.powered_ways)
-                for seg in segments:
-                    first_tick = seg.cache.chunk_first_tick(k)
-                    if first_tick is not None:
-                        seg.wake(first_tick)
-                        seg.cache.replay_chunk(k)
-        out.append((user, kernel, timeline_ticks, timeline_user, timeline_kernel))
-        return True
-
     def run(
         self, stream: L2Stream, platform: PlatformConfig, engine: str = "auto"
     ) -> DesignResult:
@@ -289,42 +268,47 @@ class DynamicPartitionDesign:
         """
         cfg = self.config
         session = ReplaySession(self.name, stream, engine)
-        fast_out: list = []
-        ran_fast = session.dispatch_fast(
+        fast = session.dispatch_fast(
             self._fast_qualifies(),
-            lambda fastsim: self._run_fast(fastsim, stream, platform, fast_out),
             "needs LRU replacement and retention 'none'/'invalidate' with "
             "the fixed-window model",
         )
-        if ran_fast:
-            user, kernel, timeline_ticks, timeline_user, timeline_kernel = fast_out[0]
-            segments = [user, kernel]
-        else:
-            user = self._make_segment(
-                platform, "user", cfg.start_user_ways, cfg.max_user_ways, self.user_tech
-            )
-            kernel = self._make_segment(
-                platform, "kernel", cfg.start_kernel_ways, cfg.max_kernel_ways, self.kernel_tech
-            )
-            segments = [user, kernel]
-            kernel_priv = int(Privilege.KERNEL)
-
-            timeline_ticks = [0]
-            timeline_user = [user.cache.powered_ways]
-            timeline_kernel = [kernel.cache.powered_ways]
-
-            def on_boundary(tick: int) -> None:
-                for seg in segments:
-                    self._controller_step(seg, tick)
-                timeline_ticks.append(tick)
-                timeline_user.append(user.cache.powered_ways)
-                timeline_kernel.append(kernel.cache.powered_ways)
-
-            session.replay_epochs(
-                lambda priv: kernel if priv == kernel_priv else user,
-                cfg.epoch_ticks,
-                on_boundary,
-            )
+        user = self._make_segment(
+            platform, "user", cfg.start_user_ways, cfg.max_user_ways, self.user_tech, fast
+        )
+        kernel = self._make_segment(
+            platform, "kernel", cfg.start_kernel_ways, cfg.max_kernel_ways, self.kernel_tech,
+            fast,
+        )
+        segments = [user, kernel]
+        timeline_ticks = [0]
+        timeline_user = [user.cache.powered_ways]
+        timeline_kernel = [kernel.cache.powered_ways]
+        with session.replay_span():
+            # The running tick maximum decides the boundary crossings, so
+            # a non-monotonic trace crosses one at its first access at or
+            # past it.  The segments' caches are independent: replaying
+            # one segment's rows of a chunk after the other's equals
+            # stream order.
+            if len(stream.ticks):
+                epoch_idx = np.maximum.accumulate(stream.ticks) // cfg.epoch_ticks
+                n_chunks = int(epoch_idx[-1]) + 1
+                kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
+                for seg, rows in ((user, ~kernel_rows), (kernel, kernel_rows)):
+                    seg.load(
+                        stream.ticks[rows], stream.addrs[rows], stream.privs[rows],
+                        stream.writes[rows], stream.demand[rows], epoch_idx[rows], n_chunks,
+                    )
+                for k in range(n_chunks):
+                    if k:
+                        boundary = k * cfg.epoch_ticks
+                        for seg in segments:
+                            self._controller_step(seg, boundary)
+                        timeline_ticks.append(boundary)
+                        timeline_user.append(user.cache.powered_ways)
+                        timeline_kernel.append(kernel.cache.powered_ways)
+                    for seg in segments:
+                        seg.replay_chunk(k)
 
         final_tick = stream.duration_ticks
         for seg in segments:

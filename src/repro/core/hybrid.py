@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
-from repro.core.pipeline import ReplaySession, ResultAssembler, SegmentOutcome
+from repro.core.pipeline import FixedSegment, ReplaySession, ResultAssembler, SegmentOutcome
 from repro.core.result import DesignResult
 from repro.energy.technology import MemoryTechnology, sram, stt_ram
 from repro.types import Privilege
@@ -95,11 +95,11 @@ class _HybridSegment:
         target = self.sram if is_write else self.stt
         return target.access(addr, is_write, priv, tick, demand)
 
-    def parts(self):
-        """(name, cache, tech) triples for reporting."""
+    def parts(self) -> tuple[FixedSegment, FixedSegment]:
+        """The SRAM and STT parts, for replay and reporting."""
         return (
-            (f"{self.label}-sram", self.sram, self.sram_tech),
-            (f"{self.label}-stt", self.stt, self.stt_tech),
+            FixedSegment(f"{self.label}-sram", self.sram, self.sram_tech),
+            FixedSegment(f"{self.label}-stt", self.stt, self.stt_tech),
         )
 
 
@@ -145,7 +145,7 @@ class HybridPartitionDesign:
         """
         session = ReplaySession(self.name, stream, engine)
         session.dispatch_fast(
-            False, None, "cross-part block migration needs the per-access engine"
+            None, "cross-part block migration needs the per-access engine"
         )
         sram_tech = sram()
         stt_tech = stt_ram(self.stt_retention)
@@ -154,18 +154,15 @@ class HybridPartitionDesign:
         kernel = _HybridSegment("kernel", platform, *self.kernel_split,
                                 sram_tech, stt_tech, self.policy)
         kernel_priv = int(Privilege.KERNEL)
-        session.replay_routed(lambda priv: kernel if priv == kernel_priv else user)
-
-        parts = list(user.parts()) + list(kernel.parts())
-        for _, cache, _ in parts:
-            cache.finalize(stream.duration_ticks)
+        parts = [*user.parts(), *kernel.parts()]
+        session.replay_fixed(parts, lambda priv: kernel if priv == kernel_priv else user)
 
         assembler = ResultAssembler(session, platform)
-        assembler.weigh_timing([(cache.stats, tech) for _, cache, tech in parts])
+        assembler.weigh_timing([(part.cache.stats, part.tech) for part in parts])
         return assembler.finish(
             [
-                SegmentOutcome(part_name, tech, cache.stats, cache.size_bytes)
-                for part_name, cache, tech in parts
+                SegmentOutcome(part.name, part.tech, part.cache.stats, part.cache.size_bytes)
+                for part in parts
             ],
             extras={"migrations": user.migrations + kernel.migrations},
         )

@@ -6,8 +6,11 @@ drowsy and hybrid designs — executes through this module:
 
 * :class:`ReplaySession` owns the decoded access stream, the
   ``engine="auto"|"fast"|"reference"`` dispatch contract (including the
-  ``REPRO_FASTSIM`` kill switch and the recorded ``sim_engine``), and
-  the per-access reference loops (fixed, routed, and epoch-controlled).
+  ``REPRO_FASTSIM`` kill switch and the recorded ``sim_engine``), the
+  ``replay`` span, and the one per-access reference loop
+  (:meth:`ReplaySession.replay_fixed`).  The engine is decided before
+  replay: a design states whether it qualifies for the vectorized
+  kernel, and then replays on the engine the session picked.
 * :class:`ResultAssembler` owns everything downstream of replay: the
   demand/write-weighted technology timing penalties, the
   :class:`~repro.core.result.SegmentReport` assembly, the DRAM energy
@@ -64,10 +67,11 @@ class ReplaySession:
     """One design execution over one stream: decode + engine dispatch.
 
     A session is created with the caller's ``engine`` choice, validated
-    once.  The design then asks :meth:`dispatch_fast` whether to take
-    the vectorized kernel (recording ``sim_engine`` and enforcing the
-    ``"fast"`` contract), and — on the reference path — replays through
-    one of the shared per-access loops below.
+    once.  The design then asks :meth:`dispatch_fast` which engine to
+    replay on (recording ``sim_engine`` and enforcing the ``"fast"``
+    contract), and replays inside one :meth:`replay_span` — through the
+    vectorized kernel, or through the per-access reference loop
+    :meth:`replay_fixed`.
     """
 
     def __init__(self, design_name: str, stream: L2Stream, engine: str = "auto") -> None:
@@ -81,53 +85,43 @@ class ReplaySession:
     # ------------------------------------------------------------------
     # engine dispatch
 
-    def dispatch_fast(self, qualifies: bool, runner, requirement: str) -> bool:
-        """Try the fast kernel under the engine contract.
+    def dispatch_fast(self, qualifies: bool | None, requirement: str) -> bool:
+        """Decide, before replay, whether the fast kernel replays.
 
         Args:
-            qualifies: Design-level precondition for the vectorized
-                kernel (cheap checks the design can decide upfront).
-            runner: Callable receiving the :mod:`repro.cache.fastsim`
-                module; performs the fast replay and returns True on
-                success (False leaves every cache untouched for the
-                reference path).  ``None`` means the design has no fast
-                path at all.
+            qualifies: Whether the design, as configured, lies inside
+                the vectorized kernel's exact-equivalence envelope;
+                ``None`` means the design has no fast path at all.
             requirement: Human-readable qualification summary used in
                 the ``engine="fast"`` error message.
 
         Returns:
-            True when the fast kernel ran (``sim_engine`` becomes
-            ``"fastsim"``); False when the caller must run its reference
-            loop.  Raises ``ValueError`` when ``engine="fast"`` was
-            requested but the design disqualifies.
+            True when the caller must replay through the fast kernel
+            (``sim_engine`` becomes ``"fastsim"``); False when it must
+            replay on the reference engine.  Raises ``ValueError`` when
+            ``engine="fast"`` was requested but the design disqualifies.
 
         Every call books one ``pipeline.dispatch.<engine>`` counter, and
         every fallback books ``pipeline.fallback.<reason>`` — under
-        ``engine="auto"`` the *silent* fallbacks (kill switch, kernel
-        declined at replay time) additionally emit a ``pipeline.fallback``
-        trace event, so an unexpectedly slow run is diagnosable from its
-        run log alone.
+        ``engine="auto"`` the fallbacks of a design that has a fast path
+        (``disqualified``, ``kill-switch``) additionally emit a
+        ``pipeline.fallback`` trace event, so an unexpectedly slow run is
+        diagnosable from its run log alone.
         """
+        from repro.cache import fastsim
+
         reason = None
         if self.engine == "reference":
             reason = "engine=reference"
-        elif runner is None:
+        elif qualifies is None:
             reason = "no-fast-path"
         elif not qualifies:
             reason = "disqualified"
+        elif self.engine == "auto" and not fastsim.enabled():
+            reason = "kill-switch"
         else:
-            from repro.cache import fastsim
-
-            if self.engine == "auto" and not fastsim.enabled():
-                reason = "kill-switch"
-            else:
-                with self._replay_span(engine="fastsim"):
-                    ran = runner(fastsim)
-                if ran:
-                    self.sim_engine = "fastsim"
-                else:
-                    reason = "kernel-declined"
-        if self.engine == "fast" and self.sim_engine != "fastsim":
+            self.sim_engine = "fastsim"
+        if self.engine == "fast" and reason is not None:
             obs.inc("pipeline.dispatch.error")
             raise ValueError(
                 f"design {self.design_name!r} does not qualify for the fast kernel "
@@ -136,71 +130,35 @@ class ReplaySession:
         obs.inc(f"pipeline.dispatch.{self.sim_engine}")
         if reason is not None:
             obs.inc(f"pipeline.fallback.{reason}")
-            if self.engine == "auto" and reason in ("kill-switch", "kernel-declined"):
+            if self.engine == "auto" and reason in ("disqualified", "kill-switch"):
                 obs.event("pipeline.fallback", design=self.design_name, reason=reason)
-        return self.sim_engine == "fastsim"
+        return reason is None
 
-    def _replay_span(self, **attrs):
-        """The ``replay`` span of this session, tagged with its row count."""
-        return obs.span("replay", design=self.design_name, rows=len(self.stream), **attrs)
-
-    # ------------------------------------------------------------------
-    # the reference loops
-
-    def rows(self):
-        """Decode the stream columns once into plain Python rows."""
-        s = self.stream
-        return zip(
-            s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(),
-            s.writes.tolist(), s.demand.tolist(),
+    def replay_span(self):
+        """The ``replay`` span of this session, tagged with the engine
+        :meth:`dispatch_fast` picked and the stream's row count."""
+        return obs.span(
+            "replay", design=self.design_name, engine=self.sim_engine, rows=len(self.stream)
         )
 
-    def replay_routed(self, route: Callable[[int], object]) -> None:
-        """Reference loop for designs whose routing captures all logic.
-
-        ``route(priv)`` returns the object serving the access — anything
-        with the ``access(addr, is_write, priv, tick, demand)`` protocol
-        (a :class:`SetAssociativeCache` or a composite like the hybrid
-        segment).  The caller finalizes its caches itself.
-        """
-        with self._replay_span(engine="reference", loop="routed"):
-            for tick, addr, priv, is_write, is_demand in self.rows():
-                route(priv).access(addr, is_write, priv, tick, is_demand)
-
-    def replay_epochs(
-        self,
-        route: Callable[[int], object],
-        epoch_ticks: int,
-        on_boundary: Callable[[int], None],
-    ) -> None:
-        """Reference loop for epoch-controlled designs.
-
-        ``on_boundary(tick)`` runs at every crossed epoch boundary
-        (lazily — boundaries beyond the last access never fire);
-        ``route(priv)`` returns a segment exposing wake-on-first-access
-        (``wake(tick)``) and a ``cache.access`` method.
-        """
-        with self._replay_span(engine="reference", loop="epochs"):
-            next_epoch = epoch_ticks
-            for tick, addr, priv, is_write, is_demand in self.rows():
-                while tick >= next_epoch:
-                    on_boundary(next_epoch)
-                    next_epoch += epoch_ticks
-                seg = route(priv)
-                seg.wake(tick)
-                seg.cache.access(addr, is_write, priv, tick, is_demand)
+    # ------------------------------------------------------------------
+    # the reference loop
 
     def replay_fixed(
         self,
         segments: list[FixedSegment],
-        router: Callable[[int], SetAssociativeCache],
+        router: Callable[[int], object],
         dram_model: DRAMModel | None = None,
         prefetcher: Prefetcher | None = None,
     ) -> tuple[int, int, int]:
-        """Reference loop for fixed-geometry designs.
+        """The per-access reference loop.
 
-        Interleaves the optional bank-level DRAM model and L2 prefetcher
-        with the accesses, finalizes every segment, and returns
+        ``router(priv)`` returns the object serving an access — anything
+        with the ``access(addr, is_write, priv, tick, demand)`` protocol
+        (a :class:`SetAssociativeCache`, or a composite like the hybrid
+        design's segment).  Interleaves the optional bank-level DRAM
+        model and L2 prefetcher with the accesses, finalizes every
+        segment, and returns
         ``(dram_read_stall, prefetch_issued, prefetch_useful)``.
 
         A prefetched block only counts as useful while it is still
@@ -216,8 +174,13 @@ class ReplaySession:
         dram_read_stall = 0
         prefetch_issued = 0
         prefetch_useful = 0
-        with self._replay_span(engine="reference", loop="fixed"):
-            for tick, addr, priv, is_write, is_demand in self.rows():
+        s = self.stream
+        rows = zip(
+            s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(),
+            s.writes.tolist(), s.demand.tolist(),
+        )
+        with self.replay_span():
+            for tick, addr, priv, is_write, is_demand in rows:
                 cache = router(priv)
                 result = cache.access(addr, is_write, priv, tick, is_demand)
                 if result.hit:
@@ -454,17 +417,20 @@ def run_fixed_design(
             forces the per-access engine.  The chosen path is recorded
             in ``DesignResult.extras["sim_engine"]``.
     """
+    from repro.cache import fastsim
+
     session = ReplaySession(design_name, stream, engine)
     dram_read_stall = 0
     prefetch_issued = 0
     prefetch_useful = 0
-    ran_fast = session.dispatch_fast(
-        dram_model is None and prefetcher is None,
-        lambda fastsim: fastsim.try_run_fixed(stream, segments, router),
+    if session.dispatch_fast(
+        dram_model is None and prefetcher is None and fastsim.fixed_envelope(segments, router),
         "needs LRU segments, retention 'none'/'invalidate', no DRAM "
         "model, no prefetcher",
-    )
-    if not ran_fast:
+    ):
+        with session.replay_span():
+            fastsim.run_fixed(stream, segments, router)
+    else:
         dram_read_stall, prefetch_issued, prefetch_useful = session.replay_fixed(
             segments, router, dram_model, prefetcher
         )

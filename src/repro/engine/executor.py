@@ -236,7 +236,6 @@ def _run_batch(
                                      wall_s=wall_s, attempts=attempts, cpu_s=cpu_s)
         completed += len(indices)
         obs.inc("engine.job.fresh")
-        obs.observe("engine.job", wall_s)
         obs.event("job.done", label=specs[indices[0]].label(), wall_s=wall_s,
                   cpu_s=cpu_s, attempts=attempts,
                   sim_engine=result.extras.get("sim_engine"))

@@ -17,8 +17,7 @@ Event schema — one JSON object per line, four types:
   clock, immune to wall-clock steps), ``pid`` and free-form ``attrs``.
 * ``event`` — a point-in-time fact: ``name``, ``ts``, ``pid``,
   ``attrs``.
-* ``metrics`` — a registry snapshot: ``ts``, ``pid``, ``counters``,
-  ``timers``.
+* ``metrics`` — a registry snapshot: ``ts``, ``pid``, ``counters``.
 
 :func:`validate_event` enforces the required keys; ``repro obs summary``
 refuses logs that do not validate.
@@ -61,7 +60,7 @@ REQUIRED_KEYS: dict[str, frozenset[str]] = {
     "run": frozenset({"type", "ts", "pid", "run_id", "schema"}),
     "span": frozenset({"type", "name", "ts", "t0", "t1", "dur_s", "pid"}),
     "event": frozenset({"type", "name", "ts", "pid"}),
-    "metrics": frozenset({"type", "ts", "pid", "counters", "timers"}),
+    "metrics": frozenset({"type", "ts", "pid", "counters"}),
 }
 
 

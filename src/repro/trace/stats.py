@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analytic import stack_distances
 from repro.trace.access import Trace
 from repro.types import CACHE_BLOCK_SIZE, Privilege
 
@@ -54,23 +55,12 @@ def reuse_distances(trace: Trace, max_samples: int = 50_000) -> np.ndarray:
     Returns one distance per *reused* reference (first touches are
     excluded).  Distance is the number of distinct other blocks touched
     since the previous reference to the same block — the classic stack
-    distance that determines hit/miss in a fully associative LRU cache.
-    Computed over at most ``max_samples`` leading references to bound the
-    O(n·d) cost of the stack simulation.
+    distance that determines hit/miss in a fully associative LRU cache
+    (:func:`repro.analytic.stack_distances`).  Computed over at most
+    ``max_samples`` leading references.
     """
-    blocks = (trace.addrs // np.uint64(CACHE_BLOCK_SIZE))[:max_samples]
-    stack: list[int] = []
-    position: dict[int, int] = {}
-    out: list[int] = []
-    for blk in blocks.tolist():
-        if blk in position:
-            # distance = how many distinct blocks sit above it on the stack
-            idx = stack.index(blk)
-            out.append(len(stack) - 1 - idx)
-            stack.pop(idx)
-        stack.append(blk)
-        position[blk] = 1
-    return np.asarray(out, dtype=np.int64)
+    d = stack_distances(trace.addrs[:max_samples] // np.uint64(CACHE_BLOCK_SIZE))
+    return d[d >= 0]
 
 
 def inter_access_intervals(

@@ -12,7 +12,11 @@ tests check the product against:
   way-mask implementation a hardware team would start from.  With both
   lookup and allocation confined to the mask it is exactly equivalent
   to two segment arrays sharing a set index, which
-  ``test_waypart.py`` checks hit for hit.
+  ``test_waypart.py`` checks hit for hit;
+* :func:`per_access_epoch_replay` replays the dynamic design access by
+  access, firing controller boundaries lazily as ticks reach them and
+  waking a segment before every access, which ``test_core_dynamic.py``
+  checks the design's epoch-chunk driver against.
 """
 
 from __future__ import annotations
@@ -195,3 +199,35 @@ class WayMaskPartitionedCache:
             sum(e is not None for e in frames) for frames in self._frames
         )
         return filled / (self._num_sets * self.geometry.associativity)
+
+
+def per_access_epoch_replay(design, stream, platform):
+    """Replay ``stream`` through a dynamic design's reference segments
+    one access at a time.
+
+    Boundaries fire while an access's tick is at or past the next one,
+    and each access first wakes its segment.  Returns the finalized
+    ``(user, kernel)`` segments and the timeline as
+    ``(tick, user ways, kernel ways)`` triples.
+    """
+    cfg = design.config
+    user = design._make_segment(platform, "user", cfg.start_user_ways, cfg.max_user_ways,
+                                design.user_tech, False)
+    kernel = design._make_segment(platform, "kernel", cfg.start_kernel_ways,
+                                  cfg.max_kernel_ways, design.kernel_tech, False)
+    timeline = [(0, user.cache.powered_ways, kernel.cache.powered_ways)]
+    next_epoch = cfg.epoch_ticks
+    columns = (stream.ticks, stream.addrs, stream.privs, stream.writes, stream.demand)
+    for tick, addr, priv, is_write, demand in zip(*(col.tolist() for col in columns)):
+        while tick >= next_epoch:
+            for seg in (user, kernel):
+                design._controller_step(seg, next_epoch)
+            timeline.append((next_epoch, user.cache.powered_ways, kernel.cache.powered_ways))
+            next_epoch += cfg.epoch_ticks
+        seg = kernel if priv == Privilege.KERNEL else user
+        seg.wake(tick)
+        seg.cache.access(addr, is_write, priv, tick, demand)
+    for seg in (user, kernel):
+        seg.integrate_to(stream.duration_ticks)
+        seg.cache.finalize(stream.duration_ticks)
+    return user, kernel, timeline

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from partition_oracles import per_access_epoch_replay
 
 from repro.cache.hierarchy import L2Stream
 from repro.cache.stats import CacheStats
@@ -190,6 +191,42 @@ class TestControllerInvariants:
         for seg, cap in (("user", cfg.max_user_ways), ("kernel", cfg.max_kernel_ways)):
             bt = r.extras[f"{seg}_byte_ticks"]
             assert cfg.min_ways * bytes_per_way * span <= bt <= cap * bytes_per_way * span
+
+
+class TestChunkDriver:
+    """Both engines share one epoch-chunk driver, so comparing them
+    cannot catch a fault in its boundaries or wakes; a per-access
+    restatement of the schedule can."""
+
+    @pytest.mark.parametrize("variant", ["stt", "sram", "non-monotonic"])
+    def test_matches_per_access_oracle(self, variant):
+        rows = _bursty_rows()
+        if variant == "non-monotonic":
+            # one access in 14 arrives two epochs late: its tick lies
+            # below the running maximum, which alone decides the
+            # boundary crossings
+            rows = [(max(0, tick - 20_000 * (i % 14 == 7)), *rest)
+                    for i, (tick, *rest) in enumerate(rows)]
+        stream = synthetic_stream(rows)
+        cfg = DynamicControllerConfig(epoch_ticks=10_000)
+        tech = sram() if variant == "sram" else None
+        design = DynamicPartitionDesign(cfg, user_tech=tech, kernel_tech=tech)
+        result = design.run(stream, DEFAULT_PLATFORM, engine="reference")
+        user, kernel, timeline = per_access_epoch_replay(design, stream, DEFAULT_PLATFORM)
+        extras = result.extras
+        assert list(zip(extras["timeline_ticks"], extras["timeline_user_ways"],
+                        extras["timeline_kernel_ways"])) == timeline
+        assert len(timeline) > 10
+        for seg, report in zip((user, kernel), result.segments):
+            assert report.stats == seg.cache.stats
+            assert extras[f"{seg.name}_resizes"] == seg.resizes
+            assert extras[f"{seg.name}_byte_ticks"] == seg.byte_ticks
+        assert user.resizes and kernel.resizes
+        # and the kernel, which replays chunks in the same driver
+        fast, ref = design.run(stream, DEFAULT_PLATFORM, engine="fast").to_dict(), result.to_dict()
+        assert fast["extras"].pop("sim_engine") == "fastsim"
+        assert ref["extras"].pop("sim_engine") == "reference"
+        assert fast == ref
 
 
 class TestEnergyAccounting:

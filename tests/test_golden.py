@@ -6,6 +6,7 @@ Any change that moves one fails here, naming the job and the field; an
 intended change bumps ``MODEL_VERSION`` and regenerates the file.
 """
 
+import dataclasses
 import json
 from functools import partial
 
@@ -96,3 +97,26 @@ def test_controller_threshold_edit_moves_dynamic_records(golden, monkeypatch):
     unmoved = [job for job, record in records.items()
                if record["sha256"] == golden["jobs"][job]["sha256"]]
     assert not unmoved, f"the controller edit left {unmoved} unchanged"
+
+
+def test_sram_leakage_edit_moves_sram_records(golden, monkeypatch):
+    """Mutation check: cutting SRAM leakage from 95 to 10 mW/MB moves
+    every baseline and static-sram record, so the gate catches an
+    energy-constant edit that leaves the cache model alone."""
+    from repro.core import baseline, drowsy, hybrid, static_partition
+    from repro.energy import technology
+
+    sram = technology.sram
+    assert sram().leakage_mw_per_mb == 95.0
+
+    def leaky_sram():
+        return dataclasses.replace(sram(), leakage_mw_per_mb=10.0)
+
+    # every module that builds sram() holds its own reference
+    for module in (technology, baseline, static_partition, drowsy, hybrid):
+        monkeypatch.setattr(module, "sram", leaky_sram)
+    records = regen.job_records(["baseline", "static-sram"])
+    assert len(records) == 16
+    unmoved = [job for job, record in records.items()
+               if record["sha256"] == golden["jobs"][job]["sha256"]]
+    assert not unmoved, f"the leakage edit left {unmoved} unchanged"

@@ -68,27 +68,14 @@ class TestMetricsRegistry:
         reg.inc("b")
         assert reg.counters == {"a": 5, "b": 1}
 
-    def test_timers(self):
-        reg = obs_metrics.MetricsRegistry()
-        reg.observe("t", 0.25)
-        reg.observe("t", 0.75)
-        stat = reg.timers["t"]
-        assert stat.count == 2
-        assert stat.total_s == pytest.approx(1.0)
-        assert stat.min_s == pytest.approx(0.25)
-        assert stat.max_s == pytest.approx(0.75)
-        assert stat.mean_s == pytest.approx(0.5)
-
     def test_snapshot_and_reset(self):
         reg = obs_metrics.MetricsRegistry()
         reg.inc("x")
-        reg.observe("y", 1.0)
         snap = reg.snapshot()
         assert snap["counters"] == {"x": 1}
-        assert snap["timers"]["y"]["count"] == 1
         assert json.loads(json.dumps(snap)) == snap  # JSON-clean
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "timers": {}}
+        assert reg.snapshot() == {"counters": {}}
 
 
 class TestNullRecorder:
@@ -239,13 +226,18 @@ class TestReplaySpans:
         obs.configure(tmp_path / "rows.jsonl")
         try:
             for design, engine in (("static-stt", "fast"), ("static-stt", "reference"),
-                                   ("dynamic-stt", "reference")):
+                                   ("dynamic-stt", "fast"), ("dynamic-stt", "reference"),
+                                   ("hybrid", "auto")):
                 make_design(design).run(browser_stream_small, DEFAULT_PLATFORM, engine=engine)
         finally:
             obs.configure(None)
         replays = [sp for sp in load_run(tmp_path / "rows.jsonl").spans()
                    if sp["name"] == "replay"]
-        assert [sp["attrs"]["engine"] for sp in replays] == ["fastsim", "reference", "reference"]
+        assert [(sp["attrs"]["design"], sp["attrs"]["engine"]) for sp in replays] == [
+            ("static-stt", "fastsim"), ("static-stt", "reference"),
+            ("dynamic-stt", "fastsim"), ("dynamic-stt", "reference"),
+            ("hybrid", "reference"),
+        ]
         assert all(sp["attrs"]["rows"] == len(browser_stream_small) for sp in replays)
 
 
@@ -294,6 +286,23 @@ class TestDispatchCounters:
                      if e["type"] == "event" and e["name"] == "pipeline.fallback"]
         assert fallbacks and fallbacks[0]["attrs"]["reason"] == "kill-switch"
 
+    def test_disqualified_fallback_is_counted_and_reported(self, browser_stream_small, tmp_path):
+        # PLRU lies outside the kernel's envelope, which the baseline
+        # design knows before replay.
+        obs.configure(tmp_path / "plru.jsonl")
+        try:
+            result = make_design("baseline", policy="plru").run(
+                browser_stream_small, DEFAULT_PLATFORM)
+        finally:
+            obs.configure(None)
+        assert result.extras["sim_engine"] == "reference"
+        assert obs.REGISTRY.counters["pipeline.fallback.disqualified"] == 1
+        assert obs.REGISTRY.counters["fastsim.decline.unsupported-cache"] == 1
+        events = load_run(tmp_path / "plru.jsonl").events
+        fallbacks = [e["attrs"] for e in events
+                     if e["type"] == "event" and e["name"] == "pipeline.fallback"]
+        assert fallbacks == [{"design": "baseline", "reason": "disqualified"}]
+
     def test_reference_engine_is_an_expected_fallback(self, browser_stream_small):
         make_design("baseline").run(browser_stream_small, DEFAULT_PLATFORM, engine="reference")
         assert obs.REGISTRY.counters["pipeline.fallback.engine=reference"] == 1
@@ -301,7 +310,7 @@ class TestDispatchCounters:
     def test_fast_engine_error_is_counted(self, browser_stream_small):
         session = ReplaySession("x", browser_stream_small, engine="fast")
         with pytest.raises(ValueError):
-            session.dispatch_fast(False, lambda fastsim: True, "never qualifies")
+            session.dispatch_fast(False, "never qualifies")
         assert obs.REGISTRY.counters["pipeline.dispatch.error"] == 1
 
 

@@ -1,7 +1,7 @@
 """Tests of the shared design-execution pipeline (repro.core.pipeline).
 
 The pipeline is the single execution path behind every L2 design:
-engine dispatch and the reference replay loops (ReplaySession), and the
+engine dispatch and the reference replay loop (ReplaySession), and the
 timing/energy/report assembly (ResultAssembler).  These tests pin the
 shared contracts — the uniform ``sim_engine`` extra, the ``"fast"``
 rejection rules, prefetch bookkeeping, and the one-call-site rule for
