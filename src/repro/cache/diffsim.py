@@ -18,7 +18,7 @@ around the retention window so expiry invalidations, expired-frame
 reclaims and finalize-time drains all fire.  Seeds from
 :data:`RUN_CASES_FROM` on also expand the addresses into geometric
 same-block runs with writes scattered inside them, the shape the
-kernel collapses before its LRU loop (retention ``none``) and must not
+kernel collapses before its replay (retention ``none``) and must not
 collapse with retention (a store refreshes the block).  Seeds from
 :data:`ELISION_CASES_FROM` on are all ``invalidate`` cases whose window
 is set from their own stream's tick span (one tick short of it, exactly
@@ -27,14 +27,20 @@ window the stream cannot outlast is checked on both sides of its bound.
 Seeds from :data:`FOOTPRINT_CASES_FROM` on give every set ``ways - 1``,
 ``ways``, ``ways + 1`` or ``2 * ways`` distinct blocks, arriving one by
 one so that early blocks recur (and take writes) before the set's next
-new block: the shape of the eviction-free prefix the kernel resolves in
-NumPy, and of the state it seeds its LRU loop with at a set's first
-eviction.  Even footprint seeds are retention-free; odd ones are
-``invalidate`` with the window at the stream's span (elided).  The
+new block: rows the kernel's retention-free replay settles with its
+cheap bounds next to rows whose reuse window it scans, in sets that
+evict and sets that never do.  Even footprint seeds are retention-free;
+odd ones are ``invalidate`` with the window at the stream's span
+(elided).  The
 dynamic-design sampler's seeds from :data:`CLEAN_DYNAMIC_CASES_FROM` on
 hold a few blocks per set, so the epoch replay resolves most rows of
 its clean sets in NumPy and hands sets to its loop mid-run, in each of
-the ways :data:`CLEAN_SCENARIOS` names.
+the ways :data:`CLEAN_SCENARIOS` names.  Seeds from
+:data:`STRESS_CASES_FROM` on are retention-free cases that stress the
+kernel's two rules (hits from the distinct blocks between a block's
+accesses, victims paired with evicting misses by last access), cycling
+through :data:`STRESS_SCENARIOS`; :func:`assert_case_equal` compares
+their miss and write-back events with the reference engine's as well.
 """
 
 from __future__ import annotations
@@ -62,6 +68,10 @@ FOOTPRINT_CASES_FROM = 56
 #: original configurations unchanged.
 CLEAN_DYNAMIC_CASES_FROM = 24
 CLEAN_SCENARIOS = ("overflow", "dirty-gate", "sram-gate", "decay", "shrunk-rank")
+#: First :func:`sample_case` seed drawn from :data:`STRESS_SCENARIOS`;
+#: lower seeds keep their original workloads unchanged.
+STRESS_CASES_FROM = 72
+STRESS_SCENARIOS = ("long-window", "direct-mapped", "wide", "write-cross", "empty-tail")
 
 __all__ = [
     "RUN_CASES_FROM",
@@ -69,9 +79,12 @@ __all__ = [
     "FOOTPRINT_CASES_FROM",
     "CLEAN_DYNAMIC_CASES_FROM",
     "CLEAN_SCENARIOS",
+    "STRESS_CASES_FROM",
+    "STRESS_SCENARIOS",
     "DiffCase",
     "sample_case",
     "run_case",
+    "miss_events",
     "assert_case_equal",
     "DynamicDiffCase",
     "sample_dynamic_case",
@@ -98,6 +111,7 @@ class DiffCase:
     wb_frac: float              # fraction of rows marked non-demand
     run_mean: float = 1.0       # mean same-block run length (1 = no runs)
     per_set_footprint: bool = False  # each set's distinct blocks around ways
+    scenario: str = ""          # one of STRESS_SCENARIOS, or "" for none
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -113,6 +127,7 @@ class DiffCase:
             + f" n={self.length} blocks={self.addr_blocks} gap<={self.max_gap}"
             + (f" runs~{self.run_mean:g}" if self.run_mean > 1.0 else "")
             + (" per-set-footprints" if self.per_set_footprint else "")
+            + (f" {self.scenario}" if self.scenario else "")
         )
 
 
@@ -125,7 +140,10 @@ def sample_case(seed: int) -> DiffCase:
     where ``span`` runs from the stream's first tick to its finalize
     tick.  Seeds from :data:`FOOTPRINT_CASES_FROM` on draw each set's
     footprint around the associativity; even ones are retention-free,
-    odd ones use the window ``span``."""
+    odd ones use the window ``span``.  Seeds from
+    :data:`STRESS_CASES_FROM` on come from :func:`_stress_case`."""
+    if seed >= STRESS_CASES_FROM:
+        return _stress_case(seed)
     rng = np.random.default_rng(seed)
     sets = int(rng.choice([1, 2, 4, 16, 64]))
     ways = int(rng.choice([1, 2, 3, 4, 8, 16]))
@@ -169,12 +187,53 @@ def sample_case(seed: int) -> DiffCase:
     return replace(case, retention_ticks=(span - 1, span, span + 1, 2 * span)[seed % 4])
 
 
+def _stress_case(seed: int) -> DiffCase:
+    """A retention-free case for the scenario ``seed`` selects:
+
+    * ``long-window`` — one or two 4-way sets where a block recurs after
+      thousands of rows that cycle through ``ways - 1`` or ``ways`` other
+      blocks: a hit or a miss decided only at the end of a long scan;
+    * ``direct-mapped`` — one way per set, with same-block runs;
+    * ``wide`` — 32 ways, footprints 1.5 or 3 times the capacity;
+    * ``write-cross`` — mostly stores, user and kernel rows interleaved
+      over twice the capacity or more: write-back victims and all four
+      cross-privilege eviction cells;
+    * ``empty-tail`` — 64 sets of which only the first few are used.
+    """
+    rng = np.random.default_rng(seed ^ 0x57E5)
+    scenario = STRESS_SCENARIOS[(seed - STRESS_CASES_FROM) % len(STRESS_SCENARIOS)]
+    sets, ways, length, scale = 16, 4, int(rng.integers(1_500, 4_000)), 2.0
+    write_frac, run_mean = float(rng.uniform(0.05, 0.6)), 1.0
+    if scenario == "long-window":
+        sets, length = int(rng.choice([1, 2])), int(rng.integers(8_000, 16_000))
+    elif scenario == "direct-mapped":
+        ways, scale, run_mean = 1, float(rng.choice([2.0, 4.0])), 2.0
+    elif scenario == "wide":
+        sets, ways, scale = int(rng.choice([1, 2])), 32, float(rng.choice([1.5, 3.0]))
+    elif scenario == "write-cross":
+        ways, write_frac, scale = int(rng.choice([2, 4])), float(rng.uniform(0.6, 0.9)), 3.0
+    else:  # empty-tail
+        sets, ways = 64, int(rng.choice([2, 4]))
+    return DiffCase(
+        seed=seed, sets=sets, ways=ways, block_size=64, refresh_mode="none",
+        retention_ticks=None, length=length, addr_blocks=int(sets * ways * scale),
+        max_gap=4, write_frac=write_frac, kernel_frac=0.5,
+        wb_frac=float(rng.uniform(0.0, 0.25)), run_mean=run_mean, scenario=scenario,
+    )
+
+
 def _workload(case: DiffCase):
     """Generate the access columns of one case (deterministic per seed)."""
     rng = np.random.default_rng(case.seed ^ 0xFA57)
     n = case.length
     if case.per_set_footprint:
         blocks = _footprint_blocks(case, rng)
+    elif case.scenario == "long-window":
+        blocks = _long_window_blocks(case, rng)
+    elif case.scenario == "empty-tail":
+        used = int(rng.integers(1, case.sets // 4))
+        blocks = (rng.integers(0, 4 * case.ways, size=n) * case.sets
+                  + rng.integers(0, used, size=n)).astype(np.uint64)
     else:
         blocks = rng.integers(0, case.addr_blocks, size=n).astype(np.uint64)
     if case.run_mean > 1.0:
@@ -211,6 +270,26 @@ def _footprint_blocks(case: DiffCase, rng) -> np.ndarray:
     return (ks * case.sets + sets).astype(np.uint64)
 
 
+def _long_window_blocks(case: DiffCase, rng) -> np.ndarray:
+    """Block column of the ``long-window`` scenario.  Each set warms up
+    over ``3 * ways`` blocks, then repeats: a block ``x``, a run of up to
+    half the set's rows cycling through ``ways - 1`` or ``ways`` other
+    blocks, and ``x`` again (a hit after ``ways - 1``, a miss after
+    ``ways``).  Rows are dealt to the sets at random."""
+    ways, sets, n = case.ways, case.sets, case.length
+    row_sets = rng.integers(0, sets, size=n)
+    blocks = np.empty(n, dtype=np.uint64)
+    for s in range(sets):
+        rows = np.flatnonzero(row_sets == s)
+        seq = list(rng.integers(0, 3 * ways, size=2 * ways))
+        while len(seq) < len(rows):
+            x, *cycle = rng.choice(3 * ways, size=ways + int(rng.integers(0, 2)), replace=False)
+            span = int(rng.integers(ways + 1, max(ways + 2, len(rows) // 2)))
+            seq += [x, *np.resize(cycle, span), x]
+        blocks[rows] = np.asarray(seq[:len(rows)], dtype=np.uint64) * np.uint64(sets) + np.uint64(s)
+    return blocks
+
+
 def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
     """Run one case through both engines; returns (reference, fast) stats."""
     ticks, addrs, privs, writes, demand, final_tick = _workload(case)
@@ -244,16 +323,47 @@ def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
     return cache.stats, fast_stats
 
 
+def miss_events(case: DiffCase) -> tuple[tuple[list, list], tuple[list, list]]:
+    """Both engines' miss side channel on a retention-free case.
+
+    Returns ``(reference, fast)``, each ``(misses, writebacks)``: the
+    sorted indices of the missing rows, and the sorted ``(row, victim
+    address, victim privilege)`` of every dirty victim written back."""
+    ticks, addrs, privs, writes, demand, _ = _workload(case)
+    cache = SetAssociativeCache(case.geometry, "lru", name="diff-ref")
+    misses, writebacks = [], []
+    for i, (tick, addr, priv, isw, dm) in enumerate(zip(
+        ticks.tolist(), addrs.tolist(), privs.tolist(), writes.tolist(), demand.tolist()
+    )):
+        result = cache.access(addr, isw, priv, tick, dm)
+        if not result.hit:
+            misses.append(i)
+        if result.writeback:
+            writebacks.append((i, result.victim_addr, result.victim_priv))
+    _, events = simulate_trace(case.geometry, ticks, addrs, privs, writes, demand,
+                               record_events=True)
+    fast_writebacks = zip(events.wb_idx.tolist(), events.wb_addr.tolist(),
+                          events.wb_priv.tolist())
+    return (misses, writebacks), (sorted(events.miss_idx.tolist()), sorted(fast_writebacks))
+
+
 def assert_case_equal(case: DiffCase) -> None:
-    """Raise ``AssertionError`` with a field-level diff on any mismatch."""
+    """Raise ``AssertionError`` with a field-level diff on any mismatch.
+    Stress cases also compare the miss and write-back events."""
     ref, fast = run_case(case)
     ref_d, fast_d = ref.to_dict(), fast.to_dict()
-    if ref_d != fast_d:
-        mismatches = [
-            f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
-            for key in ref_d
-            if ref_d[key] != fast_d[key]
-        ]
+    mismatches = [
+        f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
+        for key in ref_d
+        if ref_d[key] != fast_d[key]
+    ]
+    if case.scenario:
+        (ref_misses, ref_wbs), (fast_misses, fast_wbs) = miss_events(case)
+        if ref_misses != fast_misses:
+            mismatches.append("  missing rows differ")
+        if ref_wbs != fast_wbs:
+            mismatches.append("  write-back events differ")
+    if mismatches:
         raise AssertionError(
             "fastsim diverged from the reference engine on "
             + case.describe() + "\n" + "\n".join(mismatches)

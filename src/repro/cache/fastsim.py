@@ -18,22 +18,24 @@ replays an *entire trace at once* instead:
    clean sets (below) resolve in NumPy, and its decay-aware loop takes
    each set from its first eviction or expiry on.
 3. With retention ``none``, every row whose block equals the previous
-   row of its set is dropped before the loop: under LRU it is a hit on
-   the block already at MRU, so it changes nothing but the dirty bit,
-   which the kept first row of the run takes as the OR of the run's
-   write flags.  Totals still come from the full columns.
-4. Still with retention ``none``, each set's *eviction-free prefix* — its
-   rows before the (ways+1)-th distinct block — is resolved in NumPy: a
-   row there misses if it is its block's first occurrence and hits
-   otherwise, and nothing is evicted.  One argsort by block finds the
-   first occurrences; only sets that evict go on to step 5, starting at
-   their first eviction with their state built vectorially (way = the
-   block's first-occurrence rank, privilege from that first occurrence,
-   dirty = OR of the block's prefix writes, recency by its last prefix
-   row).  Only the rows the loop replays are converted to Python values.
-5. The remaining rows of each set are replayed by a tight loop over
-   packed parallel per-way lists (tag / privilege / dirty, plus the LRU
-   recency order) — no objects, no dispatch, no per-access allocation.
+   row of its set is dropped: under LRU it is a hit on the block already
+   at MRU, so it changes nothing but the dirty bit, which the kept first
+   row of the run takes as the OR of the run's write flags.  Totals
+   still come from the full columns.  Sets that never see more than
+   ``ways`` distinct blocks miss on each block's first row only.
+4. Every other row gets its outcome from the LRU inclusion property:
+   a row whose block last ran at row ``p`` of its set hits exactly when
+   fewer than ``ways`` distinct blocks occur in between.  Cheap bounds
+   settle most rows; a vectorized scan from ``p``, whose window doubles
+   each pass, counts the rest (counters ``fastsim.prefix.rows`` and
+   ``fastsim.scan.rows``).
+5. Victims come without replay: a full set evicts its least recent
+   resident, so each set's residencies (a block's rows from a miss to
+   the row before its next miss) leave in the order of their last rows,
+   one per miss after the ``ways`` that filled the set.  That pairing
+   gives the evictions, write-backs (dirty = OR of the residency's
+   writes), cross-privilege evictions (the fill row's privilege) and
+   :class:`MissEvents`.  No step loops per access.
 
 The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
@@ -49,8 +51,8 @@ epoch), while powered-way gating and wake-on-first-access are applied
 between chunks — exactly where the reference engine applies them — so
 the epoch controller's decisions, timelines and resize counters come out
 bit-identical too.  Step 2's elision applies there per chunk; a fixed
-design's expiring stream is the special case of one chunk.  Step 4
-generalises there to *clean sets*: until a set's first eviction, gated
+design's expiring stream is the special case of one chunk.  There the
+NumPy stage covers *clean sets*: until a set's first eviction, gated
 miss, decayed hit or invalidating gate, its ``j``-th distinct block
 sits in way ``j``, so each of its rows is a fill of way ``j`` or a hit
 whose LRU rank is a popcount of the ways accessed since the block's
@@ -76,7 +78,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -134,18 +135,18 @@ def supports_cache(cache) -> bool:
 class MissEvents:
     """Per-miss side channel of one :func:`simulate_trace` run.
 
-    ``miss_idx`` lists the caller-supplied index of every missing access,
-    in no particular order (prefix misses come first, set by set);
-    ``wb_idx``/``wb_addr``/``wb_priv`` describe the dirty LRU victim
-    written back by the miss at the same index, in the same order as each
-    other.  The L1 filter sorts these rows into program order to build the
+    ``miss_idx`` holds the caller-supplied index of every missing access,
+    in no particular order; ``wb_idx``/``wb_addr``/``wb_priv`` describe
+    the dirty LRU victim written back by the miss at the same index, in
+    the same order as each other.  All four are NumPy arrays.  The L1
+    filter sorts these rows into program order to build the
     demand/write-back rows of an :class:`~repro.cache.hierarchy.L2Stream`.
     """
 
-    miss_idx: list
-    wb_idx: list
+    miss_idx: np.ndarray
+    wb_idx: np.ndarray
     wb_addr: np.ndarray
-    wb_priv: list
+    wb_priv: np.ndarray
 
 
 def simulate_trace(
@@ -167,7 +168,8 @@ def simulate_trace(
     Args:
         geometry: Cache geometry (fixed for the whole run).
         ticks, addrs, privs, writes: Parallel access columns (any
-            array-likes; addresses may carry sub-block offsets).
+            array-likes; addresses may carry sub-block offsets).  Only
+            the ``invalidate`` mode reads ``ticks``; others may pass None.
         demand: Optional demand-fetch mask; ``None`` means every access
             is a demand access (the L1 case).
         retention_ticks: Fixed retention window, or ``None``.
@@ -196,13 +198,15 @@ def simulate_trace(
     addrs = np.asarray(addrs, dtype=np.uint64)
     n = len(addrs)
     stats = CacheStats()
-    events = MissEvents([], [], np.zeros(0, dtype=np.uint64), []) if record_events else None
+    events = None
+    if record_events:
+        empty = np.zeros(0, dtype=np.int64)
+        events = MissEvents(empty, empty, empty.astype(np.uint64), empty.astype(np.uint8))
     if n == 0:
         return stats, events
 
     block_bits = geometry.block_size.bit_length() - 1
     num_sets = geometry.num_sets
-    set_bits = num_sets.bit_length() - 1
 
     privs = np.asarray(privs)
     writes = np.asarray(writes)
@@ -227,6 +231,7 @@ def simulate_trace(
             # Sets are independent under a fixed geometry, so the rows
             # replay in set-major order as one chunk of an epoch segment:
             # all ways powered, and no controller reads the hit ranks.
+            obs.inc("fastsim.retention.expiring")
             order = _set_order(blocks, num_sets)
             seg = EpochReplaySegment(geometry, retention_ticks=retention_ticks,
                                      refresh_mode="invalidate", min_rank_accesses=n + 1)
@@ -240,16 +245,10 @@ def simulate_trace(
 
     if record_events:
         orig_indices = np.arange(n) if orig_indices is None else np.asarray(orig_indices)
-    wb_set, wb_tag = _replay_retention_free(
+    _replay_retention_free(
         stats, geometry.associativity, num_sets, blocks, privs, writes, demand,
-        orig_indices, events,
+        orig_indices, events, block_bits,
     )
-    if events is not None and wb_tag:
-        events.wb_addr = (
-            (np.asarray(wb_tag, dtype=np.uint64) << np.uint64(set_bits)
-             | np.asarray(wb_set, dtype=np.uint64))
-            << np.uint64(block_bits)
-        )
 
     kernel_accesses = int(np.count_nonzero(privs))
     stats.accesses = n
@@ -266,18 +265,10 @@ def simulate_trace(
 def _set_order(blocks, num_sets):
     """Stable order of the rows grouped by set (one argsort)."""
     set_idx = blocks & np.uint64(num_sets - 1)
-    # A 16-bit key lets the stable argsort run as a radix sort; the
-    # stable order is the same for any key dtype.
-    return np.argsort(set_idx.astype(np.uint16 if num_sets <= 1 << 16 else np.int64),
-                      kind="stable")
-
-
-def _set_starts(sorted_blocks, num_sets):
-    """Row offset of each set in set-sorted rows (``num_sets + 1`` entries)."""
-    starts = np.zeros(num_sets + 1, dtype=np.int64)
-    set_idx = (sorted_blocks & np.uint64(num_sets - 1)).astype(np.int64)
-    np.cumsum(np.bincount(set_idx, minlength=num_sets), out=starts[1:])
-    return starts
+    # An 8- or 16-bit key lets the stable argsort run as a radix sort;
+    # the stable order is the same for any key dtype.
+    key = np.uint8 if num_sets <= 1 << 8 else np.uint16 if num_sets <= 1 << 16 else np.int64
+    return np.argsort(set_idx.astype(key), kind="stable")
 
 
 def _block_order(blocks):
@@ -318,14 +309,13 @@ def _first_occurrences(set_blocks, set_idx, num_sets):
 
 
 def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
-                           orig_indices, events):
+                           orig_indices, events, block_bits):
     """Retention-free replay of the access rows with block numbers ``blocks``.
 
-    Collapses same-block repeats, resolves every set's eviction-free
-    prefix in NumPy, and hands only the sets that evict to
-    :func:`_replay_sets`, seeded with their state at the first eviction.
-    Credits the outcome counters to ``stats`` and returns the write-back
-    victims' ``(sets, tags)`` when ``events`` records them.
+    Collapses same-block repeats, decides each row's hit or miss from the
+    distinct blocks its set sees since the row's block last ran (rule 1),
+    and pairs every evicting miss with its victim (rule 2), all in NumPy.
+    Credits the outcome counters to ``stats`` and fills ``events``.
     """
     # Under plain LRU a row whose block equals the previous row of the
     # same set is a guaranteed hit on the MRU block: it leaves the
@@ -333,152 +323,154 @@ def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
     # the dirty bit.  Keep the first row of every such run and give it
     # the OR of the run's write flags.  (With retention a store also
     # refreshes the block's timestamp, so repeats are not free there.)
-    # Only the kept rows outlive this step.
+    # Only the kept rows go on.
     order = _set_order(blocks, num_sets)
     sorted_blocks = blocks[order]
-    keep = np.empty(len(order), dtype=bool)
-    keep[0] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=keep[1:])
-    kept = np.flatnonzero(keep)
-    del keep
+    kept = np.empty(len(order), dtype=bool)
+    kept[0] = True
+    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=kept[1:])
+    kept = np.flatnonzero(kept)
     k_writes = np.logical_or.reduceat(writes[order].astype(bool, copy=False), kept)
     k_blocks = sorted_blocks[kept]
-    del sorted_blocks
     order = order[kept]
-    del kept
+    del sorted_blocks, kept
+    k_set = (k_blocks & np.uint64(num_sets - 1)).astype(np.intp)
+    # The rows grouped by block, each block's rows ascending (they all
+    # lie in its set's range); ``opens`` marks each block's first row.
+    kept_rows = len(order)
+    idx = np.int32 if kept_rows < 1 << 31 else np.int64
+    by_block = _block_order(k_blocks).astype(idx)
+    grouped = k_blocks[by_block]
+    opens = np.empty(kept_rows, dtype=bool)
+    opens[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=opens[1:])
+    del grouped, k_blocks
+    firsts = by_block[opens]
+    distinct = np.bincount(k_set[firsts], minlength=num_sets)
+    # A set that never sees more than ``ways`` blocks misses on each
+    # block's first row only; the rows of the other sets go on.
+    evicting = distinct > ways
+    quiet_misses = order[firsts[~evicting[k_set[firsts]]]]
+    del firsts
+    if not evicting.all():
+        rows = evicting[k_set]
+        grouped = rows[by_block]
+        by_block = (np.cumsum(rows, dtype=idx) - 1)[by_block[grouped]]
+        opens = opens[grouped]
+        order, k_writes, k_set = order[rows], k_writes[rows], k_set[rows]
+        del rows, grouped
     m = len(order)
-    starts = _set_starts(k_blocks, num_sets)
-    k_set = (k_blocks & np.uint64(num_sets - 1)).astype(np.int64)
-    set_bits = np.uint64(num_sets.bit_length() - 1)
-    by_block, group_lo, groups, first_rows, distinct_before = _first_occurrences(
-        k_blocks, k_set, num_sets)
+    prev = np.empty(m, idx)  # the row of the same block before, or -1
+    prev[by_block[1:]] = by_block[:-1]
+    prev[by_block[opens]] = -1
+    miss = prev < 0
+    del opens
 
-    # A set has never evicted before its (ways+1)-th distinct block: each
-    # row up to there is a miss if it is its block's first occurrence and
-    # a hit otherwise, and fills took free ways in first-occurrence order.
-    evicting = np.flatnonzero(np.diff(distinct_before) > ways)
-    first_evict = first_rows[distinct_before[evicting] + ways]
-    prefix_end = starts[1:].copy()
-    prefix_end[evicting] = first_evict
-    in_prefix = np.arange(m) < prefix_end[k_set]
-    prefix_misses = order[first_rows[in_prefix[first_rows]]]
-    kernel_misses = int(np.count_nonzero(privs[prefix_misses]))
-    stats.misses = len(prefix_misses)
+    # Rule 1 (LRU inclusion): a repeat row j whose block last ran at row
+    # p hits exactly when fewer than ``ways`` distinct blocks occur
+    # strictly between.  It hits outright while its set has seen at most
+    # ``ways`` blocks, or when fewer than ``ways`` rows lie between; it
+    # misses outright when ``ways`` blocks first occur between.  Only the
+    # rest are counted by a scan.
+    seen = np.cumsum(miss, dtype=idx)  # first rows up to each row
+    set_seen = np.zeros(num_sets, idx)
+    np.cumsum(np.where(evicting, distinct, 0)[:-1], out=set_seen[1:])
+    j = np.flatnonzero(~miss).astype(idx)
+    p = prev[j]
+    late = (seen[j] - set_seen[k_set[j]] > ways) & (j - p > ways)
+    j, p = j[late], p[late]
+    sure = seen[j] - seen[p] >= ways
+    miss[j[sure]] = True
+    j, p = j[~sure], p[~sure]
+    miss[j[_window_misses(prev, p, j, ways)]] = True
+    obs.inc("fastsim.prefix.rows", kept_rows - len(j))
+    obs.inc("fastsim.scan.rows", len(j))
+    del prev, seen, j, p, late, sure
+
+    # Rule 2: a residency runs from a block's miss to the row before its
+    # next miss.  A full set evicts its least recent resident, so a set's
+    # residencies leave in the order of their last rows, and its misses
+    # after the ``ways`` that filled it evict them, one each, in that
+    # order.  A victim is dirty when any row of its residency wrote, and
+    # keeps its fill row's privilege.
+    res_lo = np.flatnonzero(miss[by_block])
+    fill = by_block[res_lo]
+    dirty = np.logical_or.reduceat(k_writes[by_block], res_lo)
+    last = np.empty_like(fill)
+    last[:-1] = by_block[res_lo[1:] - 1]
+    last[-1:] = by_block[-1:]
+    del by_block, res_lo, k_writes
+    ends = np.zeros(m, dtype=bool)
+    ends[last] = True
+    by_last = np.empty(m, idx)
+    by_last[last] = np.arange(len(last), dtype=idx)
+    by_last = by_last[ends]  # residency ids by last row (grouped by set)
+    del last, ends
+    miss_rows = np.flatnonzero(miss)
+    del miss
+    miss_set = k_set[miss_rows]
+    set_misses = np.bincount(miss_set, minlength=num_sets)
+    # The set's q-th miss in row order and its q-th residency by last
+    # row: the residency is the victim of miss q + ways, if any.
+    q = np.arange(len(miss_rows)) - (np.cumsum(set_misses) - set_misses)[miss_set]
+    evict = np.flatnonzero(q < (set_misses - ways)[miss_set])
+    del q, miss_set
+    aggressor = order[miss_rows[evict + ways]]
+    victim = by_last[evict]
+    del by_last, evict
+
+    missed = np.concatenate([quiet_misses, order[miss_rows]])
+    kernel_misses = int(np.count_nonzero(privs[missed]))
+    stats.misses = len(missed)
     stats.misses_by_priv = [stats.misses - kernel_misses, kernel_misses]
     if demand is not None:
-        stats.demand_misses = int(np.count_nonzero(demand[prefix_misses]))
+        stats.demand_misses = int(np.count_nonzero(demand[missed]))
+    victim_fill = order[fill[victim]]
+    victim_priv = privs[victim_fill]
+    cross = np.bincount(victim_priv.astype(np.intp) << 1 | privs[aggressor], minlength=4)
+    stats.evictions = len(victim)
+    stats.evictions_cross = [cross[:2].tolist(), cross[2:].tolist()]
+    written = dirty[victim]
+    stats.writebacks = int(np.count_nonzero(written))
     if events is not None:
-        events.miss_idx.extend(orig_indices[prefix_misses].tolist())
-
-    # Each evicting set's state at its first eviction: way = the block's
-    # first-occurrence rank, tag and privilege from that first
-    # occurrence, dirty = OR of the block's prefix writes, recency order
-    # by the block's last prefix row.
-    grouped_prefix = in_prefix[by_block]
-    last_row = np.maximum.reduceat(np.where(grouped_prefix, by_block, -1), group_lo)
-    dirty = np.logical_or.reduceat(grouped_prefix & k_writes[by_block], group_lo)
-    slots = distinct_before[evicting][:, None] + np.arange(ways)
-    fills = first_rows[slots]
-    slot_groups = groups[slots]
-    lru = np.argsort(last_row[slot_groups], axis=1)
-
-    # Only the rows the loop replays are converted to Python values.
-    loop_rows = np.flatnonzero(~in_prefix)
-    loop_orig = order[loop_rows]
-    bounds = np.zeros(len(evicting) + 1, dtype=np.int64)
-    np.cumsum(starts[evicting + 1] - first_evict, out=bounds[1:])
-    obs.inc("fastsim.prefix.rows", m - len(loop_rows))
-    obs.inc("fastsim.loop.rows", len(loop_rows))
-    return _replay_sets(
-        stats, evicting.tolist(), bounds.tolist(), (k_blocks[fills] >> set_bits).tolist(),
-        privs[order[fills]].tolist(), dirty[slot_groups].tolist(), lru.tolist(),
-        (k_blocks[loop_rows] >> set_bits).tolist(), privs[loop_orig].tolist(),
-        k_writes[loop_rows].tolist(),
-        None if demand is None else demand[loop_orig].tolist(),
-        orig_indices[loop_orig].tolist() if events is not None else None,
-        events,
-    )
+        events.miss_idx = orig_indices[missed]
+        events.wb_idx = orig_indices[aggressor[written]]
+        events.wb_addr = blocks[victim_fill[written]] << np.uint64(block_bits)
+        events.wb_priv = victim_priv[written]
 
 
-def _replay_sets(stats, sets, bounds, TAGW, PRIVW, DIRTY, LRU, TG, PV, WR, DM, OR, events):
-    """Replay full sets from their first eviction on.
+def _window_misses(prev, p, j, ways):
+    """Which rows ``j`` (previous row of their block ``p``) see at least
+    ``ways`` distinct blocks strictly between ``p`` and ``j``.
 
-    Set ``sets[i]`` replays rows ``bounds[i]:bounds[i + 1]`` starting
-    from way tags ``TAGW[i]``, fill privileges ``PRIVW[i]``, dirty bits
-    ``DIRTY[i]`` and recency order ``LRU[i]`` (ways, least recent first).
-    A full set never regains a free way without retention, so every miss
-    evicts.  LRU state is a move-to-back way list: recency sequences are
-    unique and strictly increasing, so popping the front selects the same
-    victim as the reference ``LRUPolicy.victim`` first-strict-minimum
-    scan.  Adds the loop's outcome counters to ``stats`` and returns the
-    write-back victims' ``(sets, tags)``."""
-    misses = kernel_misses = demand_misses = 0
-    writebacks = 0
-    # evictions_cross flattened: index = (victim_priv << 1) | aggressor_priv
-    ec = [0, 0, 0, 0]
-    track_dm = DM is not None
-    record = events is not None
-    wb_set: list = []
-    wb_tag: list = []
-    if record:
-        miss_idx = events.miss_idx
-        wb_idx = events.wb_idx
-        wb_priv = events.wb_priv
-    unused = repeat(0)
-    for i, s in enumerate(sets):
-        lo, hi = bounds[i], bounds[i + 1]
-        tagw = TAGW[i]
-        privw = PRIVW[i]
-        dirty = DIRTY[i]
-        lru = LRU[i]
-        tagmap = dict(zip(tagw, range(len(tagw))))
-        mget = tagmap.get
-        lru_remove = lru.remove
-        lru_append = lru.append
-        lru_pop = lru.pop
-        for tag, priv, isw, dm, oi in zip(
-            TG[lo:hi], PV[lo:hi], WR[lo:hi],
-            DM[lo:hi] if track_dm else unused,
-            OR[lo:hi] if record else unused,
-        ):
-            w = mget(tag)
-            if w is not None:
-                lru_remove(w)
-                lru_append(w)
-                if isw:
-                    dirty[w] = True
-                continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if dm:
-                demand_misses += 1
-            if record:
-                miss_idx.append(oi)
-            w = lru_pop(0)
-            lru_append(w)
-            vp = privw[w]
-            ec[(vp << 1) | priv] += 1
-            if dirty[w]:
-                writebacks += 1
-                if record:
-                    wb_idx.append(oi)
-                    wb_set.append(s)
-                    wb_tag.append(tagw[w])
-                    wb_priv.append(vp)
-            del tagmap[tagw[w]]
-            tagmap[tag] = w
-            tagw[w] = tag
-            privw[w] = priv
-            dirty[w] = isw
-    stats.misses += misses
-    stats.misses_by_priv[0] += misses - kernel_misses
-    stats.misses_by_priv[1] += kernel_misses
-    stats.demand_misses += demand_misses
-    stats.evictions = misses  # every loop miss evicts
-    stats.writebacks = writebacks
-    stats.evictions_cross = [ec[:2], ec[2:]]
-    return wb_set, wb_tag
+    Such a block is a row ``i`` in ``(p, j)`` with ``prev[i] < p``.  Each
+    pass counts the next window of every open row vectorially; a row
+    closes at ``j`` (a hit) or at its ``ways``-th block (a miss), and the
+    window doubles each pass, so the passes grow with the log of the
+    longest scan while the work stays within about ``2 * ways`` per row
+    (a position lies in at most ``ways`` open windows).
+    """
+    miss = np.zeros(len(j), dtype=bool)
+    todo = np.arange(len(j))
+    pos = p + 1
+    count = np.zeros(len(j), prev.dtype)
+    width = ways
+    while len(todo):
+        span = np.minimum(j - pos, width)
+        ends = np.cumsum(span)
+        at = np.repeat(pos - (ends - span), span)
+        at += np.arange(len(at), dtype=at.dtype)
+        new = prev[at] < np.repeat(p, span)
+        del at
+        count += np.add.reduceat(new, ends - span, dtype=count.dtype)
+        del new
+        pos += span
+        full = count >= ways
+        miss[todo[full]] = True
+        live = ~full & (pos < j)
+        todo, p, j, pos, count = todo[live], p[live], j[live], pos[live], count[live]
+        width *= 2
+    return miss
 
 
 def _between_masks(way, prev, ways, dtype):
@@ -1078,41 +1070,37 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     """
     from repro.cache.hierarchy import L2Stream
 
-    # One stable partition, instruction fetches first, each side in
-    # program order; every column is gathered once in that order.
+    # Each L1's rows in program order.  The kernel reads addresses,
+    # privileges and store flags only, gathered from contiguous copies
+    # of the trace's interleaved record columns.
     is_data = trace.kinds != np.uint8(AccessKind.IFETCH)
-    split = np.argsort(is_data, kind="stable")
-    n_i = len(trace) - int(np.count_nonzero(is_data))
+    addrs = np.ascontiguousarray(trace.addrs)
+    privs = np.ascontiguousarray(trace.privs)
+    (i_stats, i_ev), (d_stats, d_ev) = (
+        simulate_trace(geometry, None, addrs[rows], privs[rows],
+                       trace.kinds[rows] == np.uint8(AccessKind.STORE),
+                       record_events=True, orig_indices=rows)
+        for geometry, rows in ((platform.l1i, np.flatnonzero(~is_data)),
+                               (platform.l1d, np.flatnonzero(is_data)))
+    )
     del is_data
-    ticks, addrs, privs = trace.ticks[split], trace.addrs[split], trace.privs[split]
-    i_stats, i_ev = simulate_trace(
-        platform.l1i, ticks[:n_i], addrs[:n_i], privs[:n_i],
-        np.zeros(n_i, dtype=bool), record_events=True, orig_indices=split[:n_i],
-    )
-    d_stats, d_ev = simulate_trace(
-        platform.l1d, ticks[n_i:], addrs[n_i:], privs[n_i:],
-        trace.kinds[split[n_i:]] == np.uint8(AccessKind.STORE),
-        record_events=True, orig_indices=split[n_i:],
-    )
-    del split, ticks, addrs, privs
 
     # Program order: the misses sorted by trace index, each L1D
     # write-back placed right after the miss that evicted it, exactly like
     # the reference filter's append order.  The L1I never writes back.
-    miss_idx = np.sort(np.asarray(i_ev.miss_idx + d_ev.miss_idx, dtype=np.int64))
-    wb_idx = np.asarray(d_ev.wb_idx, dtype=np.int64)
-    wb_order = np.argsort(wb_idx)
-    wb_idx = wb_idx[wb_order]
+    miss_idx = np.sort(np.concatenate([i_ev.miss_idx, d_ev.miss_idx]))
+    wb_order = np.argsort(d_ev.wb_idx)
+    wb_idx = d_ev.wb_idx[wb_order]
     writes = np.zeros(len(miss_idx) + len(wb_idx), dtype=bool)
     writes[np.searchsorted(miss_idx, wb_idx) + np.arange(1, len(wb_idx) + 1)] = True
     demand = ~writes
     row_idx = np.empty(len(writes), dtype=np.int64)
     row_idx[demand] = miss_idx
     row_idx[writes] = wb_idx
-    addrs = trace.addrs[row_idx]
+    addrs = addrs[row_idx]
     addrs[writes] = d_ev.wb_addr[wb_order]
-    privs = trace.privs[row_idx]
-    privs[writes] = np.asarray(d_ev.wb_priv, dtype=np.uint8)[wb_order]
+    privs = privs[row_idx]
+    privs[writes] = d_ev.wb_priv[wb_order]
 
     return L2Stream(
         name=trace.name,
@@ -1164,9 +1152,10 @@ def run_fixed(stream, segments, router) -> None:
         kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
         jobs = [(user_cache, ~kernel_rows), (kernel_cache, kernel_rows)]
     for cache, rows in jobs:
+        # ticks are read only where blocks can expire
         stats, _ = simulate_trace(
             cache.geometry,
-            stream.ticks[rows],
+            stream.ticks[rows] if cache.refresh_mode == "invalidate" else None,
             stream.addrs[rows],
             stream.privs[rows],
             stream.writes[rows],

@@ -27,6 +27,7 @@ stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -34,7 +35,7 @@ from repro import obs
 from repro.cache.prefetch import make_prefetcher
 from repro.cache.replacement import POLICY_NAMES
 from repro.config import DEFAULT_PLATFORM, platform_preset
-from repro.core.designs import DESIGN_NAMES, make_design
+from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design
 from repro.engine import default_store, default_stream_cache, run_sweep
 from repro.engine.store import ResultStore
 from repro.engine.streamcache import StreamCache, load_stream
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one design on one app")
     run_p.add_argument("--app", choices=APP_NAMES, default="browser")
-    run_p.add_argument("--design", choices=DESIGN_NAMES, default="static-stt")
+    run_p.add_argument("--design", choices=REGISTERED_DESIGNS, default="static-stt")
     run_p.add_argument("--length", type=int, default=240_000)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--prefetcher", choices=("nextline", "stride"))
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--length", type=int, default=EXPERIMENT_TRACE_LENGTH)
 
     sweep_p = sub.add_parser("sweep", help="run a design x app x seed grid via the engine")
-    sweep_p.add_argument("--designs", nargs="+", choices=DESIGN_NAMES,
+    sweep_p.add_argument("--designs", nargs="+", choices=REGISTERED_DESIGNS,
                          default=list(DESIGN_NAMES))
     sweep_p.add_argument("--apps", nargs="+", choices=APP_NAMES, default=list(APP_NAMES))
     sweep_p.add_argument("--seeds", nargs="+", type=int, default=[0])
@@ -173,7 +174,7 @@ def _cmd_list(out) -> int:
                        [[a, app_profile(a).description] for a in APP_NAMES],
                        align_left_cols=2), file=out)
     print(file=out)
-    print(format_table("designs", ["name"], [[d] for d in DESIGN_NAMES]), file=out)
+    print(format_table("designs", ["name"], [[d] for d in REGISTERED_DESIGNS]), file=out)
     print(file=out)
     print(format_table("replacement policies", ["name"], [[p] for p in POLICY_NAMES]), file=out)
     print(file=out)
@@ -188,15 +189,16 @@ def _cmd_run(args, out) -> int:
     design = make_design(args.design)
     kwargs = {}
     if args.prefetcher:
-        if args.design == "dynamic-stt":
-            print("error: prefetcher is not supported by the dynamic design", file=sys.stderr)
-            return 2
         kwargs["prefetcher"] = make_prefetcher(args.prefetcher)
     if args.banked_dram:
-        if args.design == "dynamic-stt":
-            print("error: banked DRAM is not supported by the dynamic design", file=sys.stderr)
-            return 2
         kwargs["dram_model"] = DRAMModel()
+    accepted = inspect.signature(design.run).parameters
+    flags = {"prefetcher": "--prefetcher", "dram_model": "--banked-dram"}
+    unsupported = [flags[key] for key in kwargs if key not in accepted]
+    if unsupported:
+        print(f"error: the {args.design} design does not support "
+              f"{' or '.join(unsupported)}", file=sys.stderr)
+        return 2
     result = design.run(stream, DEFAULT_PLATFORM, **kwargs)
     stats = result.l2_stats
     energy = result.l2_energy

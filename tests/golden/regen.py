@@ -8,7 +8,11 @@
 * per job of every registered design × suite app at ``GRID_LENGTH``,
   seed ``GRID_SEED``: the sha256 of ``DesignResult.to_dict()`` without
   ``sim_engine``, plus the L2 energy, misses and total cycles in the
-  clear, so a mismatch shows which headline number moved.
+  clear, so a mismatch shows which headline number moved;
+* the same for the ``SLOW_CLOCK_DESIGNS`` on the ``SLOW_CLOCK``
+  platform, keyed ``<label>@slow-clock``: there the STT-RAM retention
+  windows fall inside the streams' tick spans, so the fixed designs'
+  expiring replay and the dynamic design's decay test are pinned too.
 
 It also stores ``MODEL_VERSION`` and the NumPy version it was generated
 with.  ``tests/test_golden.py`` recomputes everything and compares.  After
@@ -20,6 +24,7 @@ a change that is meant to alter output, bump
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,6 +50,11 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 TRACE_POINTS = ((240_000, 3), (720_000, 5), (60_000, 0), (1, 0), (5, 2), (999, 7))
 GRID_LENGTH = 60_000
 GRID_SEED = 0
+#: The default platform with a clock ten times slower.  Retention
+#: windows are set in seconds, so in ticks they shrink tenfold; stream
+#: keys ignore the clock, so these jobs reuse the grid's streams.
+SLOW_CLOCK = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
+SLOW_CLOCK_DESIGNS = ("static-stt", "dynamic-stt")
 
 #: Result fields stored in the clear beside each job's digest.
 HEADLINE_FIELDS = ("l2_energy_j", "l2_misses", "total_cycles")
@@ -93,11 +103,12 @@ def trace_digests() -> dict[str, dict[str, str]]:
     return out
 
 
-def job_records(designs=REGISTERED_DESIGNS) -> dict[str, dict]:
+def job_records(designs=REGISTERED_DESIGNS, platform=DEFAULT_PLATFORM,
+                tag: str = "") -> dict[str, dict]:
     """One record per design (all registered ones by default) × suite app
-    job, keyed by label."""
+    job on ``platform``, keyed by label plus ``tag``."""
     specs = [
-        JobSpec(design, app, GRID_LENGTH, GRID_SEED)
+        JobSpec(design, app, GRID_LENGTH, GRID_SEED, platform)
         for design in designs
         for app in APP_NAMES
     ]
@@ -106,7 +117,7 @@ def job_records(designs=REGISTERED_DESIGNS) -> dict[str, dict]:
         result = outcome.result
         payload = result.to_dict()
         payload["extras"].pop("sim_engine", None)
-        out[outcome.spec.label()] = {
+        out[outcome.spec.label() + tag] = {
             "sha256": _sha256(canonical_json(payload).encode()),
             "l2_energy_j": result.l2_energy.total_j,
             "l2_misses": result.l2_stats.misses,
@@ -115,13 +126,19 @@ def job_records(designs=REGISTERED_DESIGNS) -> dict[str, dict]:
     return out
 
 
+def grid_records() -> dict[str, dict]:
+    """Every job record of the golden grid: all registered designs on
+    the default platform and the slow-clock designs on ``SLOW_CLOCK``."""
+    return job_records() | job_records(SLOW_CLOCK_DESIGNS, SLOW_CLOCK, "@slow-clock")
+
+
 def compute() -> dict:
     """Everything ``golden.json`` holds, computed from the current tree."""
     return {
         "model_version": MODEL_VERSION,
         "numpy": np.__version__,
         "traces": trace_digests(),
-        "jobs": job_records(),
+        "jobs": grid_records(),
     }
 
 

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS
 
 
 def run_cli(*argv):
@@ -21,6 +22,14 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_every_registered_design_is_a_choice(self):
+        parser = build_parser()
+        for design in REGISTERED_DESIGNS:
+            assert parser.parse_args(["run", "--design", design]).design == design
+        args = parser.parse_args(["sweep", "--designs", "drowsy-sram", "hybrid"])
+        assert args.designs == ["drowsy-sram", "hybrid"]
+        assert parser.parse_args(["sweep"]).designs == list(DESIGN_NAMES)
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
@@ -62,6 +71,18 @@ class TestRun:
         code, _ = run_cli("run", "--app", "game", "--design", "dynamic-stt",
                           "--length", "30000", "--prefetcher", "stride")
         assert code == 2
+
+    def test_run_hybrid(self):
+        code, out = run_cli("run", "--app", "game", "--design", "hybrid",
+                            "--length", "20000")
+        assert code == 0
+        assert "hybrid on game" in out
+
+    def test_banked_dram_rejected_for_drowsy(self, capsys):
+        code, _ = run_cli("run", "--app", "game", "--design", "drowsy-sram",
+                          "--length", "20000", "--banked-dram")
+        assert code == 2
+        assert "--banked-dram" in capsys.readouterr().err
 
 
 class TestArtifacts:

@@ -17,9 +17,11 @@ envelope.  This file is that promise, tested three ways:
    and on every suite app at the benchmark's trace length;
 5. retention the stream cannot outlast replays retention-free, and the
    ``fastsim.retention.*`` counters say when it did;
-6. the eviction-free prefix each set resolves in NumPy, and the state
-   the LRU loop is seeded with at a set's first eviction; the epoch
-   replay's clean sets, resolved in NumPy up to their first event.
+6. the retention-free replay's two rules — a row's hit from the
+   distinct blocks its set sees since the block's previous row, and the
+   victims paired with evicting misses — with the rows a scan counts;
+   the epoch replay's clean sets, resolved in NumPy up to their first
+   event.
 """
 
 import dataclasses
@@ -34,6 +36,8 @@ from repro.cache.diffsim import (
     CLEAN_SCENARIOS,
     ELISION_CASES_FROM,
     FOOTPRINT_CASES_FROM,
+    STRESS_CASES_FROM,
+    STRESS_SCENARIOS,
     _workload,
     assert_case_equal,
     assert_dynamic_case_equal,
@@ -60,10 +64,13 @@ from conftest import make_trace, sequential_accesses
 # seeds from ELISION_CASES_FROM on set the window around the stream's
 # tick span (the kernel's retention-free replay of such windows); seeds
 # from FOOTPRINT_CASES_FROM on give each set a footprint around the
-# associativity (the kernel's eviction-free prefix and seeded loop).
+# associativity (rows settled with and without the scan); seeds from
+# STRESS_CASES_FROM on cycle through the scenarios that stress the
+# retention-free replay's two rules, two seeds each.
 ELISION_SEEDS = range(ELISION_CASES_FROM, FOOTPRINT_CASES_FROM)
-FOOTPRINT_SEEDS = range(FOOTPRINT_CASES_FROM, FOOTPRINT_CASES_FROM + 16)
-DIFF_SEEDS = range(FOOTPRINT_SEEDS.stop)
+FOOTPRINT_SEEDS = range(FOOTPRINT_CASES_FROM, STRESS_CASES_FROM)
+STRESS_SEEDS = range(STRESS_CASES_FROM, STRESS_CASES_FROM + 2 * len(STRESS_SCENARIOS))
+DIFF_SEEDS = range(STRESS_SEEDS.stop)
 # The dynamic-design sampler has no run cases; seeds from
 # CLEAN_DYNAMIC_CASES_FROM on keep most sets clean, two per scenario.
 DYNAMIC_SEEDS = range(CLEAN_DYNAMIC_CASES_FROM + 2 * len(CLEAN_SCENARIOS))
@@ -621,27 +628,95 @@ def test_retention_elision_counters(browser_stream_240k):
 
 
 # ----------------------------------------------------------------------
-# 6. the eviction-free prefix
+# 6. the retention-free replay's rules, and the epoch replay's clean sets
 
 
-def _prefix_and_loop_rows(run) -> tuple[int, int]:
-    """How many rows ``run()`` resolves in the prefix and in the loop."""
-    names = ("fastsim.prefix.rows", "fastsim.loop.rows")
-    before = [obs.REGISTRY.counters.get(name, 0) for name in names]
+ROUTE_ROWS = ("fastsim.prefix.rows", "fastsim.scan.rows", "fastsim.loop.rows")
+
+
+def _route_rows(run) -> dict[str, int]:
+    """How many rows ``run()`` settles on each route: ``prefix`` (in
+    NumPy, no scan), ``scan`` (a retention-free row whose window a scan
+    counts) and ``loop`` (the epoch replay's per-access loop)."""
+    before = [obs.REGISTRY.counters.get(name, 0) for name in ROUTE_ROWS]
     run()
-    prefix, loop = (obs.REGISTRY.counters.get(name, 0) - b for name, b in zip(names, before))
-    return prefix, loop
+    return {
+        name.split(".")[1]: obs.REGISTRY.counters.get(name, 0) - b
+        for name, b in zip(ROUTE_ROWS, before)
+    }
 
 
-def test_footprint_cases_mix_prefix_and_loop():
-    """Most footprint cases resolve some rows in the NumPy prefix and
-    replay others in the seeded loop, so ``test_kernel_matches_reference``
-    checks both and their boundary against the reference."""
-    mixed = [
-        seed for seed in FOOTPRINT_SEEDS
-        if all(_prefix_and_loop_rows(lambda: run_case(sample_case(seed))))
-    ]
+def test_footprint_cases_mix_prefix_and_scan():
+    """Most footprint cases settle some rows with no scan and count the
+    window of others, so ``test_kernel_matches_reference`` checks both
+    against the reference; the retention-free replay has no loop."""
+    mixed = []
+    for seed in FOOTPRINT_SEEDS:
+        rows = _route_rows(lambda: run_case(sample_case(seed)))
+        assert rows["loop"] == 0, seed
+        if rows["prefix"] and rows["scan"]:
+            mixed.append(seed)
     assert len(mixed) >= 8, mixed
+
+
+def test_stress_cases_reach_their_shapes():
+    """Each stress scenario builds the shape it is named for, so the
+    differential cases over ``STRESS_SEEDS`` check the two rules there:
+    long scans, one and 32 ways, write-back victims in every
+    cross-privilege cell, and empty trailing sets."""
+    for seed in STRESS_SEEDS:
+        case = sample_case(seed)
+        scans = []
+        with pytest.MonkeyPatch.context() as mp:
+            window_misses = fastsim._window_misses
+
+            def spy(prev, p, j, ways):
+                scans.extend((j - p).tolist())
+                return window_misses(prev, p, j, ways)
+
+            mp.setattr(fastsim, "_window_misses", spy)
+            ref, _ = run_case(case)
+        assert ref.evictions > 0, case.describe()
+        if case.scenario == "long-window":
+            assert max(scans) > 1_000, case.describe()
+        elif case.scenario == "direct-mapped":
+            assert case.ways == 1
+        elif case.scenario == "wide":
+            assert case.ways == 32 and scans, case.describe()
+        elif case.scenario == "write-cross":
+            assert ref.writebacks > 0 and min(min(ref.evictions_cross)) > 0, case.describe()
+        else:
+            _, addrs, _, _, _, _ = _workload(case)
+            sets = (addrs // np.uint64(case.block_size)) % np.uint64(case.sets)
+            assert int(sets.max()) < case.sets - 1, case.describe()
+
+
+def test_long_window_scan():
+    """One 4-way set that has evicted, then a block whose next access
+    comes after 120k rows cycling through three other blocks: a hit that
+    only a scan over the whole gap decides."""
+    n = 120_000
+    blocks = np.r_[[20, 21, 22, 23, 24, 10], np.resize([1, 2, 3], n), [10, 4, 10]]
+    addrs = blocks.astype(np.uint64) * np.uint64(64)
+    privs = (np.arange(len(blocks)) % 5 == 0).astype(np.uint8)
+    writes = np.arange(len(blocks)) % 7 == 0
+    geometry = CacheGeometry(4 * 64, 4, 64)
+    gaps = []
+    window_misses = fastsim._window_misses
+
+    def spy(prev, p, j, ways):
+        gaps.extend((j - p).tolist())
+        return window_misses(prev, p, j, ways)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastsim, "_window_misses", spy)
+        stats, _ = fastsim.simulate_trace(geometry, np.arange(len(blocks)), addrs, privs, writes)
+    assert max(gaps) > n
+    ref = SetAssociativeCache(geometry, "lru")
+    for i, (addr, isw, priv) in enumerate(zip(addrs.tolist(), writes.tolist(), privs.tolist())):
+        ref.access(addr, isw, priv, i)
+    assert stats.to_dict() == ref.stats.to_dict()
+    assert stats.misses == 10  # 5 + block 10 + blocks 1, 2, 3 + block 4
 
 
 def test_prefix_dirty_block_evicted_by_first_new_block():
@@ -697,26 +772,29 @@ def test_block_order_is_a_stable_argsort():
 
 
 def test_prefix_counters(browser_stream_240k):
-    """At the benchmark's trace length the baseline design resolves most
-    of its rows in NumPy, and some sets still evict."""
+    """At the benchmark's trace length the baseline design settles most
+    of its rows with no scan, counts the window of a few (some sets still
+    evict), and never reaches a per-access loop."""
     from repro.core.designs import make_design
 
-    prefix, loop = _prefix_and_loop_rows(
+    rows = _route_rows(
         lambda: make_design("baseline").run(browser_stream_240k, DEFAULT_PLATFORM)
     )
-    assert prefix > loop > 0
+    assert rows["prefix"] > rows["scan"] > 0
+    assert rows["loop"] == 0
 
 
 def test_epoch_replay_counters(browser_stream_240k):
     """At the benchmark's trace length the dynamic design resolves well
     over nine in ten rows in NumPy (its sets stay clean), and some sets
-    still reach the per-access loop."""
+    still reach the per-access loop; it never scans."""
     from repro.core.designs import make_design
 
-    prefix, loop = _prefix_and_loop_rows(
+    rows = _route_rows(
         lambda: make_design("dynamic-stt").run(browser_stream_240k, DEFAULT_PLATFORM)
     )
-    assert prefix > 9 * loop > 0
+    assert rows["prefix"] > 9 * rows["loop"] > 0
+    assert rows["scan"] == 0
 
 
 def test_fast_fixed_replay_leaves_reference_state_unbuilt(browser_stream_small, monkeypatch):

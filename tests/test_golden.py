@@ -3,23 +3,68 @@
 ``tests/golden/golden.json`` holds digests of traces, L2 streams and one
 result per registered design × suite app (see ``tests/golden/regen.py``).
 Any change that moves one fails here, naming the job and the field; an
-intended change bumps ``MODEL_VERSION`` and regenerates the file.
+intended change bumps ``MODEL_VERSION`` and regenerates the file.  The
+gate also checks that it reaches every fast route of the simulator, so
+a route no pinned point takes cannot go wrong unseen.
 """
 
 import dataclasses
 import json
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
 from golden import regen
+from repro import obs
+from repro.cache import fastsim
 from repro.engine.spec import MODEL_VERSION
+
+#: Counters that book a fast route; each must be reached by the gate.
+ROUTE_COUNTERS = (
+    "fastsim.retention.elided",
+    "fastsim.retention.expiring",
+    "fastsim.retention.elided_chunks",
+    "fastsim.prefix.rows",
+    "fastsim.loop.rows",
+    "fastsim.scan.rows",
+    "pipeline.dispatch.fastsim",
+    "pipeline.dispatch.reference",
+)
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(regen.GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def computed():
+    """The tree's trace/stream digests and grid records, computed once,
+    with the route counters they booked: ``routes`` over everything,
+    ``scans`` the ``fastsim.scan.rows`` booked inside the L1 filter
+    (``"l1"``) and inside fixed L2 replays (``"l2"``)."""
+    scans = Counter()
+
+    def booking(side, fn):
+        def run(*args, **kwargs):
+            before = obs.REGISTRY.counters.get("fastsim.scan.rows", 0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scans[side] += obs.REGISTRY.counters.get("fastsim.scan.rows", 0) - before
+        return run
+
+    before = Counter(obs.snapshot()["counters"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastsim, "fast_l1_filter", booking("l1", fastsim.fast_l1_filter))
+        mp.setattr(fastsim, "run_fixed", booking("l2", fastsim.run_fixed))
+        traces = regen.trace_digests()
+        jobs = regen.grid_records()
+    routes = Counter(obs.snapshot()["counters"])
+    routes.subtract(before)
+    return {"traces": traces, "jobs": jobs, "routes": routes, "scans": scans}
 
 
 def _fail(what: str, mismatches: list[str], golden: dict) -> None:
@@ -46,11 +91,20 @@ def test_golden_file_matches_model_version(golden):
 
 def test_golden_covers_every_point(golden):
     assert len(golden["traces"]) == 17 * len(regen.TRACE_POINTS)
-    assert len(golden["jobs"]) == 6 * 8
+    assert len(golden["jobs"]) == (6 + len(regen.SLOW_CLOCK_DESIGNS)) * 8
 
 
-def test_trace_and_stream_digests(golden):
-    actual = regen.trace_digests()
+def test_golden_reaches_every_route(computed):
+    """Every fast route books its counter somewhere in the gate, and the
+    retention-free scan runs both in the L1 filter and in some fixed L2
+    design, so a fault on any route moves a pinned digest."""
+    unreached = [name for name in ROUTE_COUNTERS if computed["routes"][name] <= 0]
+    assert not unreached, f"the golden gate never reaches {unreached}"
+    assert computed["scans"]["l1"] > 0 and computed["scans"]["l2"] > 0, computed["scans"]
+
+
+def test_trace_and_stream_digests(golden, computed):
+    actual = computed["traces"]
     assert set(actual) == set(golden["traces"])
     mismatches = [
         f"{key}: {field}"
@@ -62,8 +116,8 @@ def test_trace_and_stream_digests(golden):
         _fail("trace/stream digests", mismatches, golden)
 
 
-def test_design_results(golden):
-    actual = regen.job_records()
+def test_design_results(golden, computed):
+    actual = computed["jobs"]
     assert set(actual) == set(golden["jobs"])
     mismatches = []
     for job, record in actual.items():
