@@ -10,51 +10,34 @@ Public surface:
   fast-path kernel (see ``docs/performance.md``).
 """
 
-from repro.cache.analysis import SetPressure, occupancy_by_way, set_pressure
-from repro.cache.fastsim import simulate_trace
-from repro.cache.fastsim import supports_cache as fastsim_supports
-from repro.cache.hierarchy import L2Stream, l1_filter
-from repro.cache.prefetch import (
-    Prefetcher,
-    SequentialPrefetcher,
-    StridePrefetcher,
-    make_prefetcher,
-)
-from repro.cache.replacement import (
-    POLICY_NAMES,
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
-from repro.cache.set_assoc import REFRESH_MODES, AccessResult, SetAssociativeCache
-from repro.cache.stats import CacheStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SetPressure",
-    "occupancy_by_way",
-    "set_pressure",
-    "Prefetcher",
-    "SequentialPrefetcher",
-    "StridePrefetcher",
-    "make_prefetcher",
-    "L2Stream",
-    "l1_filter",
-    "POLICY_NAMES",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "SRRIPPolicy",
-    "TreePLRUPolicy",
-    "make_policy",
-    "REFRESH_MODES",
-    "AccessResult",
-    "SetAssociativeCache",
-    "CacheStats",
-    "simulate_trace",
-    "fastsim_supports",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "SetPressure": "analysis",
+    "occupancy_by_way": "analysis",
+    "set_pressure": "analysis",
+    "Prefetcher": "prefetch",
+    "SequentialPrefetcher": "prefetch",
+    "StridePrefetcher": "prefetch",
+    "make_prefetcher": "prefetch",
+    "L2Stream": "hierarchy",
+    "l1_filter": "hierarchy",
+    "POLICY_NAMES": "replacement",
+    "FIFOPolicy": "replacement",
+    "LRUPolicy": "replacement",
+    "RandomPolicy": "replacement",
+    "ReplacementPolicy": "replacement",
+    "SRRIPPolicy": "replacement",
+    "TreePLRUPolicy": "replacement",
+    "make_policy": "replacement",
+    "REFRESH_MODES": "set_assoc",
+    "AccessResult": "set_assoc",
+    "SetAssociativeCache": "set_assoc",
+    "CacheStats": "stats",
+    "simulate_trace": "fastsim",
+    "fastsim_supports": "fastsim:supports_cache",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

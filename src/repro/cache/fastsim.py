@@ -1149,8 +1149,8 @@ def run_fixed(stream, segments, router) -> None:
     if user_cache is kernel_cache:
         jobs = [(user_cache, slice(None))]
     else:
-        kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
-        jobs = [(user_cache, ~kernel_rows), (kernel_cache, kernel_rows)]
+        user_rows, kernel_rows = stream.privilege_rows()
+        jobs = [(user_cache, user_rows), (kernel_cache, kernel_rows)]
     for cache, rows in jobs:
         # ticks are read only where blocks can expire
         stats, _ = simulate_trace(

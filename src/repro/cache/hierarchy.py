@@ -16,6 +16,7 @@ holds for every design in the paper (all operate strictly below the L1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from repro import obs
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import PlatformConfig
-from repro.trace.access import Trace
 from repro.types import AccessKind, Privilege
+
+if TYPE_CHECKING:
+    from repro.trace.access import Trace
 
 __all__ = ["STREAM_COLUMNS", "L2Stream", "l1_filter"]
 
@@ -90,6 +93,16 @@ class L2Stream:
         if not len(self.ticks):
             return 0.0
         return float(np.mean(self.privs == np.uint8(Privilege.KERNEL)))
+
+    def privilege_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The user and kernel row indices, indexable by :class:`Privilege`.
+
+        Every per-privilege view of the stream gathers its columns with
+        these indices: after one ``flatnonzero`` per privilege, each
+        column gather costs a fraction of a boolean-mask gather.
+        """
+        kernel = self.privs == np.uint8(Privilege.KERNEL)
+        return np.flatnonzero(~kernel), np.flatnonzero(kernel)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The five parallel column arrays keyed by name (views, not copies)."""

@@ -32,55 +32,44 @@ import os
 import sys
 
 from repro import obs
-from repro.cache.prefetch import make_prefetcher
 from repro.cache.replacement import POLICY_NAMES
 from repro.config import DEFAULT_PLATFORM, platform_preset
 from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design
-from repro.engine import default_store, default_stream_cache, run_sweep
-from repro.engine.store import ResultStore
-from repro.engine.streamcache import StreamCache, load_stream
-from repro.core.search import find_static_partition
-from repro.dram import DRAMModel
 from repro.energy.technology import RETENTION_CLASSES
-from repro.experiments import (
-    EXPERIMENT_TRACE_LENGTH,
-    fig1_kernel_share,
-    fig2_interference,
-    fig3_size_sweep,
-    fig4_static_space,
-    fig5_intervals,
-    fig6_energy_breakdown,
-    fig7_dynamic_timeline,
-    fig8_energy_summary,
-    format_percent,
-    format_table,
-    table1_configuration,
-    table2_technology,
-    table3_workloads,
-    table4_performance,
-)
-from repro.trace.generator import generate_trace
-from repro.trace.io import save_trace
+from repro.engine.spec import EXPERIMENT_TRACE_LENGTH
+from repro.engine.store import ResultStore, default_store
+from repro.engine.streamcache import StreamCache, default_stream_cache, load_stream
+from repro.report import format_percent, format_table
 from repro.trace.workloads import APP_NAMES, app_profile
 
 __all__ = ["main", "build_parser"]
 
+
+# Each command imports the layers only it runs (the experiment layer,
+# the sweep grid, prefetchers, DRAM, the partition search, the trace
+# generator), so a process pays only for the command it was given.
+def _experiments():
+    import repro.experiments
+
+    return repro.experiments
+
+
 _FIGURES = {
-    1: fig1_kernel_share,
-    2: fig2_interference,
-    3: fig3_size_sweep,
-    4: fig4_static_space,
-    5: fig5_intervals,
-    6: fig6_energy_breakdown,
-    7: lambda length: fig7_dynamic_timeline("browser", length),
-    8: fig8_energy_summary,
+    1: lambda length: _experiments().fig1_kernel_share(length),
+    2: lambda length: _experiments().fig2_interference(length),
+    3: lambda length: _experiments().fig3_size_sweep(length),
+    4: lambda length: _experiments().fig4_static_space(length),
+    5: lambda length: _experiments().fig5_intervals(length),
+    6: lambda length: _experiments().fig6_energy_breakdown(length),
+    7: lambda length: _experiments().fig7_dynamic_timeline("browser", length),
+    8: lambda length: _experiments().fig8_energy_summary(length),
 }
 
 _TABLES = {
-    1: lambda length: table1_configuration(),
-    2: lambda length: table2_technology(),
-    3: lambda length: table3_workloads(),
-    4: table4_performance,
+    1: lambda length: _experiments().table1_configuration(),
+    2: lambda length: _experiments().table2_technology(),
+    3: lambda length: _experiments().table3_workloads(),
+    4: lambda length: _experiments().table4_performance(length),
 }
 
 
@@ -189,8 +178,12 @@ def _cmd_run(args, out) -> int:
     design = make_design(args.design)
     kwargs = {}
     if args.prefetcher:
+        from repro.cache.prefetch import make_prefetcher
+
         kwargs["prefetcher"] = make_prefetcher(args.prefetcher)
     if args.banked_dram:
+        from repro.dram import DRAMModel
+
         kwargs["dram_model"] = DRAMModel()
     accepted = inspect.signature(design.run).parameters
     flags = {"prefetcher": "--prefetcher", "dram_model": "--banked-dram"}
@@ -219,16 +212,17 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_validate(length, out) -> int:
+    experiments = _experiments()
     checks = []
-    share = fig1_kernel_share(length).mean
+    share = experiments.fig1_kernel_share(length).mean
     checks.append(("kernel share > 40%", share > 0.40, f"{share:.1%}"))
-    summary = fig8_energy_summary(length)
+    summary = experiments.fig8_energy_summary(length)
     s_saving = summary.saving("static-stt")
     d_saving = summary.saving("dynamic-stt")
     checks.append(("static saving in [65%, 85%]", 0.65 < s_saving < 0.85, f"{s_saving:.1%}"))
     checks.append(("dynamic saving in [75%, 92%]", 0.75 < d_saving < 0.92, f"{d_saving:.1%}"))
     checks.append(("dynamic beats static", d_saving > s_saving, ""))
-    perf = table4_performance(length)
+    perf = experiments.table4_performance(length)
     s_loss = perf.mean("static-stt")
     d_loss = perf.mean("dynamic-stt")
     checks.append(("static perf loss < 6%", s_loss < 0.06, f"{s_loss:.2%}"))
@@ -243,6 +237,8 @@ def _cmd_sweep(args, out) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    from repro.engine.sweep import run_sweep
+
     progress = None
     if not args.no_progress:
         # Progress is ephemeral status, not output: stderr keeps piped
@@ -377,11 +373,16 @@ def _dispatch(args, out) -> int:
         print(_TABLES[args.number](args.length).render(), file=out)
         return 0
     if args.command == "trace":
+        from repro.trace.generator import generate_trace
+        from repro.trace.io import save_trace
+
         trace = generate_trace(app_profile(args.app), args.length, args.seed)
         save_trace(trace, args.out)
         print(f"wrote {trace.describe()} -> {args.out}", file=out)
         return 0
     if args.command == "search":
+        from repro.core.search import find_static_partition
+
         streams = [load_stream(app, args.length) for app in args.apps]
         point = find_static_partition(streams, DEFAULT_PLATFORM, args.tolerance)
         print(

@@ -18,65 +18,40 @@ Public surface:
 * :class:`DesignResult` / :class:`SegmentReport` — results.
 """
 
-from repro.core.baseline import BaselineDesign
-from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design, paper_designs
-from repro.core.drowsy import DEFAULT_DROWSY_WINDOW, DROWSY_LEAKAGE_SCALE, DrowsySRAMDesign
-from repro.core.dynamic_partition import DynamicControllerConfig, DynamicPartitionDesign
-from repro.core.hybrid import HybridPartitionDesign
-from repro.core.multi_retention import (
-    KERNEL_RETENTION_CLASS,
-    USER_RETENTION_CLASS,
-    multi_retention_design,
-)
-from repro.core.pipeline import (
-    FixedSegment,
-    ReplaySession,
-    ResultAssembler,
-    SegmentOutcome,
-    run_fixed_design,
-)
-from repro.core.result import DesignResult, SegmentReport
-from repro.core.search import (
-    PartitionPoint,
-    choose_partition,
-    find_static_partition,
-    partition_point,
-    sweep_partitions,
-)
-from repro.core.static_partition import (
-    DEFAULT_KERNEL_WAYS,
-    DEFAULT_USER_WAYS,
-    StaticPartitionDesign,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineDesign",
-    "DEFAULT_DROWSY_WINDOW",
-    "DROWSY_LEAKAGE_SCALE",
-    "DrowsySRAMDesign",
-    "DESIGN_NAMES",
-    "REGISTERED_DESIGNS",
-    "make_design",
-    "paper_designs",
-    "DynamicControllerConfig",
-    "DynamicPartitionDesign",
-    "HybridPartitionDesign",
-    "KERNEL_RETENTION_CLASS",
-    "USER_RETENTION_CLASS",
-    "multi_retention_design",
-    "FixedSegment",
-    "ReplaySession",
-    "ResultAssembler",
-    "SegmentOutcome",
-    "run_fixed_design",
-    "DesignResult",
-    "SegmentReport",
-    "PartitionPoint",
-    "choose_partition",
-    "find_static_partition",
-    "partition_point",
-    "sweep_partitions",
-    "DEFAULT_KERNEL_WAYS",
-    "DEFAULT_USER_WAYS",
-    "StaticPartitionDesign",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "BaselineDesign": "baseline",
+    "DEFAULT_DROWSY_WINDOW": "drowsy",
+    "DROWSY_LEAKAGE_SCALE": "drowsy",
+    "DrowsySRAMDesign": "drowsy",
+    "DESIGN_NAMES": "designs",
+    "REGISTERED_DESIGNS": "designs",
+    "make_design": "designs",
+    "paper_designs": "designs",
+    "DynamicControllerConfig": "dynamic_partition",
+    "DynamicPartitionDesign": "dynamic_partition",
+    "HybridPartitionDesign": "hybrid",
+    "KERNEL_RETENTION_CLASS": "multi_retention",
+    "USER_RETENTION_CLASS": "multi_retention",
+    "multi_retention_design": "multi_retention",
+    "FixedSegment": "pipeline",
+    "ReplaySession": "pipeline",
+    "ResultAssembler": "pipeline",
+    "SegmentOutcome": "pipeline",
+    "run_fixed_design": "pipeline",
+    "DesignResult": "result",
+    "SegmentReport": "result",
+    "PartitionPoint": "search",
+    "choose_partition": "search",
+    "find_static_partition": "search",
+    "partition_point": "search",
+    "sweep_partitions": "search",
+    "DEFAULT_KERNEL_WAYS": "static_partition",
+    "DEFAULT_USER_WAYS": "static_partition",
+    "StaticPartitionDesign": "static_partition",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,9 +21,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.baseline import BaselineDesign
-from repro.core.drowsy import DrowsySRAMDesign
 from repro.core.dynamic_partition import DynamicPartitionDesign
-from repro.core.hybrid import HybridPartitionDesign
 from repro.core.multi_retention import multi_retention_design
 from repro.core.static_partition import StaticPartitionDesign
 
@@ -32,13 +30,27 @@ __all__ = ["DESIGN_NAMES", "REGISTERED_DESIGNS", "make_design", "paper_designs"]
 #: Evaluation order used by every figure and table.
 DESIGN_NAMES = ("baseline", "static-sram", "static-stt", "dynamic-stt")
 
+
+# The two competitors' modules load when one of them is first requested.
+def _drowsy_sram(**kwargs):
+    from repro.core.drowsy import DrowsySRAMDesign
+
+    return DrowsySRAMDesign(**kwargs)
+
+
+def _hybrid(**kwargs):
+    from repro.core.hybrid import HybridPartitionDesign
+
+    return HybridPartitionDesign(**kwargs)
+
+
 _CONSTRUCTORS = {
     "baseline": BaselineDesign,
     "static-sram": partial(StaticPartitionDesign, name="static-sram"),
     "static-stt": multi_retention_design,
     "dynamic-stt": DynamicPartitionDesign,
-    "drowsy-sram": DrowsySRAMDesign,
-    "hybrid": HybridPartitionDesign,
+    "drowsy-sram": _drowsy_sram,
+    "hybrid": _hybrid,
 }
 
 #: Every name :func:`make_design` accepts: the canonical four first.

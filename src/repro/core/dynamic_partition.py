@@ -42,7 +42,6 @@ from repro.config import PlatformConfig
 from repro.core.pipeline import ReplaySession, ResultAssembler, SegmentOutcome
 from repro.core.result import DesignResult
 from repro.energy.technology import MemoryTechnology, stt_ram
-from repro.types import Privilege
 
 __all__ = ["DynamicControllerConfig", "DynamicPartitionDesign"]
 
@@ -293,8 +292,7 @@ class DynamicPartitionDesign:
             if len(stream.ticks):
                 epoch_idx = np.maximum.accumulate(stream.ticks) // cfg.epoch_ticks
                 n_chunks = int(epoch_idx[-1]) + 1
-                kernel_rows = stream.privs == np.uint8(Privilege.KERNEL)
-                for seg, rows in ((user, ~kernel_rows), (kernel, kernel_rows)):
+                for seg, rows in zip(segments, stream.privilege_rows()):
                     seg.load(
                         stream.ticks[rows], stream.addrs[rows], stream.privs[rows],
                         stream.writes[rows], stream.demand[rows], epoch_idx[rows], n_chunks,

@@ -27,19 +27,22 @@ awake/drowsy leakage split) instead of assembling results by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
+from repro.cache import fastsim
 from repro.cache.hierarchy import L2Stream
-from repro.cache.prefetch import Prefetcher
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import PlatformConfig
 from repro.core.result import DesignResult, SegmentReport
-from repro.dram.model import DRAMModel
 from repro.energy.model import EnergyBreakdown, dram_energy_j, segment_energy
 from repro.energy.technology import MemoryTechnology
 from repro.timing.cpu import TimingResult, compute_timing
+
+if TYPE_CHECKING:
+    from repro.cache.prefetch import Prefetcher
+    from repro.dram.model import DRAMModel
 
 __all__ = [
     "ENGINES",
@@ -108,8 +111,6 @@ class ReplaySession:
         ``pipeline.fallback`` trace event, so an unexpectedly slow run is
         diagnosable from its run log alone.
         """
-        from repro.cache import fastsim
-
         reason = None
         if self.engine == "reference":
             reason = "engine=reference"
@@ -417,8 +418,6 @@ def run_fixed_design(
             forces the per-access engine.  The chosen path is recorded
             in ``DesignResult.extras["sim_engine"]``.
     """
-    from repro.cache import fastsim
-
     session = ReplaySession(design_name, stream, engine)
     dram_read_stall = 0
     prefetch_issued = 0

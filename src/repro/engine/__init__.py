@@ -24,22 +24,22 @@ Results are deterministic regardless of worker count: a job's output
 depends only on its spec, so parallel and serial runs are bit-identical.
 """
 
-from repro.engine.executor import BatchProgress, JobOutcome, run_jobs
-from repro.engine.spec import EXPERIMENT_TRACE_LENGTH, JobSpec
-from repro.engine.store import ResultStore, default_store
-from repro.engine.streamcache import StreamCache, default_stream_cache
-from repro.engine.sweep import SweepResult, run_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENT_TRACE_LENGTH",
-    "JobSpec",
-    "ResultStore",
-    "default_store",
-    "StreamCache",
-    "default_stream_cache",
-    "BatchProgress",
-    "JobOutcome",
-    "run_jobs",
-    "SweepResult",
-    "run_sweep",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "EXPERIMENT_TRACE_LENGTH": "spec",
+    "JobSpec": "spec",
+    "ResultStore": "store",
+    "default_store": "store",
+    "StreamCache": "streamcache",
+    "default_stream_cache": "streamcache",
+    "BatchProgress": "executor",
+    "JobOutcome": "executor",
+    "run_jobs": "executor",
+    "SweepResult": "sweep",
+    "run_sweep": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

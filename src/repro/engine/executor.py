@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -256,6 +255,9 @@ def _run_batch(
                 progress(BatchProgress(total, completed, cached_count,
                                        remaining, outcomes[indices[0]], started_at))
         return [o for o in outcomes if o is not None]
+
+    # the pool machinery is imported only when a batch fans out
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     with ProcessPoolExecutor(max_workers=min(jobs, pending)) as pool:
         _prebuild_missing_streams(pool, specs, fresh)

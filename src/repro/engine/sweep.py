@@ -65,7 +65,7 @@ class SweepResult:
 
     def render(self) -> str:
         """Summary table plus the store-accounting footer line."""
-        from repro.experiments.report import format_table
+        from repro.report import format_table
 
         rows = []
         for o in self.outcomes:

@@ -24,7 +24,7 @@ from repro.experiments.characterization import (
 )
 from repro.experiments.export import export_grid_csv
 from repro.experiments.pareto import ParetoPoint, ParetoResult, pareto_frontier
-from repro.experiments.report import format_bars, format_percent, format_series, format_table
+from repro.report import format_bars, format_percent, format_series, format_table
 from repro.experiments.robustness import SeedRobustnessResult, seed_robustness
 from repro.experiments.segments import (
     SegmentBreakdownResult,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.report import format_table
 from repro.engine.streamcache import load_stream
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH
+from repro.report import format_table
 from repro.trace.stats import footprint_bytes
 from repro.trace.workloads import APP_NAMES, suite_trace
 

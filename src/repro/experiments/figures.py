@@ -18,8 +18,8 @@ from repro.core.search import PartitionPoint, choose_partition, partition_point
 from repro.energy.technology import RETENTION_CLASSES
 from repro.engine.spec import JobSpec
 from repro.engine.streamcache import load_stream
-from repro.experiments.report import format_bars, format_percent, format_series, format_table
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
+from repro.report import format_bars, format_percent, format_series, format_table
 from repro.trace.workloads import APP_NAMES
 from repro.types import Privilege
 
@@ -310,9 +310,9 @@ class IntervalsResult:
 
 def _privilege_intervals_ms(stream: L2Stream, privilege: Privilege, clock_hz: float) -> np.ndarray:
     """Same-block tick gaps of one privilege's rows, in milliseconds."""
-    mask = stream.privs == np.uint8(privilege)
-    blocks = (stream.addrs[mask] // np.uint64(64)).astype(np.int64)
-    ticks = stream.ticks[mask].astype(np.int64)
+    rows = stream.privilege_rows()[privilege]
+    blocks = (stream.addrs[rows] // np.uint64(64)).astype(np.int64)
+    ticks = stream.ticks[rows].astype(np.int64)
     order = np.argsort(blocks, kind="stable")
     sb, st = blocks[order], ticks[order]
     gaps = (st[1:] - st[:-1])[sb[1:] == sb[:-1]]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.spec import JobSpec
-from repro.experiments.report import format_table
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
+from repro.report import format_table
 
 __all__ = ["ParetoPoint", "ParetoResult", "pareto_frontier"]
 

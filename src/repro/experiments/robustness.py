@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.report import format_table
 from repro.engine.spec import JobSpec
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
+from repro.report import format_table
 from repro.trace.workloads import APP_NAMES
 
 __all__ = ["SeedRobustnessResult", "seed_robustness"]

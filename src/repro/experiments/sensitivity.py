@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.engine.spec import JobSpec
-from repro.experiments.report import format_table
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
+from repro.report import format_table
 
 __all__ = ["SensitivityResult", "dram_latency_sensitivity", "l2_latency_sensitivity"]
 

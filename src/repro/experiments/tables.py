@@ -9,9 +9,9 @@ import numpy as np
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.core.designs import DESIGN_NAMES
 from repro.energy.technology import RETENTION_CLASSES, sram, stt_ram
-from repro.experiments.report import format_percent, format_table
 from repro.engine.spec import JobSpec
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH, run_specs
+from repro.report import format_percent, format_table
 from repro.trace.workloads import APP_NAMES, app_profile
 
 __all__ = [

@@ -23,6 +23,7 @@ from repro.cache.hierarchy import L2Stream, l1_filter
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.trace.transform import remap_user_space
 from repro.trace.workloads import suite_trace
+from repro.types import Privilege
 
 __all__ = ["merge_streams", "multicore_stream"]
 
@@ -90,7 +91,7 @@ def kernel_block_sharing(stream: L2Stream) -> float:
     than once — a proxy for the cross-core kernel reuse the shared
     address space creates (user blocks, being per-ASID, cannot share).
     """
-    kernel = stream.addrs[stream.privs == 1]
+    kernel = stream.addrs[stream.privilege_rows()[Privilege.KERNEL]]
     if not len(kernel):
         return 0.0
     blocks, counts = np.unique(kernel // np.uint64(64), return_counts=True)

@@ -121,7 +121,7 @@ class RunSummary:
         return None
 
     def render(self) -> str:
-        from repro.experiments.report import format_table
+        from repro.report import format_table
 
         rows = []
         for stat in sorted(self.phases, key=lambda s: -s.total_s):

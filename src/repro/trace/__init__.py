@@ -13,49 +13,33 @@ Public surface:
 * :func:`save_trace` / :func:`load_trace` — ``.npz`` persistence.
 """
 
-from repro.trace.access import Trace
-from repro.trace.generator import generate_trace
-from repro.trace.importers import load_csv_trace, load_din_trace
-from repro.trace.io import load_trace, save_trace
-from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
-from repro.trace.phases import AppProfile, PhaseSpec, Region
-from repro.trace.transform import (
-    concat,
-    remap_user_space,
-    shift_ticks,
-    slice_window,
-    timeslice,
-)
-from repro.trace.workloads import (
-    APP_NAMES,
-    DEFAULT_TRACE_LENGTH,
-    EXTRA_APP_NAMES,
-    app_profile,
-    default_suite,
-    suite_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Trace",
-    "generate_trace",
-    "load_csv_trace",
-    "load_din_trace",
-    "load_trace",
-    "save_trace",
-    "MICROBENCH_NAMES",
-    "microbench_profile",
-    "concat",
-    "remap_user_space",
-    "shift_ticks",
-    "slice_window",
-    "timeslice",
-    "EXTRA_APP_NAMES",
-    "AppProfile",
-    "PhaseSpec",
-    "Region",
-    "APP_NAMES",
-    "DEFAULT_TRACE_LENGTH",
-    "app_profile",
-    "default_suite",
-    "suite_trace",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "Trace": "access",
+    "generate_trace": "generator",
+    "load_csv_trace": "importers",
+    "load_din_trace": "importers",
+    "load_trace": "io",
+    "save_trace": "io",
+    "MICROBENCH_NAMES": "microbench",
+    "microbench_profile": "microbench",
+    "concat": "transform",
+    "remap_user_space": "transform",
+    "shift_ticks": "transform",
+    "slice_window": "transform",
+    "timeslice": "transform",
+    "EXTRA_APP_NAMES": "workloads",
+    "AppProfile": "phases",
+    "PhaseSpec": "phases",
+    "Region": "phases",
+    "APP_NAMES": "workloads",
+    "DEFAULT_TRACE_LENGTH": "workloads",
+    "app_profile": "workloads",
+    "default_suite": "workloads",
+    "suite_trace": "workloads",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,11 +26,13 @@ benches iterate over it.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from repro.trace.access import Trace
-from repro.trace.generator import generate_trace
-from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.types import Privilege
+
+if TYPE_CHECKING:
+    from repro.trace.access import Trace
+    from repro.trace.phases import AppProfile
 
 __all__ = [
     "APP_NAMES",
@@ -86,6 +88,10 @@ def _build_profile(
     user_dwell: int = 520,
 ) -> AppProfile:
     """Assemble the standard three-phase interactive-app profile."""
+    # the phase model loads only when a profile is built, which a sweep
+    # over cached streams never does
+    from repro.trace.phases import AppProfile, PhaseSpec, Region
+
     user_code = Region("user_code", _USER_CODE, 96 * _KB, "hot", 4.2, _CODE_KINDS)
     user_warm = Region(
         "user_warm", _USER_WARM, 4 * user_warm_kb * _KB, "rotating",
@@ -260,4 +266,6 @@ def suite_trace(name: str, length: int = DEFAULT_TRACE_LENGTH, seed: int = 0) ->
     Experiments, tests and benches share this cache, so each distinct
     trace is generated once per process.
     """
+    from repro.trace.generator import generate_trace
+
     return generate_trace(app_profile(name), length, seed)

@@ -50,6 +50,7 @@ from repro.cache.hierarchy import l1_filter
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core.baseline import BaselineDesign
+from repro.core.designs import DESIGN_NAMES, make_design
 from repro.core.multi_retention import multi_retention_design
 from repro.core.static_partition import StaticPartitionDesign
 from repro.trace.access import Trace
@@ -259,6 +260,34 @@ def test_fixed_designs_match_reference(design_factory, browser_stream_small):
     assert ref_d["extras"].pop("sim_engine") == "reference"
     assert fast_d["extras"].pop("sim_engine") == "fastsim"
     assert ref_d == fast_d
+
+
+@pytest.mark.parametrize("design_name", DESIGN_NAMES)
+@pytest.mark.parametrize("keep", ["user-only", "kernel-only", "empty"])
+def test_designs_match_reference_on_one_sided_streams(design_name, keep, browser_stream_small):
+    """A stream with no rows of a privilege hands that segment an empty
+    index split; both engines must agree on the whole result anyway."""
+    stream = browser_stream_small
+    user_rows, kernel_rows = stream.privilege_rows()
+    rows = {"user-only": user_rows, "kernel-only": kernel_rows,
+            "empty": np.array([], dtype=np.int64)}[keep]
+    one_sided = stream.select(rows)
+    ref, fast = (make_design(design_name).run(one_sided, DEFAULT_PLATFORM, engine=engine)
+                 for engine in ("reference", "fast"))
+    ref_d, fast_d = ref.to_dict(), fast.to_dict()
+    assert ref_d["extras"].pop("sim_engine") == "reference"
+    assert fast_d["extras"].pop("sim_engine") == "fastsim"
+    assert ref_d == fast_d
+    assert fast.l2_stats.accesses == len(rows)
+
+
+def test_privilege_rows_split_the_stream(browser_stream_small):
+    stream = browser_stream_small
+    user_rows, kernel_rows = stream.privilege_rows()
+    kernel = stream.privs == np.uint8(Privilege.KERNEL)
+    np.testing.assert_array_equal(stream.addrs[user_rows], stream.addrs[~kernel])
+    np.testing.assert_array_equal(stream.addrs[kernel_rows], stream.addrs[kernel])
+    assert len(user_rows) + len(kernel_rows) == len(stream)
 
 
 # ----------------------------------------------------------------------

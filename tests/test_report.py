@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.report import format_bars, format_percent, format_series, format_table
+from repro.report import format_bars, format_percent, format_series, format_table
 
 
 class TestFormatBars:
