@@ -15,21 +15,18 @@ class Entry:
         last_refresh: Tick at which the cell contents were last (re)written
             — a fill, a store hit, or a retention refresh.  STT-RAM data
             survives ``retention_ticks`` past this point.
-        last_touch: Tick of the last access of any kind; drives the
-            drowsy-mode awake-time accounting.
         life: For exponential-retention caches, the lifetime drawn for
             the current cell contents (ticks past ``last_refresh``);
             ``None`` under the fixed-window model.
     """
 
-    __slots__ = ("tag", "priv", "dirty", "last_refresh", "last_touch", "life")
+    __slots__ = ("tag", "priv", "dirty", "last_refresh", "life")
 
     def __init__(self, tag: int, priv: int, dirty: bool, tick: int) -> None:
         self.tag = tag
         self.priv = priv
         self.dirty = dirty
         self.last_refresh = tick
-        self.last_touch = tick
         self.life = None  # per-write lifetime draw (stochastic retention)
 
     def __repr__(self) -> str:

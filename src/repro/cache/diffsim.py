@@ -40,7 +40,7 @@ the ways :data:`CLEAN_SCENARIOS` names.  Seeds from
 kernel's two rules (hits from the distinct blocks between a block's
 accesses, victims paired with evicting misses by last access), cycling
 through :data:`STRESS_SCENARIOS`; :func:`assert_case_equal` compares
-their miss and write-back events with the reference engine's as well.
+their miss and eviction events with the reference engine's as well.
 """
 
 from __future__ import annotations
@@ -326,30 +326,30 @@ def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
 def miss_events(case: DiffCase) -> tuple[tuple[list, list], tuple[list, list]]:
     """Both engines' miss side channel on a retention-free case.
 
-    Returns ``(reference, fast)``, each ``(misses, writebacks)``: the
+    Returns ``(reference, fast)``, each ``(misses, evictions)``: the
     sorted indices of the missing rows, and the sorted ``(row, victim
-    address, victim privilege)`` of every dirty victim written back."""
+    address, victim privilege, dirty)`` of every victim."""
     ticks, addrs, privs, writes, demand, _ = _workload(case)
     cache = SetAssociativeCache(case.geometry, "lru", name="diff-ref")
-    misses, writebacks = [], []
+    misses, evictions = [], []
     for i, (tick, addr, priv, isw, dm) in enumerate(zip(
         ticks.tolist(), addrs.tolist(), privs.tolist(), writes.tolist(), demand.tolist()
     )):
         result = cache.access(addr, isw, priv, tick, dm)
         if not result.hit:
             misses.append(i)
-        if result.writeback:
-            writebacks.append((i, result.victim_addr, result.victim_priv))
+        if result.victim_addr is not None:
+            evictions.append((i, result.victim_addr, result.victim_priv, result.writeback))
     _, events = simulate_trace(case.geometry, ticks, addrs, privs, writes, demand,
                                record_events=True)
-    fast_writebacks = zip(events.wb_idx.tolist(), events.wb_addr.tolist(),
-                          events.wb_priv.tolist())
-    return (misses, writebacks), (sorted(events.miss_idx.tolist()), sorted(fast_writebacks))
+    fast_evictions = zip(events.evict_idx.tolist(), events.evict_addr.tolist(),
+                         events.evict_priv.tolist(), events.evict_dirty.tolist())
+    return (misses, evictions), (sorted(events.miss_idx.tolist()), sorted(fast_evictions))
 
 
 def assert_case_equal(case: DiffCase) -> None:
     """Raise ``AssertionError`` with a field-level diff on any mismatch.
-    Stress cases also compare the miss and write-back events."""
+    Stress cases also compare the miss and eviction events."""
     ref, fast = run_case(case)
     ref_d, fast_d = ref.to_dict(), fast.to_dict()
     mismatches = [
@@ -358,11 +358,11 @@ def assert_case_equal(case: DiffCase) -> None:
         if ref_d[key] != fast_d[key]
     ]
     if case.scenario:
-        (ref_misses, ref_wbs), (fast_misses, fast_wbs) = miss_events(case)
+        (ref_misses, ref_evictions), (fast_misses, fast_evictions) = miss_events(case)
         if ref_misses != fast_misses:
             mismatches.append("  missing rows differ")
-        if ref_wbs != fast_wbs:
-            mismatches.append("  write-back events differ")
+        if ref_evictions != fast_evictions:
+            mismatches.append("  eviction events differ")
     if mismatches:
         raise AssertionError(
             "fastsim diverged from the reference engine on "

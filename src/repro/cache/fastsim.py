@@ -41,7 +41,7 @@ The kernel is **bit-identical** to the reference engine inside its
 supported envelope (checked by :func:`supports_cache`):
 
 * true-LRU replacement,
-* fixed geometry: no way resizing, no power gating, no drowsy mode,
+* fixed geometry: every way powered (no power gating),
 * retention ``none``, or ``invalidate`` with the fixed-window model.
 
 :class:`EpochReplaySegment` replays every stream that can decay, and
@@ -61,11 +61,11 @@ only replays each set from its first event on (counters
 ``fastsim.prefix.rows`` and ``fastsim.loop.rows``).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
-retention lifetimes, non-LRU policies, drowsy voltage tracking, and any
-replay that needs per-access interleaving (bank-level DRAM, prefetching)
-— replays on the reference engine.  Designs decide the engine before
-replay: a fixed design checks :func:`fixed_envelope` and then replays
-unconditionally with :func:`run_fixed`.  ``tests/test_fastsim.py`` holds
+retention lifetimes, non-LRU policies, and any replay that needs
+per-access interleaving (bank-level DRAM, prefetching) — replays on the
+reference engine.  Designs decide the engine before replay: a fixed
+design checks :func:`fixed_envelope` and then replays unconditionally
+with :func:`run_fixed`.  ``tests/test_fastsim.py`` holds
 the randomized differential harness (:mod:`repro.cache.diffsim`) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
 module promises, for fixed and epoch-chunked replay alike.
@@ -123,9 +123,7 @@ def supports_cache(cache) -> bool:
         type(cache.policy) is LRUPolicy
         and cache.refresh_mode in SUPPORTED_REFRESH_MODES
         and cache.retention_distribution == "fixed"
-        and cache.drowsy_window is None
         and cache.powered_ways == cache.ways
-        and cache.ways == cache.geometry.associativity
         and cache.stats.accesses == 0
         and cache.is_empty()
     )
@@ -133,20 +131,25 @@ def supports_cache(cache) -> bool:
 
 @dataclass
 class MissEvents:
-    """Per-miss side channel of one :func:`simulate_trace` run.
+    """Per-miss side channel of one retention-free replay.
 
     ``miss_idx`` holds the caller-supplied index of every missing access,
-    in no particular order; ``wb_idx``/``wb_addr``/``wb_priv`` describe
-    the dirty LRU victim written back by the miss at the same index, in
-    the same order as each other.  All four are NumPy arrays.  The L1
-    filter sorts these rows into program order to build the
-    demand/write-back rows of an :class:`~repro.cache.hierarchy.L2Stream`.
+    in no particular order.  ``evict_idx``/``evict_addr``/``evict_priv``/
+    ``evict_dirty`` describe every victim, in the same order as each
+    other: the index of the miss that evicted it, its block address, its
+    owner's privilege and whether it was dirty (written back).  All are
+    NumPy arrays.  The L1 filter sorts the misses and dirty victims into
+    program order to build the demand/write-back rows of an
+    :class:`~repro.cache.hierarchy.L2Stream`; the drowsy design reads
+    every row's awake time off the evictions
+    (:func:`repro.core.drowsy.awake_ticks`).
     """
 
     miss_idx: np.ndarray
-    wb_idx: np.ndarray
-    wb_addr: np.ndarray
-    wb_priv: np.ndarray
+    evict_idx: np.ndarray
+    evict_addr: np.ndarray
+    evict_priv: np.ndarray
+    evict_dirty: np.ndarray
 
 
 def simulate_trace(
@@ -201,7 +204,8 @@ def simulate_trace(
     events = None
     if record_events:
         empty = np.zeros(0, dtype=np.int64)
-        events = MissEvents(empty, empty, empty.astype(np.uint64), empty.astype(np.uint8))
+        events = MissEvents(empty, empty, empty.astype(np.uint64), empty.astype(np.uint8),
+                            empty.astype(bool))
     if n == 0:
         return stats, events
 
@@ -434,9 +438,10 @@ def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
     stats.writebacks = int(np.count_nonzero(written))
     if events is not None:
         events.miss_idx = orig_indices[missed]
-        events.wb_idx = orig_indices[aggressor[written]]
-        events.wb_addr = blocks[victim_fill[written]] << np.uint64(block_bits)
-        events.wb_priv = victim_priv[written]
+        events.evict_idx = orig_indices[aggressor]
+        events.evict_addr = blocks[victim_fill] << np.uint64(block_bits)
+        events.evict_priv = victim_priv
+        events.evict_dirty = written
 
 
 def _window_misses(prev, p, j, ways):
@@ -1086,11 +1091,13 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     del is_data
 
     # Program order: the misses sorted by trace index, each L1D
-    # write-back placed right after the miss that evicted it, exactly like
-    # the reference filter's append order.  The L1I never writes back.
+    # write-back (a dirty victim) placed right after the miss that
+    # evicted it, exactly like the reference filter's append order.  The
+    # L1I never writes back.
     miss_idx = np.sort(np.concatenate([i_ev.miss_idx, d_ev.miss_idx]))
-    wb_order = np.argsort(d_ev.wb_idx)
-    wb_idx = d_ev.wb_idx[wb_order]
+    wb = np.flatnonzero(d_ev.evict_dirty)
+    wb = wb[np.argsort(d_ev.evict_idx[wb])]
+    wb_idx = d_ev.evict_idx[wb]
     writes = np.zeros(len(miss_idx) + len(wb_idx), dtype=bool)
     writes[np.searchsorted(miss_idx, wb_idx) + np.arange(1, len(wb_idx) + 1)] = True
     demand = ~writes
@@ -1098,9 +1105,9 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     row_idx[demand] = miss_idx
     row_idx[writes] = wb_idx
     addrs = addrs[row_idx]
-    addrs[writes] = d_ev.wb_addr[wb_order]
+    addrs[writes] = d_ev.evict_addr[wb]
     privs = privs[row_idx]
-    privs[writes] = d_ev.wb_priv[wb_order]
+    privs[writes] = d_ev.evict_priv[wb]
 
     return L2Stream(
         name=trace.name,

@@ -2,8 +2,9 @@
 
 A policy owns a small per-set state blob.  The cache calls ``on_fill`` /
 ``on_hit`` on every access and ``victim`` only when a set is full.  All
-policies operate on way indices so they compose with way resizing (the
-dynamic partition shrinks a segment by dropping its highest ways).
+policies operate on way indices, and ``victim`` takes the number of
+candidate ways, so they compose with way power-gating (the dynamic
+partition shrinks a segment by gating its highest ways).
 
 Implemented: true LRU, FIFO, random, tree-PLRU and SRRIP — the L2 policy
 is an ablation axis in the benchmarks (the paper's platform uses LRU-like
@@ -49,14 +50,6 @@ class ReplacementPolicy(abc.ABC):
     def victim(self, state: object, ways: int) -> int:
         """Choose the way to evict from a full set of ``ways`` frames."""
 
-    def resize(self, state: object, old_ways: int, new_ways: int) -> object:
-        """Adapt per-set state after the way count changes.
-
-        The default rebuilds state from scratch, which is correct (if
-        history-lossy) for every policy here.
-        """
-        return self.init_set(new_ways)
-
     def hit_rank(self, state: object, way: int, ways: int) -> int | None:
         """Recency rank of ``way`` (0 = MRU), when the policy tracks it.
 
@@ -90,11 +83,6 @@ class LRUPolicy(ReplacementPolicy):
                 best, best_seq = w, state[w]
         return best
 
-    def resize(self, state: list[int], old_ways: int, new_ways: int) -> list[int]:
-        if new_ways <= old_ways:
-            return state[:new_ways]
-        return state + [0] * (new_ways - old_ways)
-
     def hit_rank(self, state: list[int], way: int, ways: int) -> int:
         mine = state[way]
         return sum(1 for w in range(ways) if state[w] > mine)
@@ -124,11 +112,6 @@ class FIFOPolicy(ReplacementPolicy):
             if state[w] < best_seq:
                 best, best_seq = w, state[w]
         return best
-
-    def resize(self, state: list[int], old_ways: int, new_ways: int) -> list[int]:
-        if new_ways <= old_ways:
-            return state[:new_ways]
-        return state + [0] * (new_ways - old_ways)
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -229,11 +212,6 @@ class SRRIPPolicy(ReplacementPolicy):
                     return w
             for w in range(ways):
                 state[w] += 1
-
-    def resize(self, state: list[int], old_ways: int, new_ways: int) -> list[int]:
-        if new_ways <= old_ways:
-            return state[:new_ways]
-        return state + [self.max_rrpv] * (new_ways - old_ways)
 
 
 POLICY_NAMES = ("lru", "fifo", "random", "plru", "srrip")

@@ -10,7 +10,8 @@ write-allocate, set-associative cache with
   ``"invalidate"`` (expired blocks silently die; a re-reference misses)
   and ``"rewrite"`` (a refresh controller rewrites live blocks each
   refresh period, charged to ``refresh_writes``), and
-* online way resizing, used by the dynamic partition controller.
+* way power-gating (:meth:`SetAssociativeCache.set_powered_ways`), used
+  by the dynamic partition controller.
 
 Time is the trace tick (core cycles).  Retention is expressed in ticks.
 """
@@ -86,7 +87,6 @@ class SetAssociativeCache:
         retention_ticks: int | None = None,
         refresh_mode: str = "none",
         retains_when_gated: bool = True,
-        drowsy_window: int | None = None,
         retention_distribution: str = "fixed",
         retention_seed: int = 0xDECA,
         name: str = "cache",
@@ -101,8 +101,6 @@ class SetAssociativeCache:
                 raise ValueError(f"retention_ticks must be positive, got {retention_ticks}")
             if refresh_mode == "none":
                 raise ValueError("finite retention needs refresh_mode 'invalidate' or 'rewrite'")
-        if drowsy_window is not None and drowsy_window <= 0:
-            raise ValueError(f"drowsy_window must be positive, got {drowsy_window}")
         if retention_distribution not in ("fixed", "exponential"):
             raise ValueError(
                 f"retention_distribution must be 'fixed' or 'exponential', "
@@ -129,9 +127,6 @@ class SetAssociativeCache:
         self._num_sets = geometry.num_sets
         self._set_mask = self._num_sets - 1
         self._set_bits = self._num_sets.bit_length() - 1
-        self.drowsy_window = drowsy_window
-        self.awake_block_ticks = 0
-        self.drowsy_wakeups = 0
         self.ways = geometry.associativity
         self.powered_ways = self.ways
         self.retains_when_gated = retains_when_gated
@@ -167,7 +162,7 @@ class SetAssociativeCache:
 
     @property
     def size_bytes(self) -> int:
-        """Provisioned capacity (tracks way resizes)."""
+        """Provisioned capacity (every way, powered or gated)."""
         return self._num_sets * self.ways * self.geometry.block_size
 
     @property
@@ -212,19 +207,6 @@ class SetAssociativeCache:
             n = elapsed // self._refresh_period
             self.stats.refresh_writes += int(n)
             entry.last_refresh += int(n) * self._refresh_period
-
-    def _account_awake(self, entry: Entry, tick: int) -> None:
-        """Drowsy accounting: a line stays at full voltage for
-        ``drowsy_window`` ticks after its last touch, then drops into
-        the state-preserving drowsy mode until touched again."""
-        if self.drowsy_window is None:
-            return
-        elapsed = tick - entry.last_touch
-        awake = elapsed if elapsed < self.drowsy_window else self.drowsy_window
-        self.awake_block_ticks += awake
-        if elapsed > self.drowsy_window:
-            self.drowsy_wakeups += 1
-        entry.last_touch = tick
 
     def _retire_expired(self, entry: Entry) -> None:
         """Account the natural death of an expired block."""
@@ -287,13 +269,11 @@ class SetAssociativeCache:
                 del tagmap[tag]
                 way = None
             else:
-                # Hot hit path: guard the lazy-accounting calls inline (the
-                # feature checks are cheaper than the calls they elide) and
+                # Hot hit path: guard the lazy refresh accounting inline
+                # (the check is cheaper than the call it elides) and
                 # return the preallocated hit result.
                 if self._refresh_period is not None:
                     self._account_refresh(entry, tick)
-                if self.drowsy_window is not None:
-                    self._account_awake(entry, tick)
                 st.hits += 1
                 if self._track_ranks:
                     rank = self.policy.hit_rank(pstate, way, self.powered_ways)
@@ -335,7 +315,6 @@ class SetAssociativeCache:
                 if victim.dirty:
                     st.writebacks += 1
                     writeback = True
-            self._account_awake(victim, tick)
             del tagmap[victim.tag]
         new_entry = Entry(tag, priv, is_write, tick)
         self._draw_life(new_entry)
@@ -370,58 +349,6 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
     # maintenance operations
-
-    def resize_ways(self, new_ways: int, tick: int) -> int:
-        """Change the way count in place; returns blocks displaced.
-
-        Shrinking first compacts blocks from dropped ways into free
-        low-way frames, then evicts (writing back dirty data) whatever
-        does not fit.  Growing adds empty frames.  Replacement state is
-        resized via the policy's ``resize`` hook.
-        """
-        if new_ways <= 0:
-            raise ValueError(f"new_ways must be positive, got {new_ways}")
-        if new_ways == self.ways:
-            return 0
-        displaced = 0
-        if new_ways < self.ways:
-            for set_i in range(self._num_sets):
-                frames = self._frames[set_i]
-                tagmap = self._tagmaps[set_i]
-                overflow = [e for e in frames[new_ways:] if e is not None]
-                frames[:] = frames[:new_ways]
-                free = [w for w in range(new_ways) if frames[w] is None]
-                for entry in overflow:
-                    if free:
-                        w = free.pop()
-                        frames[w] = entry
-                        tagmap[entry.tag] = w
-                    else:
-                        displaced += 1
-                        self.stats.evictions += 1
-                        self.stats.evictions_cross[entry.priv][entry.priv] += 1
-                        if self._is_expired(entry, tick):
-                            self._retire_expired(entry)
-                        else:
-                            self._account_refresh(entry, tick)
-                            if entry.dirty:
-                                self.stats.writebacks += 1
-                        del tagmap[entry.tag]
-                self._pstates[set_i] = self.policy.resize(self._pstates[set_i], self.ways, new_ways)
-                # Re-register compacted blocks with the policy so their
-                # recency state exists at the new position.
-                for w, entry in enumerate(frames):
-                    if entry is not None:
-                        self.policy.on_fill(self._pstates[set_i], w)
-        else:
-            for set_i in range(self._num_sets):
-                self._frames[set_i].extend([None] * (new_ways - self.ways))
-                self._pstates[set_i] = self.policy.resize(self._pstates[set_i], self.ways, new_ways)
-        self.ways = new_ways
-        self.powered_ways = new_ways  # a physical resize repowers the array
-        if len(self.epoch_rank_hits) < new_ways:
-            self.epoch_rank_hits.extend([0] * (new_ways - len(self.epoch_rank_hits)))
-        return displaced
 
     def set_powered_ways(self, new_powered: int, tick: int) -> int:
         """Power-gate or re-enable ways in place; returns dirty flushes.
@@ -483,15 +410,14 @@ class SetAssociativeCache:
                     entry.dirty = False  # drained; avoid double counting
                 else:
                     self._account_refresh(entry, tick)
-                self._account_awake(entry, tick)
 
     def invalidate(self, addr: int, tick: int) -> Entry | None:
         """Remove the block holding ``addr``; returns its entry or None.
 
         No statistics are charged — the caller owns the consequence
         (e.g. a hybrid cache migrating the block charges the read and
-        the destination write itself).  Outstanding lazy accounting
-        (refresh, drowsy awake time) is settled first.
+        the destination write itself).  Outstanding refresh rewrites are
+        settled first.
         """
         set_i, tag = self._index(addr)
         way = self._tagmaps[set_i].get(tag)
@@ -499,7 +425,6 @@ class SetAssociativeCache:
             return None
         entry = self._frames[set_i][way]
         self._account_refresh(entry, tick)
-        self._account_awake(entry, tick)
         del self._tagmaps[set_i][tag]
         self._frames[set_i][way] = None
         return entry

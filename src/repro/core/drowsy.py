@@ -9,13 +9,20 @@ baseline shows how much of the win survives: drowsy mode attacks the
 same leakage but cannot approach STT-RAM's near-zero cell leakage, and
 it must keep full voltage on everything recently used.
 
-The cache engine does exact awake-time accounting per line (see
-``SetAssociativeCache.drowsy_window``); this design converts awake/
-drowsy byte-seconds into leakage energy and charges the wake-up cycles.
+Drowsy mode is state-preserving, so the design replays like the SRAM
+baseline, on either engine, and reads each line's voltage history off
+the replay afterwards: :func:`awake_ticks` integrates the exact
+awake time from the stream's ticks and the replay's evictions
+(:class:`~repro.cache.fastsim.MissEvents`).  The design
+converts awake/drowsy byte-seconds into leakage energy and charges the
+wake-up cycles.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.cache import fastsim
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry, PlatformConfig
@@ -24,7 +31,7 @@ from repro.core.result import DesignResult
 from repro.energy.model import EnergyBreakdown
 from repro.energy.technology import MemoryTechnology, sram
 
-__all__ = ["DrowsySRAMDesign", "DROWSY_LEAKAGE_SCALE", "DEFAULT_DROWSY_WINDOW"]
+__all__ = ["DrowsySRAMDesign", "DROWSY_LEAKAGE_SCALE", "DEFAULT_DROWSY_WINDOW", "awake_ticks"]
 
 #: Leakage of a drowsy line relative to full voltage (ISCA'02 ballpark).
 DROWSY_LEAKAGE_SCALE = 0.28
@@ -34,6 +41,46 @@ DEFAULT_DROWSY_WINDOW = 4_000
 
 #: Extra cycles to wake a drowsy line on access.
 WAKEUP_CYCLES = 1
+
+
+def awake_ticks(ticks, addrs, events, finalize_tick: int, window: int,
+                block_size: int) -> tuple[int, int]:
+    """Drowsy accounting of one replay: ``(awake block-ticks, wake-ups)``.
+
+    A line stays at full voltage for ``window`` ticks after each touch,
+    then drops into the drowsy mode until touched again.  Every row
+    touches its block and opens a gap that runs to the block's next
+    touch or departure: the miss that evicted the row's residency
+    (``events``), else the next row of its block (the block stayed
+    resident), else ``finalize_tick``.  A gap is awake for
+    ``min(gap, window)`` ticks and counts one wake-up when it outlasts
+    the window, settled at an eviction or the finalize tick alike.
+    State-preserving SRAM loses a block only to eviction, so the
+    evictions alone say which gaps end early.
+
+    ``ticks``/``addrs`` are the replayed stream's columns and ``events``
+    the replay's :class:`~repro.cache.fastsim.MissEvents`, whose indices
+    are rows of that stream.
+    """
+    ticks = np.asarray(ticks, dtype=np.int64)
+    n = len(ticks)
+    shift = np.uint64(block_size.bit_length() - 1)
+    blocks = np.asarray(addrs, dtype=np.uint64) >> shift
+    order = np.argsort(blocks, kind="stable")  # each block's rows in stream order
+    grouped = blocks[order]
+    same = grouped[1:] == grouped[:-1]  # order[i + 1] is order[i]'s block's next row
+    end = np.full(n, finalize_tick, dtype=np.int64)
+    end[order[:-1][same]] = ticks[order[1:][same]]
+    if len(events.evict_idx):
+        # An evicted residency's last row is its block's last row before
+        # the evicting miss: search (dense block id, row) keys.
+        group = np.cumsum(np.r_[0, ~same])
+        key = group * n + order
+        victim = group[np.searchsorted(grouped, events.evict_addr >> shift)]
+        last = order[np.searchsorted(key, victim * n + events.evict_idx) - 1]
+        end[last] = ticks[events.evict_idx]
+    gaps = end - ticks
+    return int(np.minimum(gaps, window).sum()), int(np.count_nonzero(gaps > window))
 
 
 class DrowsySRAMDesign:
@@ -71,19 +118,29 @@ class DrowsySRAMDesign:
         """Replay ``stream``; leakage splits into awake and drowsy parts.
 
         ``engine`` follows the shared contract (see
-        :func:`~repro.core.pipeline.run_fixed_design`); drowsy mode has
-        no vectorized path, so ``"fast"`` raises and ``"auto"`` always
-        replays through the reference engine.
+        :func:`~repro.core.pipeline.run_fixed_design`): an LRU cache
+        replays through the fast kernel, any other policy through the
+        reference engine.  Either way :func:`awake_ticks` then reads the
+        awake time off the replay's eviction events.
         """
         geometry = self.geometry if self.geometry is not None else platform.l2
         session = ReplaySession(self.name, stream, engine)
-        session.dispatch_fast(
-            None, "per-line drowsy voltage tracking needs the per-access engine"
+        cache = SetAssociativeCache(geometry, self.policy, name="l2-drowsy")
+        segments = [FixedSegment("shared", cache, self.tech)]
+        if session.dispatch_fast(
+            fastsim.fixed_envelope(segments, lambda priv: cache), "needs an LRU policy"
+        ):
+            with session.replay_span():
+                cache.stats, events = fastsim.simulate_trace(
+                    geometry, None, stream.addrs, stream.privs, stream.writes, stream.demand,
+                    record_events=True,
+                )
+        else:
+            events = session.replay_fixed(segments, lambda priv: cache)[3]
+        awake, wakeups = awake_ticks(
+            stream.ticks, stream.addrs, events, stream.duration_ticks, self.drowsy_window,
+            geometry.block_size,
         )
-        cache = SetAssociativeCache(
-            geometry, self.policy, drowsy_window=self.drowsy_window, name="l2-drowsy"
-        )
-        session.replay_fixed([FixedSegment("shared", cache, self.tech)], lambda priv: cache)
 
         stats = cache.stats
         assembler = ResultAssembler(session, platform)
@@ -91,7 +148,7 @@ class DrowsySRAMDesign:
         assembler.weigh_timing(
             [(stats, self.tech)],
             extra_read=(
-                cache.drowsy_wakeups * WAKEUP_CYCLES / stats.demand_accesses
+                wakeups * WAKEUP_CYCLES / stats.demand_accesses
                 if stats.demand_accesses
                 else 0.0
             ),
@@ -100,12 +157,9 @@ class DrowsySRAMDesign:
 
         size = cache.size_bytes
         total_byte_seconds = size * assembler.seconds
-        # exact awake integral from the engine, scaled (like the dynamic
+        # exact awake integral from the replay, scaled (like the dynamic
         # design) for the stall/CPI dilation beyond trace ticks
-        awake_byte_seconds = (
-            cache.awake_block_ticks * geometry.block_size * assembler.dilation
-            / platform.clock_hz
-        )
+        awake_byte_seconds = awake * geometry.block_size * assembler.dilation / platform.clock_hz
         awake_byte_seconds = min(awake_byte_seconds, total_byte_seconds)
         drowsy_byte_seconds = total_byte_seconds - awake_byte_seconds
         weighted_byte_seconds = awake_byte_seconds + DROWSY_LEAKAGE_SCALE * drowsy_byte_seconds
@@ -126,7 +180,7 @@ class DrowsySRAMDesign:
         return assembler.finish(
             [outcome],
             extras={
-                "drowsy_wakeups": cache.drowsy_wakeups,
+                "drowsy_wakeups": wakeups,
                 "awake_fraction": awake_byte_seconds / total_byte_seconds
                 if total_byte_seconds
                 else 0.0,

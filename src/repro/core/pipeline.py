@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro import obs
 from repro.cache import fastsim
 from repro.cache.hierarchy import L2Stream
@@ -151,7 +153,7 @@ class ReplaySession:
         router: Callable[[int], object],
         dram_model: DRAMModel | None = None,
         prefetcher: Prefetcher | None = None,
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int, int, fastsim.MissEvents]:
         """The per-access reference loop.
 
         ``router(priv)`` returns the object serving an access — anything
@@ -160,7 +162,10 @@ class ReplaySession:
         design's segment).  Interleaves the optional bank-level DRAM
         model and L2 prefetcher with the accesses, finalizes every
         segment, and returns
-        ``(dram_read_stall, prefetch_issued, prefetch_useful)``.
+        ``(dram_read_stall, prefetch_issued, prefetch_useful, events)``:
+        ``events`` are the stream rows' misses and evictions, as the fast
+        kernel records them (prefetch fills are not stream rows and are
+        left out).
 
         A prefetched block only counts as useful while it is still
         resident: ``pending_prefetches`` entries are pruned whenever the
@@ -175,13 +180,17 @@ class ReplaySession:
         dram_read_stall = 0
         prefetch_issued = 0
         prefetch_useful = 0
+        # flat int lists (no per-event container objects to keep alive):
+        # each evicting miss adds (row, victim address, owner, dirty)
+        misses: list[int] = []
+        evictions: list[int] = []
         s = self.stream
         rows = zip(
-            s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(),
+            range(len(s)), s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(),
             s.writes.tolist(), s.demand.tolist(),
         )
         with self.replay_span():
-            for tick, addr, priv, is_write, is_demand in rows:
+            for i, tick, addr, priv, is_write, is_demand in rows:
                 cache = router(priv)
                 result = cache.access(addr, is_write, priv, tick, is_demand)
                 if result.hit:
@@ -191,6 +200,9 @@ class ReplaySession:
                             prefetch_useful += 1
                             pending_prefetches.discard(block)
                     continue
+                misses.append(i)
+                if result.victim_addr is not None:
+                    evictions += (i, result.victim_addr, result.victim_priv, result.writeback)
                 if pending_prefetches:
                     pending_prefetches.discard(addr & block_mask)
                     if result.victim_addr is not None:
@@ -213,7 +225,12 @@ class ReplaySession:
                                 dram_model.access(pf.victim_addr, tick, is_write=True)
             for seg in segments:
                 seg.cache.finalize(self.stream.duration_ticks)
-        return dram_read_stall, prefetch_issued, prefetch_useful
+        evicted = np.array(evictions, dtype=np.uint64).reshape(-1, 4)
+        events = fastsim.MissEvents(
+            np.array(misses, dtype=np.int64), evicted[:, 0].astype(np.int64), evicted[:, 1],
+            evicted[:, 2].astype(np.uint8), evicted[:, 3].astype(bool),
+        )
+        return dram_read_stall, prefetch_issued, prefetch_useful, events
 
 
 @dataclass
@@ -410,7 +427,7 @@ def run_fixed_design(
             kernel miss can only pollute the kernel segment).
         engine: ``"auto"`` replays through the vectorized fast kernel
             (:mod:`repro.cache.fastsim`) when the whole design qualifies
-            — LRU segments, no gating/drowsy, retention ``none`` or
+            — LRU segments, no gating, retention ``none`` or
             ``invalidate``, and neither a DRAM model nor a prefetcher
             (both need per-access interleaving) — falling back to the
             reference engine otherwise.  ``"fast"`` requires the kernel
@@ -430,7 +447,7 @@ def run_fixed_design(
         with session.replay_span():
             fastsim.run_fixed(stream, segments, router)
     else:
-        dram_read_stall, prefetch_issued, prefetch_useful = session.replay_fixed(
+        dram_read_stall, prefetch_issued, prefetch_useful, _ = session.replay_fixed(
             segments, router, dram_model, prefetcher
         )
 

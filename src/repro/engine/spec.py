@@ -67,15 +67,13 @@ def stream_key(
     length: int,
     seed: int,
     platform: PlatformConfig,
-    l1_policy: str = "lru",
 ) -> str:
     """Stable hex key of one L1-filtered L2 stream (the front-end identity).
 
     A stream is determined by strictly less than a full job: the app,
-    trace length, seed, the two L1 geometries the filter simulates
-    (block size included) and the L1 replacement policy — but *not* the
-    L2 geometry, latencies, clock or design, which only shape how the
-    stream is replayed.  Every job sharing these fields shares one
+    trace length, seed and the two L1 geometries the filter simulates
+    (block size included) — but *not* the L2 geometry, latencies, clock
+    or design, which only shape how the stream is replayed.  Every job sharing these fields shares one
     stream, and therefore one entry in
     :class:`~repro.engine.streamcache.StreamCache`.  The schema tag
     invalidates persisted streams whenever the simulator's observable
@@ -89,7 +87,6 @@ def stream_key(
         "seed": seed,
         "l1i": dataclasses.asdict(platform.l1i),
         "l1d": dataclasses.asdict(platform.l1d),
-        "l1_policy": l1_policy,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 

@@ -2,7 +2,7 @@
 
 The front end of every simulation — generating an app trace and
 filtering it through the split L1s — is a pure function of
-``(app, length, seed, platform, l1-policy)``, yet it historically ran
+``(app, length, seed, platform)``, yet it historically ran
 once per *process*: every pool worker and every fresh CLI invocation
 rebuilt the same streams before any design could replay them.  This
 module makes the front end a one-time cost per machine: each
@@ -97,10 +97,9 @@ class StreamCache:
         length: int,
         seed: int,
         platform: PlatformConfig,
-        l1_policy: str = "lru",
     ) -> bool:
         """Whether a published bundle exists (no validation, no tallies)."""
-        key = stream_key(app, length, seed, platform, l1_policy)
+        key = stream_key(app, length, seed, platform)
         return (self._bundle_dir(key) / "meta.json").is_file()
 
     def get(
@@ -109,7 +108,6 @@ class StreamCache:
         length: int,
         seed: int,
         platform: PlatformConfig,
-        l1_policy: str = "lru",
     ) -> L2Stream | None:
         """Memory-mapped stream for the key fields, or None on miss.
 
@@ -117,7 +115,7 @@ class StreamCache:
         writer, stale schema, wrong dtype) is evicted and reported as a
         miss, mirroring :meth:`ResultStore.get` semantics.
         """
-        key = stream_key(app, length, seed, platform, l1_policy)
+        key = stream_key(app, length, seed, platform)
         bundle = self._bundle_dir(key)
         with obs.span("stream.load", app=app, key=key[:12]) as sp:
             try:
@@ -161,7 +159,6 @@ class StreamCache:
         length: int,
         seed: int,
         platform: PlatformConfig,
-        l1_policy: str = "lru",
     ) -> Path:
         """Persist ``stream`` as a columnar bundle, atomically.
 
@@ -170,7 +167,7 @@ class StreamCache:
         first, theirs is kept (the contents are identical by
         construction) and the staged copy is discarded.
         """
-        key = stream_key(app, length, seed, platform, l1_policy)
+        key = stream_key(app, length, seed, platform)
         bundle = self._bundle_dir(key)
         bundle.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=bundle.parent, prefix=".tmp-"))
@@ -185,7 +182,6 @@ class StreamCache:
                     "app": app,
                     "length": length,
                     "seed": seed,
-                    "l1_policy": l1_policy,
                 },
                 "context": stream.context(),
             }
@@ -208,7 +204,6 @@ class StreamCache:
         length: int,
         seed: int,
         platform: PlatformConfig,
-        l1_policy: str = "lru",
     ) -> L2Stream:
         """The cached stream, building and persisting it on a miss.
 
@@ -219,13 +214,13 @@ class StreamCache:
         read-only cache directory — the in-heap build is returned and
         the caller still gets a correct stream.
         """
-        stream = self.get(app, length, seed, platform, l1_policy)
+        stream = self.get(app, length, seed, platform)
         if stream is not None:
             return stream
         obs.inc("streamcache.build")
-        built = l1_filter(suite_trace(app, length, seed), platform, policy=l1_policy)
+        built = l1_filter(suite_trace(app, length, seed), platform)
         try:
-            bundle = self.put(built, app, length, seed, platform, l1_policy)
+            bundle = self.put(built, app, length, seed, platform)
             return self._read_bundle(bundle)
         except (OSError, ValueError, KeyError, TypeError):
             return built

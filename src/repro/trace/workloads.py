@@ -259,12 +259,12 @@ def default_suite() -> tuple[AppProfile, ...]:
     return tuple(app_profile(name) for name in APP_NAMES)
 
 
-@lru_cache(maxsize=32)
 def suite_trace(name: str, length: int = DEFAULT_TRACE_LENGTH, seed: int = 0) -> Trace:
-    """Generate (and memoise) the default trace for app ``name``.
+    """Generate the default trace for app ``name``.
 
-    Experiments, tests and benches share this cache, so each distinct
-    trace is generated once per process.
+    Each call generates afresh; what the simulator runs is the trace's
+    L1-filtered stream, which the persistent stream cache holds
+    (:func:`repro.engine.streamcache.load_stream`).
     """
     from repro.trace.generator import generate_trace
 

@@ -16,7 +16,10 @@ tests check the product against:
 * :func:`per_access_epoch_replay` replays the dynamic design access by
   access, firing controller boundaries lazily as ticks reach them and
   waking a segment before every access, which ``test_core_dynamic.py``
-  checks the design's epoch-chunk driver against.
+  checks the design's epoch-chunk driver against;
+* :func:`per_access_awake` integrates the drowsy design's awake time
+  line by line as the accesses replay, which ``test_core_drowsy.py``
+  checks the design's post-pass over eviction events against.
 """
 
 from __future__ import annotations
@@ -231,3 +234,37 @@ def per_access_epoch_replay(design, stream, platform):
         seg.integrate_to(stream.duration_ticks)
         seg.cache.finalize(stream.duration_ticks)
     return user, kernel, timeline
+
+
+def per_access_awake(geometry, ticks, addrs, privs, writes, demand, finalize_tick, window):
+    """The drowsy design's awake accounting, one access at a time.
+
+    Replays the rows through an LRU reference cache and keeps each
+    resident line's last touch.  A hit, the line's eviction and the
+    finalize settlement each close the gap since that touch: awake for
+    ``min(gap, window)`` ticks, plus one wake-up when the gap outlasts
+    ``window``.  Returns ``(awake block-ticks, wake-ups)``.
+    """
+    cache = SetAssociativeCache(geometry, "lru")
+    bits = geometry.block_size.bit_length() - 1
+    last_touch: dict[int, int] = {}
+    awake = wakeups = 0
+
+    def settle(block, tick):
+        nonlocal awake, wakeups
+        elapsed = tick - last_touch.pop(block)
+        awake += elapsed if elapsed < window else window
+        wakeups += elapsed > window
+
+    columns = (ticks, addrs, privs, writes, demand)
+    for tick, addr, priv, is_write, dm in zip(*(list(col) for col in columns)):
+        tick, addr = int(tick), int(addr)
+        result = cache.access(addr, bool(is_write), int(priv), tick, bool(dm))
+        if result.hit:
+            settle(addr >> bits, tick)
+        elif result.victim_addr is not None:
+            settle(result.victim_addr >> bits, tick)
+        last_touch[addr >> bits] = tick
+    for block in list(last_touch):
+        settle(block, finalize_tick)
+    return awake, wakeups

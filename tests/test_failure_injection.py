@@ -93,11 +93,6 @@ class TestMalformedStreams:
 
 
 class TestEngineMisuse:
-    def test_negative_way_resize(self):
-        c = SetAssociativeCache(CacheGeometry(4096, 4))
-        with pytest.raises(ValueError):
-            c.resize_ways(-1, 0)
-
     def test_invalidate_absent_block_returns_none(self):
         c = SetAssociativeCache(CacheGeometry(4096, 4))
         assert c.invalidate(0x1234, 0) is None

@@ -262,7 +262,7 @@ def test_fixed_designs_match_reference(design_factory, browser_stream_small):
     assert ref_d == fast_d
 
 
-@pytest.mark.parametrize("design_name", DESIGN_NAMES)
+@pytest.mark.parametrize("design_name", [*DESIGN_NAMES, "drowsy-sram"])
 @pytest.mark.parametrize("keep", ["user-only", "kernel-only", "empty"])
 def test_designs_match_reference_on_one_sided_streams(design_name, keep, browser_stream_small):
     """A stream with no rows of a privilege hands that segment an empty
@@ -370,9 +370,6 @@ def test_supports_cache_envelope():
             geometry, "lru", retention_ticks=100, refresh_mode="invalidate",
             retention_distribution="exponential",
         )
-    )
-    assert not fastsim.supports_cache(
-        SetAssociativeCache(geometry, "lru", drowsy_window=50)
     )
     gated = SetAssociativeCache(geometry, "lru")
     gated.set_powered_ways(2, tick=0)
@@ -628,6 +625,23 @@ def test_dynamic_kernel_matches_reference_on_suite(suite_streams_240k):
         assert fast == ref, app
 
 
+def test_drowsy_matches_reference_on_suite(suite_streams_240k):
+    """At 240k accesses the drowsy design's awake time, read off the fast
+    kernel's eviction events, matches the same post-pass over
+    the reference loop's events, result for result."""
+    from repro.core.designs import make_design
+
+    for app in ("browser", "game", "video"):
+        fast, ref = (
+            make_design("drowsy-sram").run(suite_streams_240k[app], DEFAULT_PLATFORM,
+                                           engine=engine).to_dict()
+            for engine in ("fast", "reference")
+        )
+        assert fast["extras"].pop("sim_engine") == "fastsim"
+        assert ref["extras"].pop("sim_engine") == "reference"
+        assert fast == ref, app
+
+
 def test_retention_elision_counters(browser_stream_240k):
     """At the benchmark's trace length both static-stt windows outlast
     the stream and the dynamic design's chunks skip the decay test; a
@@ -786,7 +800,9 @@ def test_prefix_dirty_block_evicted_by_first_new_block():
             writes.astype(bool), record_events=record,
         )
         assert stats.to_dict() == ref.stats.to_dict()
-    fast_wb = list(zip(events.wb_idx, events.wb_addr.tolist(), events.wb_priv))
+    dirty = events.evict_dirty
+    fast_wb = list(zip(events.evict_idx[dirty], events.evict_addr[dirty].tolist(),
+                       events.evict_priv[dirty]))
     assert fast_wb == ref_wb
     assert sorted(events.miss_idx) == [0, 1, 2, 3, 7, 8, 9, 11, 12, 16, 17]
 

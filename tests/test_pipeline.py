@@ -78,9 +78,7 @@ def test_every_design_tags_sim_engine(name, factory, browser_stream_small):
     assert ref.extras["sim_engine"] == "reference"
 
 
-@pytest.mark.parametrize(
-    "factory", [DrowsySRAMDesign, HybridPartitionDesign], ids=["drowsy", "hybrid"]
-)
+@pytest.mark.parametrize("factory", [HybridPartitionDesign], ids=["hybrid"])
 def test_per_access_designs_reject_fast(factory, browser_stream_small):
     """Designs without a vectorized path refuse engine="fast" loudly."""
     with pytest.raises(ValueError, match="fast kernel"):

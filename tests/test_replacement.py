@@ -48,23 +48,6 @@ class TestLRU:
         assert p.hit_rank(s, 3, 4) == 0  # most recent
         assert p.hit_rank(s, 0, 4) == 3  # least recent
 
-    def test_resize_shrink_keeps_prefix(self):
-        p = LRUPolicy()
-        s = p.init_set(4)
-        for w in range(4):
-            p.on_fill(s, w)
-        s2 = p.resize(s, 4, 2)
-        assert len(s2) == 2
-        assert s2 == s[:2]
-
-    def test_resize_grow_appends_zeros(self):
-        p = LRUPolicy()
-        s = p.init_set(2)
-        p.on_fill(s, 0)
-        s2 = p.resize(s, 2, 4)
-        assert len(s2) == 4
-        assert p.victim(s2, 4) in (1, 2, 3)  # new empty-seq ways are oldest
-
 
 class TestFIFO:
     def test_evicts_oldest_fill_despite_hits(self):

@@ -250,41 +250,6 @@ class TestRetentionRewrite:
         assert c.stats.total_writes == 1 + 1 + c.stats.refresh_writes  # fill + write hit? (fill was the write)
 
 
-class TestResizeWays:
-    def test_shrink_compacts_blocks(self):
-        c = one_set_cache(ways=4)
-        c.access(0x0, False, U, 0)
-        c.access(0x40 * 16, False, U, 1)
-        displaced = c.resize_ways(2, 10)
-        assert displaced == 0  # both fit after compaction
-        assert c.access(0x0, False, U, 11).hit
-        assert c.access(0x40 * 16, False, U, 12).hit
-
-    def test_shrink_evicts_overflow(self):
-        c = one_set_cache(ways=4)
-        for i in range(4):
-            c.access(0x40 * 16 * i, True, U, i)
-        displaced = c.resize_ways(2, 10)
-        assert displaced == 2
-        assert c.stats.writebacks == 2  # dirty overflow written back
-
-    def test_grow_preserves_contents(self):
-        c = one_set_cache(ways=2)
-        c.access(0x0, False, U, 0)
-        c.resize_ways(4, 5)
-        assert c.access(0x0, False, U, 6).hit
-        assert c.ways == 4
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            one_set_cache().resize_ways(0, 0)
-
-    def test_size_bytes_tracks_resize(self):
-        c = one_set_cache(ways=4)
-        c.resize_ways(2, 0)
-        assert c.size_bytes == 2 * 64
-
-
 class TestPoweredWays:
     def test_gated_way_contents_hidden(self):
         c = one_set_cache(ways=4)

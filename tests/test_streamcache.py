@@ -60,7 +60,6 @@ class TestKeying:
         assert stream_key("browser", SHORT + 1, 0, DEFAULT_PLATFORM) != base
         assert stream_key("browser", SHORT, 1, DEFAULT_PLATFORM) != base
         assert stream_key("browser", SHORT, 0, platform_preset("little")) != base
-        assert stream_key("browser", SHORT, 0, DEFAULT_PLATFORM, "fifo") != base
 
     def test_stream_key_ignores_what_the_l1_filter_does_not_read(self):
         base = stream_key("browser", SHORT, 0, DEFAULT_PLATFORM)

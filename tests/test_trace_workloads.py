@@ -69,11 +69,6 @@ class TestSuiteDefinitions:
 
 
 class TestSuiteTraces:
-    def test_suite_trace_cached(self):
-        a = suite_trace("game", 5_000)
-        b = suite_trace("game", 5_000)
-        assert a is b
-
     def test_suite_trace_distinct_apps_differ(self):
         a = suite_trace("game", 5_000)
         b = suite_trace("music", 5_000)
