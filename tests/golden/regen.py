@@ -12,7 +12,10 @@
 * the same for the ``SLOW_CLOCK_DESIGNS`` on the ``SLOW_CLOCK``
   platform, keyed ``<label>@slow-clock``: there the STT-RAM retention
   windows fall inside the streams' tick spans, so the fixed designs'
-  expiring replay and the dynamic design's decay test are pinned too.
+  expiring replay and the dynamic design's decay test are pinned too;
+* the ``DRAM_DESIGNS`` per suite app with a fresh banked DRAM model,
+  keyed ``<label>+dram`` (and static-stt's also ``@slow-clock``), with
+  ``dram_stats`` hashed as its dataclass fields.
 
 It also stores ``MODEL_VERSION`` and the NumPy version it was generated
 with.  ``tests/test_golden.py`` recomputes everything and compares.  After
@@ -35,9 +38,11 @@ import numpy as np
 
 from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM
-from repro.core.designs import REGISTERED_DESIGNS
+from repro.core.designs import REGISTERED_DESIGNS, make_design
+from repro.dram import DRAMModel
 from repro.engine.executor import run_jobs
 from repro.engine.spec import MODEL_VERSION, JobSpec, canonical_json
+from repro.engine.streamcache import load_stream
 from repro.trace.generator import generate_trace
 from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
@@ -55,6 +60,8 @@ GRID_SEED = 0
 #: keys ignore the clock, so these jobs reuse the grid's streams.
 SLOW_CLOCK = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
 SLOW_CLOCK_DESIGNS = ("static-stt", "dynamic-stt")
+#: Designs also pinned with a banked DRAM model.
+DRAM_DESIGNS = ("baseline", "static-stt")
 
 #: Result fields stored in the clear beside each job's digest.
 HEADLINE_FIELDS = ("l2_energy_j", "l2_misses", "total_cycles")
@@ -112,24 +119,52 @@ def job_records(designs=REGISTERED_DESIGNS, platform=DEFAULT_PLATFORM,
         for design in designs
         for app in APP_NAMES
     ]
+    return {
+        outcome.spec.label() + tag: _record(outcome.result)
+        for outcome in run_jobs(specs, store=None)
+    }
+
+
+def dram_records(designs=DRAM_DESIGNS, platform=DEFAULT_PLATFORM,
+                 tag: str = "") -> dict[str, dict]:
+    """One record per design × suite app replayed with a fresh banked
+    DRAM model on ``platform``, keyed by label, ``+dram`` and ``tag``."""
     out = {}
-    for outcome in run_jobs(specs, store=None):
-        result = outcome.result
-        payload = result.to_dict()
-        payload["extras"].pop("sim_engine", None)
-        out[outcome.spec.label() + tag] = {
-            "sha256": _sha256(canonical_json(payload).encode()),
-            "l2_energy_j": result.l2_energy.total_j,
-            "l2_misses": result.l2_stats.misses,
-            "total_cycles": result.timing.total_cycles,
-        }
+    for design in designs:
+        for app in APP_NAMES:
+            spec = JobSpec(design, app, GRID_LENGTH, GRID_SEED, platform)
+            stream = load_stream(app, GRID_LENGTH, GRID_SEED, platform)
+            result = make_design(design).run(stream, platform, dram_model=DRAMModel())
+            out[spec.label() + "+dram" + tag] = _record(result)
     return out
+
+
+def _record(result) -> dict:
+    """A result's digest (``sim_engine`` left out, ``dram_stats`` as
+    its fields) and its headline numbers."""
+    extras = dict(result.extras)
+    extras.pop("sim_engine", None)
+    if "dram_stats" in extras:
+        extras["dram_stats"] = dataclasses.asdict(extras["dram_stats"])
+    payload = dataclasses.replace(result, extras=extras).to_dict()
+    return {
+        "sha256": _sha256(canonical_json(payload).encode()),
+        "l2_energy_j": result.l2_energy.total_j,
+        "l2_misses": result.l2_stats.misses,
+        "total_cycles": result.timing.total_cycles,
+    }
 
 
 def grid_records() -> dict[str, dict]:
     """Every job record of the golden grid: all registered designs on
-    the default platform and the slow-clock designs on ``SLOW_CLOCK``."""
-    return job_records() | job_records(SLOW_CLOCK_DESIGNS, SLOW_CLOCK, "@slow-clock")
+    the default platform, the slow-clock designs on ``SLOW_CLOCK``, and
+    the DRAM designs with a banked DRAM model on both platforms."""
+    return (
+        job_records()
+        | job_records(SLOW_CLOCK_DESIGNS, SLOW_CLOCK, "@slow-clock")
+        | dram_records()
+        | dram_records(("static-stt",), SLOW_CLOCK, "@slow-clock")
+    )
 
 
 def compute() -> dict:

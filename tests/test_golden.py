@@ -91,7 +91,8 @@ def test_golden_file_matches_model_version(golden):
 
 def test_golden_covers_every_point(golden):
     assert len(golden["traces"]) == 17 * len(regen.TRACE_POINTS)
-    assert len(golden["jobs"]) == (6 + len(regen.SLOW_CLOCK_DESIGNS)) * 8
+    assert len(golden["jobs"]) == (6 + len(regen.SLOW_CLOCK_DESIGNS)
+                                   + len(regen.DRAM_DESIGNS) + 1) * 8
 
 
 def test_golden_reaches_every_route(computed):
