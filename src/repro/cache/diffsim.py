@@ -39,8 +39,9 @@ the ways :data:`CLEAN_SCENARIOS` names.  Seeds from
 :data:`STRESS_CASES_FROM` on are retention-free cases that stress the
 kernel's two rules (hits from the distinct blocks between a block's
 accesses, victims paired with evicting misses by last access), cycling
-through :data:`STRESS_SCENARIOS`; :func:`assert_case_equal` compares
-their miss and eviction events with the reference engine's as well.
+through :data:`STRESS_SCENARIOS`.  :func:`assert_case_equal` compares
+every case's miss and eviction events with the reference engine's as
+well.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ __all__ = [
     "DiffCase",
     "sample_case",
     "run_case",
-    "miss_events",
     "assert_case_equal",
     "DynamicDiffCase",
     "sample_dynamic_case",
@@ -292,45 +292,20 @@ def _long_window_blocks(case: DiffCase, rng) -> np.ndarray:
 
 def run_case(case: DiffCase) -> tuple[CacheStats, CacheStats]:
     """Run one case through both engines; returns (reference, fast) stats."""
+    ref, fast, _, _ = _replay_case(case)
+    return ref, fast
+
+
+def _replay_case(case: DiffCase):
+    """Both engines' stats and miss side channels on one case.
+
+    Returns ``(reference stats, fast stats, reference events, fast
+    events)``, the events as ``(misses, evictions)``: the sorted indices
+    of the missing rows, and the sorted ``(row, victim address, victim
+    privilege, dirty)`` of every victim."""
     ticks, addrs, privs, writes, demand, final_tick = _workload(case)
-
-    cache = SetAssociativeCache(
-        case.geometry,
-        "lru",
-        retention_ticks=case.retention_ticks,
-        refresh_mode=case.refresh_mode,
-        name="diff-ref",
-    )
-    access = cache.access
-    for tick, addr, priv, isw, dm in zip(
-        ticks.tolist(), addrs.tolist(), privs.tolist(), writes.tolist(), demand.tolist()
-    ):
-        access(addr, isw, priv, tick, dm)
-    cache.finalize(final_tick)
-    cache.stats.check_invariants()
-
-    fast_stats, _ = simulate_trace(
-        case.geometry,
-        ticks,
-        addrs,
-        privs,
-        writes,
-        demand,
-        retention_ticks=case.retention_ticks,
-        refresh_mode=case.refresh_mode,
-        finalize_tick=final_tick,
-    )
-    return cache.stats, fast_stats
-
-
-def miss_events(case: DiffCase) -> tuple[tuple[list, list], tuple[list, list]]:
-    """Both engines' miss side channel on a retention-free case.
-
-    Returns ``(reference, fast)``, each ``(misses, evictions)``: the
-    sorted indices of the missing rows, and the sorted ``(row, victim
-    address, victim privilege, dirty)`` of every victim."""
-    ticks, addrs, privs, writes, demand, _ = _workload(case)
-    cache = SetAssociativeCache(case.geometry, "lru", name="diff-ref")
+    cache = SetAssociativeCache(case.geometry, "lru", retention_ticks=case.retention_ticks,
+                                refresh_mode=case.refresh_mode, name="diff-ref")
     misses, evictions = [], []
     for i, (tick, addr, priv, isw, dm) in enumerate(zip(
         ticks.tolist(), addrs.tolist(), privs.tolist(), writes.tolist(), demand.tolist()
@@ -340,29 +315,33 @@ def miss_events(case: DiffCase) -> tuple[tuple[list, list], tuple[list, list]]:
             misses.append(i)
         if result.victim_addr is not None:
             evictions.append((i, result.victim_addr, result.victim_priv, result.writeback))
-    _, events = simulate_trace(case.geometry, ticks, addrs, privs, writes, demand,
-                               record_events=True)
+    cache.finalize(final_tick)
+    cache.stats.check_invariants()
+    fast_stats, events = simulate_trace(
+        case.geometry, ticks, addrs, privs, writes, demand,
+        retention_ticks=case.retention_ticks, refresh_mode=case.refresh_mode,
+        finalize_tick=final_tick, record_events=True,
+    )
     fast_evictions = zip(events.evict_idx.tolist(), events.evict_addr.tolist(),
                          events.evict_priv.tolist(), events.evict_dirty.tolist())
-    return (misses, evictions), (sorted(events.miss_idx.tolist()), sorted(fast_evictions))
+    return (cache.stats, fast_stats, (misses, evictions),
+            (sorted(events.miss_idx.tolist()), sorted(fast_evictions)))
 
 
 def assert_case_equal(case: DiffCase) -> None:
-    """Raise ``AssertionError`` with a field-level diff on any mismatch.
-    Stress cases also compare the miss and eviction events."""
-    ref, fast = run_case(case)
+    """Raise ``AssertionError`` with a field-level diff on any mismatch,
+    in the stats or in the miss and eviction events."""
+    ref, fast, (ref_misses, ref_evictions), (fast_misses, fast_evictions) = _replay_case(case)
     ref_d, fast_d = ref.to_dict(), fast.to_dict()
     mismatches = [
         f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
         for key in ref_d
         if ref_d[key] != fast_d[key]
     ]
-    if case.scenario:
-        (ref_misses, ref_evictions), (fast_misses, fast_evictions) = miss_events(case)
-        if ref_misses != fast_misses:
-            mismatches.append("  missing rows differ")
-        if ref_evictions != fast_evictions:
-            mismatches.append("  eviction events differ")
+    if ref_misses != fast_misses:
+        mismatches.append("  missing rows differ")
+    if ref_evictions != fast_evictions:
+        mismatches.append("  eviction events differ")
     if mismatches:
         raise AssertionError(
             "fastsim diverged from the reference engine on "

@@ -51,21 +51,18 @@ epoch), while powered-way gating and wake-on-first-access are applied
 between chunks — exactly where the reference engine applies them — so
 the epoch controller's decisions, timelines and resize counters come out
 bit-identical too.  Step 2's elision applies there per chunk; a fixed
-design's expiring stream is the special case of one chunk.  There the
-NumPy stage covers *clean sets*: until a set's first eviction, gated
-miss, decayed hit or invalidating gate, its ``j``-th distinct block
-sits in way ``j``, so each of its rows is a fill of way ``j`` or a hit
-whose LRU rank is a popcount of the ways accessed since the block's
-previous access.  A chunk's clean rows are resolved in NumPy; the loop
-only replays each set from its first event on (counters
-``fastsim.prefix.rows`` and ``fastsim.loop.rows``).
+design's expiring stream is the special case of one chunk.  A chunk's
+*clean sets* (see the class) resolve in NumPy, and a loop replays each
+other set from its first event on (counters ``fastsim.prefix.rows`` and
+``fastsim.loop.rows``).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
-retention lifetimes, non-LRU policies, and any replay that needs
-per-access interleaving (bank-level DRAM, prefetching) — replays on the
-reference engine.  Designs decide the engine before replay: a fixed
-design checks :func:`fixed_envelope` and then replays unconditionally
-with :func:`run_fixed`.  ``tests/test_fastsim.py`` holds
+retention lifetimes, non-LRU policies, and prefetching (its fills
+interleave with the accesses) — replays on the reference engine.
+Designs decide the engine before replay: a fixed design checks
+:func:`fixed_envelope` and then replays unconditionally with
+:func:`run_fixed`, recording :class:`MissEvents` when a post-pass (the
+banked DRAM model) reads them.  ``tests/test_fastsim.py`` holds
 the randomized differential harness (:mod:`repro.cache.diffsim`) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
 module promises, for fixed and epoch-chunked replay alike.
@@ -77,7 +74,7 @@ then uses the reference engine, useful when bisecting a discrepancy).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,18 +128,20 @@ def supports_cache(cache) -> bool:
 
 @dataclass
 class MissEvents:
-    """Per-miss side channel of one retention-free replay.
+    """Per-miss side channel of one replay.
 
     ``miss_idx`` holds the caller-supplied index of every missing access,
     in no particular order.  ``evict_idx``/``evict_addr``/``evict_priv``/
     ``evict_dirty`` describe every victim, in the same order as each
     other: the index of the miss that evicted it, its block address, its
-    owner's privilege and whether it was dirty (written back).  All are
-    NumPy arrays.  The L1 filter sorts the misses and dirty victims into
-    program order to build the demand/write-back rows of an
-    :class:`~repro.cache.hierarchy.L2Stream`; the drowsy design reads
-    every row's awake time off the evictions
-    (:func:`repro.core.drowsy.awake_ticks`).
+    owner's privilege and whether it was dirty (written back); decayed
+    blocks are not victims.  ``prefetch`` rows are the reference engine's
+    prefetch traffic in issue order: (issuing demand miss, address, 0 for
+    the fill's read or 1 for its dirty victim's write-back).  The L1
+    filter builds an :class:`~repro.cache.hierarchy.L2Stream` from the
+    misses and dirty victims; the drowsy design reads awake time off the
+    evictions (:func:`repro.core.drowsy.awake_ticks`); the banked DRAM
+    model replays all of it (:func:`repro.core.pipeline.dram_pass`).
     """
 
     miss_idx: np.ndarray
@@ -150,6 +149,7 @@ class MissEvents:
     evict_addr: np.ndarray
     evict_priv: np.ndarray
     evict_dirty: np.ndarray
+    prefetch: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.uint64))
 
 
 def simulate_trace(
@@ -180,8 +180,7 @@ def simulate_trace(
         finalize_tick: When given, settle end-of-simulation accounting at
             this tick exactly like ``SetAssociativeCache.finalize`` (the
             expiry write-backs of dirty blocks that decayed unobserved).
-        record_events: Collect a :class:`MissEvents` side channel
-            (refresh mode ``"none"`` only).
+        record_events: Collect a :class:`MissEvents` side channel.
         orig_indices: Caller-space index of each access, recorded in the
             events (defaults to 0..n-1).
 
@@ -189,36 +188,23 @@ def simulate_trace(
         ``(stats, events)`` — ``stats`` is bit-identical to the reference
         engine's counters; ``events`` is ``None`` unless requested.
     """
-    if refresh_mode not in SUPPORTED_REFRESH_MODES:
-        raise ValueError(
-            f"fastsim supports refresh modes {SUPPORTED_REFRESH_MODES}, got {refresh_mode!r}"
-        )
-    if refresh_mode == "invalidate" and retention_ticks is None:
-        raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
-    if refresh_mode == "invalidate" and record_events:
-        raise ValueError("record_events needs refresh_mode 'none'")
-
+    _check_refresh(refresh_mode, retention_ticks)
     addrs = np.asarray(addrs, dtype=np.uint64)
     n = len(addrs)
     stats = CacheStats()
     events = None
     if record_events:
-        empty = np.zeros(0, dtype=np.int64)
-        events = MissEvents(empty, empty, empty.astype(np.uint64), empty.astype(np.uint8),
-                            empty.astype(bool))
+        events = MissEvents(*(np.zeros(0, t) for t in (np.int64, np.int64, np.uint64,
+                                                         np.uint8, bool)))
+        orig_indices = np.arange(n) if orig_indices is None else np.asarray(orig_indices)
     if n == 0:
         return stats, events
 
     block_bits = geometry.block_size.bit_length() - 1
     num_sets = geometry.num_sets
 
-    privs = np.asarray(privs)
+    privs = _checked_privs(privs)
     writes = np.asarray(writes)
-    if int(privs.max()) > 1:
-        # Fail as loudly as the reference engine's accesses_by_priv[priv].
-        raise ValueError(
-            f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
-        )
     blocks = addrs >> np.uint64(block_bits)
     if demand is not None:
         demand = np.asarray(demand)
@@ -238,17 +224,16 @@ def simulate_trace(
             obs.inc("fastsim.retention.expiring")
             order = _set_order(blocks, num_sets)
             seg = EpochReplaySegment(geometry, retention_ticks=retention_ticks,
-                                     refresh_mode="invalidate", min_rank_accesses=n + 1)
+                                     refresh_mode="invalidate", min_rank_accesses=n + 1,
+                                     record_events=record_events)
             seg.load(ticks[order], addrs[order], privs[order], writes[order],
                      np.ones(n, dtype=bool) if demand is None else demand[order],
                      np.zeros(n, dtype=np.int64), 1)
             seg.replay_chunk(0)
             if finalize_tick is not None:
                 seg.finalize(finalize_tick)
-            return seg.stats, None
+            return seg.stats, seg.miss_events(orig_indices[order]) if record_events else None
 
-    if record_events:
-        orig_indices = np.arange(n) if orig_indices is None else np.asarray(orig_indices)
     _replay_retention_free(
         stats, geometry.associativity, num_sets, blocks, privs, writes, demand,
         orig_indices, events, block_bits,
@@ -264,6 +249,26 @@ def simulate_trace(
     stats.write_accesses = int(np.count_nonzero(writes))
     stats.accesses_by_priv = [n - kernel_accesses, kernel_accesses]
     return stats, events
+
+
+def _check_refresh(refresh_mode, retention_ticks) -> None:
+    if refresh_mode not in SUPPORTED_REFRESH_MODES:
+        raise ValueError(
+            f"fastsim supports refresh modes {SUPPORTED_REFRESH_MODES}, got {refresh_mode!r}"
+        )
+    if refresh_mode == "invalidate" and retention_ticks is None:
+        raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
+
+
+def _checked_privs(privs) -> np.ndarray:
+    """``privs`` as an array, failing as loudly as the reference engine's
+    ``accesses_by_priv[priv]`` on a privilege other than 0 or 1."""
+    privs = np.asarray(privs)
+    if len(privs) and int(privs.max()) > 1:
+        raise ValueError(
+            f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
+        )
+    return privs
 
 
 def _set_order(blocks, num_sets):
@@ -527,7 +532,8 @@ class EpochReplaySegment:
     — the geometry is constant inside every chunk and the replay is
     bit-identical to the reference engine's per-access loop.
     :func:`simulate_trace` replays a fixed design's expiring stream as a
-    single chunk of a segment.
+    single chunk of a segment; with ``record_events`` the segment keeps
+    its misses and evictions for :meth:`miss_events`.
 
     Most rows never reach that loop.  A set is *clean* until its first
     event: an eviction, a gated miss, a decayed hit, a decayed-frame
@@ -555,14 +561,10 @@ class EpochReplaySegment:
         refresh_mode: str = "none",
         retains_when_gated: bool = True,
         min_rank_accesses: int = 0,
+        record_events: bool = False,
         name: str = "fastseg",
     ) -> None:
-        if refresh_mode not in SUPPORTED_REFRESH_MODES:
-            raise ValueError(
-                f"fastsim supports refresh modes {SUPPORTED_REFRESH_MODES}, got {refresh_mode!r}"
-            )
-        if refresh_mode == "invalidate" and retention_ticks is None:
-            raise ValueError("refresh_mode 'invalidate' needs a finite retention_ticks")
+        _check_refresh(refresh_mode, retention_ticks)
         geometry.validate()
         self.geometry = geometry
         self.name = name
@@ -575,6 +577,10 @@ class EpochReplaySegment:
         # require at least ``decision_accesses`` samples; chunks below
         # ``min_rank_accesses`` rows skip the rank computation.
         self.min_rank_accesses = min_rank_accesses
+        # Recorded events: missing row positions, and (position, block,
+        # owner, dirty) rows of the evictions, one array per chunk.
+        self._missed: list[np.ndarray] | None = [] if record_events else None
+        self._evicted: list[np.ndarray] = []
         self._window = retention_ticks if refresh_mode == "invalidate" else None
         self.stats = CacheStats()
         self.gated_misses = 0
@@ -760,14 +766,10 @@ class EpochReplaySegment:
         self._loaded = True
         addrs = np.asarray(addrs, dtype=np.uint64)
         ticks = np.asarray(ticks, dtype=np.int64)
-        privs = np.asarray(privs)
+        privs = _checked_privs(privs)
         writes = np.asarray(writes, dtype=bool)
         demand = np.asarray(demand, dtype=bool)
         n = len(addrs)
-        if n and int(privs.max()) > 1:
-            raise ValueError(
-                f"privilege values must be 0 (user) or 1 (kernel), got {int(privs.max())}"
-            )
         st = self.stats
         st.accesses += n
         kernel_accesses = int(np.count_nonzero(privs))
@@ -927,6 +929,9 @@ class EpochReplaySegment:
             stores = stores & clean
             last = clean & (last | (self._reach[nxt] < 0))
         misses = int(np.count_nonzero(fills))
+        missed = self._missed
+        if missed is not None:
+            missed.append(np.flatnonzero(fills) + lo)
         kernel_misses = int(np.count_nonzero(fills & self._privs[rows]))
         demand_misses = int(np.count_nonzero(fills & self._demand[rows]))
         self._dirty_np[frames[stores]] = 1
@@ -965,7 +970,9 @@ class EpochReplaySegment:
         blockw = self._blockw
         evictions = writebacks = exp_inv = exp_wb = 0
         ec = [0, 0, 0, 0]
-        seqc = self._seqc
+        seqc = seq0 = self._seqc
+        record = missed is not None
+        loop_missed, loop_evicted = [], []
         cols = () if not len(loop) else zip(
             self._ticks[loop].tolist(), self._blocks[loop].tolist(),
             (self._set[loop] * self.ways).tolist(), self._privs[loop].tolist(),
@@ -1030,6 +1037,8 @@ class EpochReplaySegment:
                     sub = seqs[base:end]
                     target = base + sub.index(min(sub))
                     evictions += 1
+                    if record:
+                        loop_evicted += (seqc, blockw[target], privw[target], dirty[target])
                     ec[(privw[target] << 1) | priv] += 1
                     if dirty[target]:
                         writebacks += 1
@@ -1041,7 +1050,15 @@ class EpochReplaySegment:
             lastref[target] = tick
             seqs[target] = seqc
             tagmap[block] = target
+            if record:
+                loop_missed.append(seqc)
         self._seqc = seqc
+        if record:
+            # a loop row's sequence number less ``seq0 + 1`` is its index in ``loop``
+            missed.append(loop[np.array(loop_missed, dtype=np.int64) - (seq0 + 1)])
+            evicted = np.array(loop_evicted, dtype=np.int64).reshape(-1, 4)
+            evicted[:, 0] = loop[evicted[:, 0] - (seq0 + 1)]
+            self._evicted.append(evicted)
         self.epoch_misses += misses
         st.hits += hi - lo - misses  # every row that does not miss hits
         st.misses += misses
@@ -1059,6 +1076,16 @@ class EpochReplaySegment:
         cross[1][0] += ec[2]
         cross[1][1] += ec[3]
 
+    def miss_events(self, rows) -> MissEvents:
+        """The recorded misses and evictions, each row position mapped to
+        the caller's index ``rows[position]``."""
+        evicted = np.concatenate([np.zeros((0, 4), np.int64), *self._evicted])
+        return MissEvents(
+            rows[np.concatenate([np.zeros(0, np.intp), *self._missed])], rows[evicted[:, 0]],
+            evicted[:, 1].astype(np.uint64) << np.uint64(self.geometry.block_size.bit_length() - 1),
+            evicted[:, 2].astype(np.uint8), evicted[:, 3].astype(bool),
+        )
+
 
 # ----------------------------------------------------------------------
 # front ends
@@ -1070,8 +1097,7 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     Splits the trace into the L1I and L1D streams, replays each through
     the kernel with event recording, and merges the miss/write-back
     events back into program order — producing an ``L2Stream`` whose
-    columns and L1 stats are bit-identical to the reference filter
-    (LRU L1s only; enforced by the dispatch in ``l1_filter``).
+    columns and L1 stats are bit-identical to the reference filter.
     """
     from repro.cache.hierarchy import L2Stream
 
@@ -1143,32 +1169,33 @@ def fixed_envelope(segments, router) -> bool:
     return True
 
 
-def run_fixed(stream, segments, router) -> None:
+def run_fixed(stream, segments, router, record_events: bool = False) -> MissEvents | None:
     """Replay ``stream`` through fixed segments with the fast kernel.
 
     The segments and router must pass :func:`fixed_envelope`.  The
     per-segment ``stats`` (including finalize accounting) are installed
-    on each cache, so the caller skips its own ``finalize`` pass.
+    on each cache, so the caller skips its own ``finalize`` pass.  With
+    ``record_events``, returns every segment's :class:`MissEvents`
+    indexed by stream row; otherwise None.
     """
     user_cache = router(int(Privilege.USER))
     kernel_cache = router(int(Privilege.KERNEL))
-    final_tick = stream.duration_ticks
     if user_cache is kernel_cache:
         jobs = [(user_cache, slice(None))]
     else:
-        user_rows, kernel_rows = stream.privilege_rows()
-        jobs = [(user_cache, user_rows), (kernel_cache, kernel_rows)]
+        jobs = list(zip((user_cache, kernel_cache), stream.privilege_rows()))
+    events = []
     for cache, rows in jobs:
         # ticks are read only where blocks can expire
-        stats, _ = simulate_trace(
-            cache.geometry,
-            stream.ticks[rows] if cache.refresh_mode == "invalidate" else None,
-            stream.addrs[rows],
-            stream.privs[rows],
-            stream.writes[rows],
-            stream.demand[rows],
-            retention_ticks=cache.retention_ticks,
-            refresh_mode=cache.refresh_mode,
-            finalize_tick=final_tick,
+        ticks = stream.ticks[rows] if cache.refresh_mode == "invalidate" else None
+        cache.stats, ev = simulate_trace(
+            cache.geometry, ticks, stream.addrs[rows], stream.privs[rows], stream.writes[rows],
+            stream.demand[rows], retention_ticks=cache.retention_ticks,
+            refresh_mode=cache.refresh_mode, finalize_tick=stream.duration_ticks,
+            record_events=record_events, orig_indices=None if isinstance(rows, slice) else rows,
         )
-        cache.stats = stats
+        events.append(ev)
+    if not record_events:
+        return None
+    return MissEvents(*(np.concatenate([getattr(ev, f.name) for ev in events])
+                        for f in fields(MissEvents)))

@@ -177,46 +177,37 @@ class L2Stream:
         )
 
 
-def l1_filter(
-    trace: Trace, platform: PlatformConfig, policy: str = "lru", engine: str = "auto"
-) -> L2Stream:
-    """Run ``trace`` through split L1 caches, returning the L2 stream.
+def l1_filter(trace: Trace, platform: PlatformConfig, engine: str = "auto") -> L2Stream:
+    """Run ``trace`` through split LRU L1 caches, returning the L2 stream.
 
     Instruction fetches go through the L1I, loads/stores through the L1D
     (write-back, write-allocate).  Dirty L1D victims become write-back
     rows in the output at the tick of the access that evicted them.
 
-    ``engine`` selects the simulation path: ``"auto"`` uses the
-    vectorized fast kernel (:mod:`repro.cache.fastsim`) whenever the
-    configuration qualifies (LRU replacement — the L1s never use
-    retention or gating) and falls back to the per-access reference
-    engine otherwise; ``"fast"`` requires the kernel (raising when the
-    policy disqualifies it); ``"reference"`` forces the reference
-    engine.  Both paths produce bit-identical streams and L1 stats.
+    ``engine`` selects the simulation path: ``"auto"`` and ``"fast"``
+    use the vectorized fast kernel (:mod:`repro.cache.fastsim`), unless
+    ``REPRO_FASTSIM=0`` turns ``"auto"`` to the per-access reference
+    engine; ``"reference"`` forces that engine.  Both paths produce
+    bit-identical streams and L1 stats.
     """
     if engine not in ("auto", "fast", "reference"):
         raise ValueError(f"engine must be 'auto', 'fast' or 'reference', got {engine!r}")
     with obs.span("l1.filter", app=trace.name, accesses=len(trace)) as sp:
-        if engine != "reference" and policy == "lru":
-            from repro.cache import fastsim
+        from repro.cache import fastsim
 
-            if engine == "fast" or fastsim.enabled():
-                obs.inc("l1.dispatch.fastsim")
-                sp.note(engine="fastsim")
-                return fastsim.fast_l1_filter(trace, platform)
-        if engine == "fast":
-            raise ValueError(
-                f"the fast L1 filter supports only the 'lru' policy, got {policy!r}"
-            )
+        if engine == "fast" or (engine == "auto" and fastsim.enabled()):
+            obs.inc("l1.dispatch.fastsim")
+            sp.note(engine="fastsim")
+            return fastsim.fast_l1_filter(trace, platform)
         obs.inc("l1.dispatch.reference")
         sp.note(engine="reference")
-        return _reference_l1_filter(trace, platform, policy)
+        return _reference_l1_filter(trace, platform)
 
 
-def _reference_l1_filter(trace: Trace, platform: PlatformConfig, policy: str) -> L2Stream:
+def _reference_l1_filter(trace: Trace, platform: PlatformConfig) -> L2Stream:
     """The per-access L1 filter (see :func:`l1_filter` for the contract)."""
-    l1i = SetAssociativeCache(platform.l1i, policy, name="l1i")
-    l1d = SetAssociativeCache(platform.l1d, policy, name="l1d")
+    l1i = SetAssociativeCache(platform.l1i, "lru", name="l1i")
+    l1d = SetAssociativeCache(platform.l1d, "lru", name="l1d")
 
     out_tick: list[int] = []
     out_addr: list[int] = []

@@ -59,7 +59,5 @@ class BaselineDesign:
         geometry = platform.l2 if self.ways is None else platform.l2.with_ways(self.ways)
         cache = SetAssociativeCache(geometry, self.policy, name="l2-shared")
         segment = FixedSegment("shared", cache, self.tech)
-        return run_fixed_design(
-            self.name, stream, platform, [segment], lambda priv: cache,
-            dram_model, prefetcher, engine,
-        )
+        return run_fixed_design(self.name, stream, platform, [segment], lambda priv: cache,
+                                dram_model, prefetcher, engine)

@@ -131,12 +131,9 @@ class DrowsySRAMDesign:
             fastsim.fixed_envelope(segments, lambda priv: cache), "needs an LRU policy"
         ):
             with session.replay_span():
-                cache.stats, events = fastsim.simulate_trace(
-                    geometry, None, stream.addrs, stream.privs, stream.writes, stream.demand,
-                    record_events=True,
-                )
+                events = fastsim.run_fixed(stream, segments, lambda priv: cache, record_events=True)
         else:
-            events = session.replay_fixed(segments, lambda priv: cache)[3]
+            _, _, events = session.replay_fixed(segments, lambda priv: cache)
         awake, wakeups = awake_ticks(
             stream.ticks, stream.addrs, events, stream.duration_ticks, self.drowsy_window,
             geometry.block_size,

@@ -15,6 +15,8 @@ drowsy and hybrid designs — executes through this module:
   demand/write-weighted technology timing penalties, the
   :class:`~repro.core.result.SegmentReport` assembly, the DRAM energy
   charge and the ``extras`` conventions.
+* :func:`dram_pass` is the one place a banked DRAM model runs: a pass
+  over either engine's replay events, after replay.
 
 ``compute_timing`` / ``segment_energy`` / ``dram_energy_j`` are invoked
 from exactly this module under ``repro.core`` — adding a design means
@@ -52,6 +54,7 @@ __all__ = [
     "ReplaySession",
     "ResultAssembler",
     "SegmentOutcome",
+    "dram_pass",
     "run_fixed_design",
 ]
 
@@ -151,21 +154,18 @@ class ReplaySession:
         self,
         segments: list[FixedSegment],
         router: Callable[[int], object],
-        dram_model: DRAMModel | None = None,
         prefetcher: Prefetcher | None = None,
-    ) -> tuple[int, int, int, fastsim.MissEvents]:
+    ) -> tuple[int, int, fastsim.MissEvents]:
         """The per-access reference loop.
 
         ``router(priv)`` returns the object serving an access — anything
         with the ``access(addr, is_write, priv, tick, demand)`` protocol
         (a :class:`SetAssociativeCache`, or a composite like the hybrid
-        design's segment).  Interleaves the optional bank-level DRAM
-        model and L2 prefetcher with the accesses, finalizes every
-        segment, and returns
-        ``(dram_read_stall, prefetch_issued, prefetch_useful, events)``:
-        ``events`` are the stream rows' misses and evictions, as the fast
-        kernel records them (prefetch fills are not stream rows and are
-        left out).
+        design's segment).  Interleaves the optional L2 prefetcher with
+        the accesses, finalizes every segment, and returns
+        ``(prefetch_issued, prefetch_useful, events)``: ``events`` are
+        the stream rows' misses and evictions, as the fast kernel records
+        them, plus the prefetch fills' memory traffic.
 
         A prefetched block only counts as useful while it is still
         resident: ``pending_prefetches`` entries are pruned whenever the
@@ -177,13 +177,13 @@ class ReplaySession:
         block_size = segments[0].cache.geometry.block_size
         block_mask = ~(block_size - 1)
         pending_prefetches: set[int] = set()
-        dram_read_stall = 0
-        prefetch_issued = 0
-        prefetch_useful = 0
+        prefetch_issued = prefetch_useful = 0
         # flat int lists (no per-event container objects to keep alive):
-        # each evicting miss adds (row, victim address, owner, dirty)
+        # each evicting miss adds (row, victim address, owner, dirty),
+        # each prefetch transfer (row, address, is write-back)
         misses: list[int] = []
         evictions: list[int] = []
+        prefetched: list[int] = []
         s = self.stream
         rows = zip(
             range(len(s)), s.ticks.tolist(), s.addrs.tolist(), s.privs.tolist(),
@@ -207,10 +207,6 @@ class ReplaySession:
                     pending_prefetches.discard(addr & block_mask)
                     if result.victim_addr is not None:
                         pending_prefetches.discard(result.victim_addr)
-                if is_demand and dram_model is not None:
-                    dram_read_stall += dram_model.access(addr, tick)
-                if result.writeback and dram_model is not None:
-                    dram_model.access(result.victim_addr, tick, is_write=True)
                 if is_demand and prefetcher is not None:
                     for target in prefetcher.on_miss(addr):
                         pf = cache.access(target, False, priv, tick, demand=False)
@@ -219,18 +215,41 @@ class ReplaySession:
                             if pf.victim_addr is not None:
                                 pending_prefetches.discard(pf.victim_addr)
                             pending_prefetches.add(target & block_mask)
-                            if dram_model is not None:
-                                dram_model.access(target, tick)
-                            if pf.writeback and dram_model is not None:
-                                dram_model.access(pf.victim_addr, tick, is_write=True)
+                            prefetched += (i, target, False)
+                            if pf.writeback:
+                                prefetched += (i, pf.victim_addr, True)
             for seg in segments:
                 seg.cache.finalize(self.stream.duration_ticks)
         evicted = np.array(evictions, dtype=np.uint64).reshape(-1, 4)
         events = fastsim.MissEvents(
             np.array(misses, dtype=np.int64), evicted[:, 0].astype(np.int64), evicted[:, 1],
             evicted[:, 2].astype(np.uint8), evicted[:, 3].astype(bool),
+            np.array(prefetched, dtype=np.uint64).reshape(-1, 3),
         )
-        return dram_read_stall, prefetch_issued, prefetch_useful, events
+        return prefetch_issued, prefetch_useful, events
+
+
+def dram_pass(dram_model: DRAMModel, stream: L2Stream, events: fastsim.MissEvents) -> int:
+    """Drive ``dram_model`` with a replay's memory traffic, after replay.
+
+    The model reads only the stream tick and feeds nothing back, so it
+    is a function of the ordered transfers: each row's demand-miss read,
+    then its dirty victim's write-back, then its prefetch traffic.
+    Returns the demand reads' summed latency (the stall cycles).
+    """
+    reads = events.miss_idx[stream.demand[events.miss_idx]]
+    dirty = events.evict_dirty
+    prefetch = events.prefetch
+    rows = np.concatenate([reads, events.evict_idx[dirty], prefetch[:, 0].astype(np.int64)])
+    addrs = np.concatenate([stream.addrs[reads], events.evict_addr[dirty], prefetch[:, 1]])
+    writes = np.concatenate([np.zeros(len(reads), bool), np.ones(int(dirty.sum()), bool),
+                             prefetch[:, 2].astype(bool)])
+    # a stable sort keeps each row's transfers in the order above
+    order = np.argsort(rows, kind="stable")
+    latency = np.fromiter(map(dram_model.access, addrs[order].tolist(),
+                              stream.ticks[rows[order]].tolist(), writes[order].tolist()),
+                          dtype=np.int64, count=len(order))
+    return int(latency[order < len(reads)].sum())
 
 
 @dataclass
@@ -346,15 +365,9 @@ class ResultAssembler:
         if self.timing is None:
             raise RuntimeError("weigh_timing must run before finish")
         with obs.span("assemble", design=self.session.design_name, app=self.stream.name):
-            return self._finish(outcomes, dram_model=dram_model, extras=extras)
+            return self._finish(outcomes, dram_model, extras)
 
-    def _finish(
-        self,
-        outcomes: list[SegmentOutcome],
-        *,
-        dram_model: DRAMModel | None = None,
-        extras: dict | None = None,
-    ) -> DesignResult:
+    def _finish(self, outcomes, dram_model, extras) -> DesignResult:
         seconds = self.seconds
         reports = []
         for oc in outcomes:
@@ -383,9 +396,7 @@ class ResultAssembler:
             dram_j = dram_model.energy_j(self.platform.seconds(self.timing.busy_cycles))
             all_extras["dram_stats"] = dram_model.stats
         else:
-            dram_writes = sum(
-                oc.stats.writebacks + oc.stats.expiry_writebacks for oc in outcomes
-            )
+            dram_writes = sum(oc.stats.writebacks + oc.stats.expiry_writebacks for oc in outcomes)
             dram_j = dram_energy_j(self._demand_misses, dram_writes)
         all_extras["sim_engine"] = self.session.sim_engine
         return DesignResult(
@@ -418,9 +429,9 @@ def run_fixed_design(
         router: Maps an access privilege to the segment cache serving it.
         dram_model: Optional bank-level DRAM model.  When given, every
             L2 demand miss and every write-back to memory goes through
-            it; measured latencies replace the platform's flat DRAM
-            latency and its energy model replaces the flat per-transfer
-            charge.
+            it (:func:`dram_pass`, after replay, on either engine);
+            measured latencies replace the platform's flat DRAM latency
+            and its energy model replaces the flat per-transfer charge.
         prefetcher: Optional L2 prefetcher.  Demand misses train it;
             its proposals are installed as non-demand fills into the
             missing access's segment (so in a partitioned design a
@@ -428,33 +439,32 @@ def run_fixed_design(
         engine: ``"auto"`` replays through the vectorized fast kernel
             (:mod:`repro.cache.fastsim`) when the whole design qualifies
             — LRU segments, no gating, retention ``none`` or
-            ``invalidate``, and neither a DRAM model nor a prefetcher
-            (both need per-access interleaving) — falling back to the
-            reference engine otherwise.  ``"fast"`` requires the kernel
+            ``invalidate``, and no prefetcher (its fills interleave with
+            the accesses) — falling back to the reference engine
+            otherwise.  ``"fast"`` requires the kernel
             and raises when the design disqualifies; ``"reference"``
             forces the per-access engine.  The chosen path is recorded
             in ``DesignResult.extras["sim_engine"]``.
     """
     session = ReplaySession(design_name, stream, engine)
-    dram_read_stall = 0
-    prefetch_issued = 0
-    prefetch_useful = 0
+    prefetch_issued = prefetch_useful = 0
     if session.dispatch_fast(
-        dram_model is None and prefetcher is None and fastsim.fixed_envelope(segments, router),
-        "needs LRU segments, retention 'none'/'invalidate', no DRAM "
-        "model, no prefetcher",
+        prefetcher is None and fastsim.fixed_envelope(segments, router),
+        "needs LRU segments, retention 'none'/'invalidate', no prefetcher",
     ):
         with session.replay_span():
-            fastsim.run_fixed(stream, segments, router)
+            events = fastsim.run_fixed(stream, segments, router,
+                                       record_events=dram_model is not None)
     else:
-        dram_read_stall, prefetch_issued, prefetch_useful, _ = session.replay_fixed(
-            segments, router, dram_model, prefetcher
-        )
+        prefetch_issued, prefetch_useful, events = session.replay_fixed(segments, router,
+                                                                        prefetcher)
 
     assembler = ResultAssembler(session, platform)
     assembler.weigh_timing(
         [(seg.cache.stats, seg.tech) for seg in segments],
-        dram_stall_override=float(dram_read_stall) if dram_model is not None else None,
+        dram_stall_override=(
+            None if dram_model is None else float(dram_pass(dram_model, stream, events))
+        ),
     )
     extras: dict = {}
     if prefetcher is not None:

@@ -107,13 +107,6 @@ class StaticPartitionDesign:
             FixedSegment("kernel", kernel, self.kernel_tech),
         ]
         kernel_priv = int(Privilege.KERNEL)
-        return run_fixed_design(
-            self.name,
-            stream,
-            platform,
-            segments,
-            lambda priv: kernel if priv == kernel_priv else user,
-            dram_model,
-            prefetcher,
-            engine,
-        )
+        return run_fixed_design(self.name, stream, platform, segments,
+                                lambda priv: kernel if priv == kernel_priv else user,
+                                dram_model, prefetcher, engine)

@@ -11,7 +11,12 @@ column transfers.
 It is used by the DRAM-sensitivity ablation
 (``benchmarks/bench_ablation_dram.py``) and can be plugged into any
 fixed design via :class:`repro.core.pipeline.run_fixed_design`'s
-``dram_model`` argument to replace the flat-latency assumption.
+``dram_model`` argument to replace the flat-latency assumption.  The
+model feeds nothing back into replay, so it runs after it, as one pass
+over either engine's events (:func:`repro.core.pipeline.dram_pass`).
+It never sees expiry write-backs (dirty STT-RAM blocks that decay and
+drain), which the flat model charges; ``docs/modeling.md`` §6 counts
+them.
 """
 
 from __future__ import annotations

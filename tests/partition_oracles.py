@@ -19,7 +19,10 @@ tests check the product against:
   checks the design's epoch-chunk driver against;
 * :func:`per_access_awake` integrates the drowsy design's awake time
   line by line as the accesses replay, which ``test_core_drowsy.py``
-  checks the design's post-pass over eviction events against.
+  checks the design's post-pass over eviction events against;
+* :func:`interleaved_dram` drives the banked DRAM model from inside the
+  per-access replay, which ``test_dram.py`` checks the pipeline's
+  post-pass over replay events against.
 """
 
 from __future__ import annotations
@@ -268,3 +271,34 @@ def per_access_awake(geometry, ticks, addrs, privs, writes, demand, finalize_tic
     for block in list(last_touch):
         settle(block, finalize_tick)
     return awake, wakeups
+
+
+def interleaved_dram(stream, router, dram_model, prefetcher=None):
+    """The banked DRAM model driven from inside a per-access replay.
+
+    Replays ``stream`` through the fresh caches ``router(priv)`` returns.
+    Each miss sends ``dram_model`` its demand read (demand rows only),
+    then its dirty victim's write-back; a demand miss then trains
+    ``prefetcher``, and each prefetch fill that misses sends its read
+    and its dirty victim's write-back.  Returns the demand reads' summed
+    latency.
+    """
+    stall = 0
+    columns = (stream.ticks, stream.addrs, stream.privs, stream.writes, stream.demand)
+    for tick, addr, priv, is_write, demand in zip(*(col.tolist() for col in columns)):
+        cache = router(priv)
+        result = cache.access(addr, is_write, priv, tick, demand)
+        if result.hit:
+            continue
+        if demand:
+            stall += dram_model.access(addr, tick)
+        if result.writeback:
+            dram_model.access(result.victim_addr, tick, is_write=True)
+        if demand and prefetcher is not None:
+            for target in prefetcher.on_miss(addr):
+                fill = cache.access(target, False, priv, tick, demand=False)
+                if not fill.hit:
+                    dram_model.access(target, tick)
+                    if fill.writeback:
+                        dram_model.access(fill.victim_addr, tick, is_write=True)
+    return stall

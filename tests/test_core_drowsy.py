@@ -36,9 +36,9 @@ def both_engines_awake(geometry, ticks, addrs, privs, writes, demand, finalize_t
     _, fast_events = simulate_trace(geometry, None, addrs, privs, writes, demand,
                                     record_events=True)
     cache = SetAssociativeCache(geometry, "lru")
-    ref_events = ReplaySession("awake", stream, "reference").replay_fixed(
+    _, _, ref_events = ReplaySession("awake", stream, "reference").replay_fixed(
         [FixedSegment("shared", cache, sram())], lambda priv: cache
-    )[3]
+    )
     assert sorted(fast_events.miss_idx) == ref_events.miss_idx.tolist()
     assert sorted(zip(*(col.tolist() for col in _evictions(fast_events)))) == list(
         zip(*(col.tolist() for col in _evictions(ref_events)))

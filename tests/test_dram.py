@@ -1,8 +1,24 @@
-"""Unit tests for the DRAM bank/row-buffer model."""
+"""Unit tests for the DRAM bank/row-buffer model, and for the pipeline's
+post-pass over replay events against the per-access interleaving."""
+
+import dataclasses
 
 import pytest
 
+from partition_oracles import interleaved_dram
+from repro import obs
+from repro.cache.diffsim import STRESS_CASES_FROM, STRESS_SCENARIOS, _workload, sample_case
+from repro.cache.hierarchy import L2Stream
+from repro.cache.prefetch import make_prefetcher
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import CacheStats
+from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.core import BaselineDesign
+from repro.core.multi_retention import multi_retention_design
+from repro.core.pipeline import FixedSegment, run_fixed_design
 from repro.dram import DRAMConfig, DRAMModel
+from repro.energy.technology import sram
+from repro.types import Privilege
 
 
 class TestConfig:
@@ -106,9 +122,6 @@ class TestReset:
 
 class TestDesignIntegration:
     def test_streaming_misses_earn_row_hits(self, browser_stream_small):
-        from repro.config import DEFAULT_PLATFORM
-        from repro.core import BaselineDesign
-
         dram = DRAMModel()
         r = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM, dram_model=dram)
         assert dram.stats.accesses > 0
@@ -116,12 +129,95 @@ class TestDesignIntegration:
         assert r.extras["dram_stats"] is dram.stats
 
     def test_banked_timing_differs_from_flat(self, browser_stream_small):
-        from repro.config import DEFAULT_PLATFORM
-        from repro.core import BaselineDesign
-
         flat = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM)
         banked = BaselineDesign().run(
             browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel())
         assert banked.timing.dram_stall_cycles != flat.timing.dram_stall_cycles
         # miss counts are identical — DRAM only changes latency/energy
         assert banked.l2_stats.demand_misses == flat.l2_stats.demand_misses
+
+
+#: The default platform with a 64 KB L2, which the small browser stream
+#: overflows (dirty victims reach DRAM), and the same with a clock a
+#: hundred times slower: retention windows shrink a hundredfold in ticks,
+#: so static-stt's kernel segment decays inside the stream (the kernel's
+#: expiring route).
+SMALL_L2 = dataclasses.replace(DEFAULT_PLATFORM, l2=CacheGeometry(64 * 1024, 16))
+SLOW_CLOCK = dataclasses.replace(SMALL_L2, clock_hz=DEFAULT_PLATFORM.clock_hz / 100)
+
+
+def _oracle(design, stream, platform, prefetcher=None):
+    """``(stall, DRAMStats)`` of the per-access interleaving over fresh
+    copies of ``design``'s caches."""
+    if isinstance(design, BaselineDesign):
+        user = kernel = SetAssociativeCache(platform.l2, "lru")
+    else:
+        user = design._segment(platform, design.user_ways, design.user_tech, "user")
+        kernel = design._segment(platform, design.kernel_ways, design.kernel_tech, "kernel")
+    dram = DRAMModel()
+    stall = interleaved_dram(stream, lambda priv: kernel if priv == Privilege.KERNEL else user,
+                             dram, prefetcher)
+    return stall, dram.stats
+
+
+def _assert_matches_oracle(result, dram, stall, stats):
+    assert result.extras["dram_stats"] is dram.stats
+    assert dram.stats == stats
+    assert result.timing.dram_stall_cycles == float(stall)
+
+
+class TestPostPass:
+    """The post-pass over replay events drives the DRAM model exactly as
+    the per-access interleaving did, on both engines."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("factory, platform", [
+        (BaselineDesign, SMALL_L2),
+        (multi_retention_design, SMALL_L2),
+        (multi_retention_design, SLOW_CLOCK),
+    ], ids=["baseline", "static-stt", "static-stt@slow-clock"])
+    def test_designs_match_interleaving(self, factory, platform, engine, browser_stream_small):
+        stream = browser_stream_small
+        expiring = obs.REGISTRY.counters.get("fastsim.retention.expiring", 0)
+        dram = DRAMModel()
+        result = factory().run(stream, platform, dram_model=dram, engine=engine)
+        assert result.extras["sim_engine"] == ("fastsim" if engine == "fast" else "reference")
+        _assert_matches_oracle(result, dram, *_oracle(factory(), stream, platform))
+        assert dram.stats.writes > 0 and dram.stats.busy_stalls > 0
+        if platform is SLOW_CLOCK:
+            assert result.segment("kernel").stats.expiry_invalidations > 0
+            if engine == "fast":
+                assert obs.REGISTRY.counters["fastsim.retention.expiring"] > expiring
+
+    def test_prefetch_traffic_matches_interleaving(self, browser_stream_small):
+        """A prefetcher keeps the job on the reference engine; its fills
+        and their victims reach the post-pass in issue order."""
+        dram = DRAMModel()
+        result = BaselineDesign().run(browser_stream_small, SMALL_L2, dram_model=dram,
+                                      prefetcher=make_prefetcher("nextline"))
+        assert result.extras["sim_engine"] == "reference"
+        stall, stats = _oracle(BaselineDesign(), browser_stream_small, SMALL_L2,
+                               make_prefetcher("nextline"))
+        _assert_matches_oracle(result, dram, stall, stats)
+        assert result.extras["prefetch_issued"] > 0 and dram.stats.writes > 0
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("seed", range(STRESS_CASES_FROM,
+                                           STRESS_CASES_FROM + len(STRESS_SCENARIOS)),
+                             ids=STRESS_SCENARIOS)
+    def test_stress_cases_match_interleaving(self, seed, engine):
+        case = sample_case(seed)
+        ticks, addrs, privs, writes, demand, final_tick = _workload(case)
+        n = len(ticks)
+        stream = L2Stream("stress", ticks, addrs, privs, writes, demand, n, n, final_tick,
+                          CacheStats(), CacheStats())
+        cache = SetAssociativeCache(case.geometry, "lru")
+        dram = DRAMModel(DRAMConfig(row_bytes=256))
+        result = run_fixed_design("stress", stream, DEFAULT_PLATFORM,
+                                  [FixedSegment("shared", cache, sram())], lambda priv: cache,
+                                  dram_model=dram, engine=engine)
+        oracle_dram = DRAMModel(DRAMConfig(row_bytes=256))
+        oracle_cache = SetAssociativeCache(case.geometry, "lru")
+        stall = interleaved_dram(stream, lambda priv: oracle_cache, oracle_dram)
+        _assert_matches_oracle(result, dram, stall, oracle_dram.stats)
+        assert dram.stats.row_hits > 0 and dram.stats.busy_stalls > 0

@@ -161,19 +161,42 @@ def test_kernel_rejects_unsupported_refresh_mode():
                                refresh_mode="invalidate")
 
 
-@pytest.mark.parametrize("window", [1, 10_000])
-def test_kernel_rejects_miss_events_under_retention(window):
-    """Miss events come from the retention-free replay only, so asking
-    for them with ``invalidate`` fails up front, whether or not the
-    window outlasts the stream."""
+@pytest.mark.parametrize("window, route", [(40, "expiring"), (10_000, "elided")],
+                         ids=["expiring", "elided"])
+def test_kernel_miss_events_under_retention(window, route):
+    """With ``invalidate`` retention, the expiring replay (a window the
+    stream outlasts) and the elided one record the reference engine's
+    misses and evictions; decayed blocks that drain are not victims."""
     geometry = CacheGeometry(4096, 4)
-    n = 64
-    with pytest.raises(ValueError, match="record_events"):
-        fastsim.simulate_trace(
-            geometry, np.arange(n), np.arange(n, dtype=np.uint64) * np.uint64(64),
-            np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=bool),
-            retention_ticks=window, refresh_mode="invalidate", record_events=True,
-        )
+    rng = np.random.default_rng(5)
+    n = 2000
+    ticks = np.arange(n, dtype=np.int64)
+    addrs = (rng.integers(0, 192, size=n) * geometry.block_size).astype(np.uint64)
+    privs = rng.integers(0, 2, size=n).astype(np.uint8)
+    writes = rng.random(n) < 0.4
+    demand = rng.random(n) < 0.8
+    cache = SetAssociativeCache(geometry, "lru", retention_ticks=window,
+                                refresh_mode="invalidate")
+    misses, evictions = [], []
+    for i, (addr, priv, isw, dm) in enumerate(zip(
+        addrs.tolist(), privs.tolist(), writes.tolist(), demand.tolist()
+    )):
+        result = cache.access(addr, isw, priv, i, dm)
+        if not result.hit:
+            misses.append(i)
+        if result.victim_addr is not None:
+            evictions.append((i, result.victim_addr, result.victim_priv, result.writeback))
+    before = obs.REGISTRY.counters.get(f"fastsim.retention.{route}", 0)
+    _, events = fastsim.simulate_trace(
+        geometry, ticks, addrs, privs, writes, demand, retention_ticks=window,
+        refresh_mode="invalidate", finalize_tick=n, record_events=True,
+    )
+    assert obs.REGISTRY.counters[f"fastsim.retention.{route}"] == before + 1
+    assert sorted(events.miss_idx.tolist()) == misses
+    assert sorted(zip(events.evict_idx.tolist(), events.evict_addr.tolist(),
+                      events.evict_priv.tolist(), events.evict_dirty.tolist())) == evictions
+    assert evictions and any(dirty for *_, dirty in evictions)
+    assert (cache.stats.expiry_invalidations > 0) == (route == "expiring")
 
 
 # ----------------------------------------------------------------------
@@ -309,13 +332,15 @@ def test_auto_falls_back_for_prefetcher(browser_stream_small):
     assert result.extras["sim_engine"] == "reference"
 
 
-def test_auto_falls_back_for_dram_model(browser_stream_small):
+def test_auto_engine_uses_fast_kernel_with_dram_model(browser_stream_small):
     from repro.dram import DRAMModel
 
+    before = obs.REGISTRY.counters.get("pipeline.dispatch.fastsim", 0)
     result = BaselineDesign().run(
         browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel()
     )
-    assert result.extras["sim_engine"] == "reference"
+    assert result.extras["sim_engine"] == "fastsim"
+    assert obs.REGISTRY.counters["pipeline.dispatch.fastsim"] == before + 1
 
 
 def test_auto_falls_back_for_non_lru_policy(browser_stream_small):
@@ -335,11 +360,6 @@ def test_fast_engine_raises_when_disqualified(browser_stream_small):
         BaselineDesign(policy="plru").run(
             browser_stream_small, DEFAULT_PLATFORM, engine="fast"
         )
-
-
-def test_fast_l1_filter_rejects_non_lru(browser_trace_small):
-    with pytest.raises(ValueError, match="lru"):
-        l1_filter(browser_trace_small, DEFAULT_PLATFORM, policy="plru", engine="fast")
 
 
 def test_bad_engine_name_rejected(browser_trace_small, browser_stream_small):
