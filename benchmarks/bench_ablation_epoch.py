@@ -9,10 +9,8 @@ leakage on the table.  This sweep shows the trade-off the default
 import numpy as np
 
 from conftest import run_once
-from repro.config import DEFAULT_PLATFORM
-from repro.core.dynamic_partition import DynamicControllerConfig, DynamicPartitionDesign
+from repro.core.dynamic_partition import DynamicControllerConfig
 from repro.engine import JobSpec
-from repro.engine.streamcache import load_stream
 from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social")
@@ -20,15 +18,17 @@ EPOCHS = (10_000, 25_000, 50_000, 100_000)
 
 
 def _sweep(length):
-    bases = run_specs({app: JobSpec("baseline", app, length) for app in APPS})
+    results = run_specs({
+        **{("base", app): JobSpec("baseline", app, length) for app in APPS},
+        **{(epoch, app): JobSpec("dynamic-stt", app, length, design_kwargs={
+            "config": DynamicControllerConfig(epoch_ticks=epoch)})
+           for epoch in EPOCHS for app in APPS},
+    })
     rows = []
     for epoch in EPOCHS:
-        cfg = DynamicControllerConfig(epoch_ticks=epoch)
-        design = DynamicPartitionDesign(cfg, name=f"dyn-{epoch}")
         energy, loss = [], []
         for app in APPS:
-            base = bases[app]
-            r = design.run(load_stream(app, length), DEFAULT_PLATFORM)
+            base, r = results["base", app], results[epoch, app]
             energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
             loss.append(r.timing.perf_loss_vs(base.timing))
         rows.append((epoch, float(np.mean(energy)), float(np.mean(loss))))

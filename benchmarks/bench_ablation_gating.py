@@ -9,29 +9,25 @@ technologies isolates the value of retention-through-gating.
 import numpy as np
 
 from conftest import run_once
-from repro.config import DEFAULT_PLATFORM
-from repro.core.dynamic_partition import DynamicPartitionDesign
 from repro.energy.technology import sram
 from repro.engine import JobSpec
-from repro.engine.streamcache import load_stream
 from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
+    # the identical controller, its segments on SRAM instead of STT-RAM
+    on_sram = {"user_tech": sram(), "kernel_tech": sram()}
     grid = run_specs({
-        (design, app): JobSpec(design, app, length)
-        for design in ("baseline", "dynamic-stt")
-        for app in APPS
+        **{(design, app): JobSpec(design, app, length)
+           for design in ("baseline", "dynamic-stt") for app in APPS},
+        **{("dynamic-sram", app): JobSpec("dynamic-stt", app, length, design_kwargs=on_sram)
+           for app in APPS},
     })
-    dynamic_sram = DynamicPartitionDesign(
-        user_tech=sram(), kernel_tech=sram(), name="dynamic-sram")
     results = {
         "dynamic on STT (retains)": {app: grid["dynamic-stt", app] for app in APPS},
-        "dynamic on SRAM (loses)": {
-            app: dynamic_sram.run(load_stream(app, length), DEFAULT_PLATFORM) for app in APPS
-        },
+        "dynamic on SRAM (loses)": {app: grid["dynamic-sram", app] for app in APPS},
     }
     rows = []
     for label, by_app in results.items():

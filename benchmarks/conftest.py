@@ -6,11 +6,15 @@ simulations as :class:`~repro.engine.spec.JobSpec` batches resolved by
 :func:`repro.experiments.run_specs`, so the engine's persistent result
 store (:mod:`repro.engine.store`) shares every addressable result
 within and *across* sessions — a spec any bench or figure already ran
-is read from disk instead of re-simulated.  Designs that need
-non-scalar run arguments (a DRAM model, a prefetcher, technology or
-controller objects) replay a stream from
-:func:`~repro.engine.streamcache.load_stream` directly; the stream
-cache shares those front ends the same way.
+is read from disk instead of re-simulated.  Technology and controller
+variants are specs too: a design kwarg may be any frozen dataclass of
+JSON scalars (``user_tech=sram()``,
+``config=DynamicControllerConfig(epoch_ticks=...)``).  Only the DRAM,
+prefetch, multicore and app-switching benches run designs on streams
+from :func:`~repro.engine.streamcache.load_stream` directly, because
+they use run-time models (a DRAM model, a prefetcher) or streams outside
+the suite; the throughput bench does too, as replay speed is what it
+measures.  The stream cache shares those front ends the same way.
 
 Set ``REPRO_BENCH_LENGTH`` to shrink the per-app trace length for a
 faster (less converged) pass.  Set ``REPRO_BENCH_COLD=1`` to disable

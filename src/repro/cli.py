@@ -381,10 +381,10 @@ def _dispatch(args, out) -> int:
         print(f"wrote {trace.describe()} -> {args.out}", file=out)
         return 0
     if args.command == "search":
-        from repro.core.search import find_static_partition
-
-        streams = [load_stream(app, args.length) for app in args.apps]
-        point = find_static_partition(streams, DEFAULT_PLATFORM, args.tolerance)
+        point = _experiments().fig4_static_space(
+            args.length, tuple(args.apps), user_way_options=(1, 2, 3, 4, 6, 8),
+            kernel_way_options=(1, 2, 3, 4, 6), tolerance=args.tolerance,
+        ).chosen
         print(
             f"chosen partition: {point.user_ways} user + {point.kernel_ways} kernel ways "
             f"({point.total_bytes // 1024} KB) at miss rate "

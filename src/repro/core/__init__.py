@@ -11,8 +11,9 @@ Public surface:
   STT-RAM configuration.
 * :class:`DynamicPartitionDesign` / :class:`DynamicControllerConfig` —
   epoch-based dynamic partitioning with power-gated ways.
-* :func:`find_static_partition` / :func:`sweep_partitions` /
-  :func:`choose_partition` — the partition design-space search.
+* :func:`partition_point` / :func:`choose_partition` — the partition
+  search's selection rule (the sweep is
+  :func:`repro.experiments.fig4_static_space`).
 * :func:`make_design` / :data:`DESIGN_NAMES` / :data:`REGISTERED_DESIGNS`
   — the design registry.
 * :class:`DesignResult` / :class:`SegmentReport` — results.
@@ -45,9 +46,7 @@ _EXPORTS = {
     "SegmentReport": "result",
     "PartitionPoint": "search",
     "choose_partition": "search",
-    "find_static_partition": "search",
     "partition_point": "search",
-    "sweep_partitions": "search",
     "DEFAULT_KERNEL_WAYS": "static_partition",
     "DEFAULT_USER_WAYS": "static_partition",
     "StaticPartitionDesign": "static_partition",

@@ -7,6 +7,8 @@ freely.  Every other design is evaluated relative to it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
@@ -17,6 +19,7 @@ from repro.energy.technology import MemoryTechnology, sram
 __all__ = ["BaselineDesign"]
 
 
+@dataclass(frozen=True)
 class BaselineDesign:
     """Shared (unpartitioned) L2 of the platform's full size.
 
@@ -27,17 +30,14 @@ class BaselineDesign:
         policy: Replacement policy name.
     """
 
-    def __init__(
-        self,
-        ways: int | None = None,
-        tech: MemoryTechnology | None = None,
-        policy: str = "lru",
-        name: str = "baseline",
-    ) -> None:
-        self.ways = ways
-        self.tech = tech if tech is not None else sram()
-        self.policy = policy
-        self.name = name
+    ways: int | None = None
+    # default factories look their module global up per call, so a
+    # patched ``sram`` is what a new design (and its key) sees
+    tech: MemoryTechnology = field(default_factory=lambda: sram())
+    policy: str = "lru"
+    name: str = "baseline"
+
+    def __post_init__(self) -> None:
         if self.tech.retention is not None:
             raise ValueError(
                 "BaselineDesign models retention-free storage; use a design "

@@ -61,8 +61,10 @@ def make_design(name: str, **kwargs):
     """Instantiate one registered design by name.
 
     ``kwargs`` are forwarded to the design's constructor (way counts,
-    retention classes, replacement policy, ...), which is how
-    :class:`~repro.engine.spec.JobSpec` describes design variants.
+    retention classes, technologies, controller tuning, ...), which is
+    how :class:`~repro.engine.spec.JobSpec` describes design variants.
+    Every design is a frozen dataclass, so the object returned is the
+    resolved description a job's content key hashes.
     """
     if name not in _CONSTRUCTORS:
         raise ValueError(f"unknown design {name!r}; choose from {REGISTERED_DESIGNS}")

@@ -20,6 +20,8 @@ wake-up cycles.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.cache import fastsim
@@ -83,34 +85,27 @@ def awake_ticks(ticks, addrs, events, finalize_tick: int, window: int,
     return int(np.minimum(gaps, window).sum()), int(np.count_nonzero(gaps > window))
 
 
+@dataclass(frozen=True)
 class DrowsySRAMDesign:
-    """Shared SRAM L2 with per-line drowsy mode.
+    """Shared LRU SRAM L2 with per-line drowsy mode.
 
     Args:
         geometry: L2 geometry; defaults to the platform L2.
         drowsy_window: Full-voltage window after each access, in ticks.
         tech: SRAM parameter set (the leakage number is the full-voltage
             figure; drowsy lines burn ``DROWSY_LEAKAGE_SCALE`` of it).
-        policy: Replacement policy.
     """
 
-    def __init__(
-        self,
-        geometry: CacheGeometry | None = None,
-        drowsy_window: int = DEFAULT_DROWSY_WINDOW,
-        tech: MemoryTechnology | None = None,
-        policy: str = "lru",
-        name: str = "drowsy-sram",
-    ) -> None:
-        if drowsy_window <= 0:
-            raise ValueError(f"drowsy_window must be positive, got {drowsy_window}")
-        self.geometry = geometry
-        self.drowsy_window = drowsy_window
-        self.tech = tech if tech is not None else sram()
+    geometry: CacheGeometry | None = None
+    drowsy_window: int = DEFAULT_DROWSY_WINDOW
+    tech: MemoryTechnology = field(default_factory=lambda: sram())
+    name: str = "drowsy-sram"
+
+    def __post_init__(self) -> None:
+        if self.drowsy_window <= 0:
+            raise ValueError(f"drowsy_window must be positive, got {self.drowsy_window}")
         if self.tech.retention is not None:
             raise ValueError("drowsy mode is an SRAM technique; use a retention-free tech")
-        self.policy = policy
-        self.name = name
 
     def run(
         self, stream: L2Stream, platform: PlatformConfig, engine: str = "auto"
@@ -118,18 +113,15 @@ class DrowsySRAMDesign:
         """Replay ``stream``; leakage splits into awake and drowsy parts.
 
         ``engine`` follows the shared contract (see
-        :func:`~repro.core.pipeline.run_fixed_design`): an LRU cache
-        replays through the fast kernel, any other policy through the
-        reference engine.  Either way :func:`awake_ticks` then reads the
-        awake time off the replay's eviction events.
+        :func:`~repro.core.pipeline.run_fixed_design`).  Either engine's
+        replay feeds :func:`awake_ticks`, which reads the awake time off
+        its eviction events.
         """
         geometry = self.geometry if self.geometry is not None else platform.l2
         session = ReplaySession(self.name, stream, engine)
-        cache = SetAssociativeCache(geometry, self.policy, name="l2-drowsy")
+        cache = SetAssociativeCache(geometry, "lru", name="l2-drowsy")
         segments = [FixedSegment("shared", cache, self.tech)]
-        if session.dispatch_fast(
-            fastsim.fixed_envelope(segments, lambda priv: cache), "needs an LRU policy"
-        ):
+        if session.dispatch_fast(True, "always qualifies"):
             with session.replay_span():
                 events = fastsim.run_fixed(stream, segments, lambda priv: cache, record_events=True)
         else:

@@ -31,12 +31,11 @@ once, the reference :class:`SetAssociativeCache` one access at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cache.hierarchy import L2Stream
-from repro.cache.replacement import LRUPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
 from repro.core.pipeline import ReplaySession, ResultAssembler, SegmentOutcome
@@ -150,34 +149,24 @@ class _Segment:
             self.last_integral_tick = tick
 
 
+@dataclass(frozen=True)
 class DynamicPartitionDesign:
     """Dynamically partitioned L2 with power-gated ways.
+
+    Both segments replace LRU: the controller reads LRU-rank utilities.
 
     Args:
         config: Controller tuning.
         user_tech/kernel_tech: Array technologies (default: both
             short-retention STT-RAM, the paper's maximal-savings point).
         refresh_mode: Decay handling for finite-retention technologies.
-        policy: Replacement policy (LRU recommended: the controller
-            reads LRU-rank utilities; with other policies it falls back
-            to miss-rate-only control).
     """
 
-    def __init__(
-        self,
-        config: DynamicControllerConfig | None = None,
-        user_tech: MemoryTechnology | None = None,
-        kernel_tech: MemoryTechnology | None = None,
-        refresh_mode: str = "invalidate",
-        policy: str = "lru",
-        name: str = "dynamic-stt",
-    ) -> None:
-        self.config = config if config is not None else DynamicControllerConfig()
-        self.user_tech = user_tech if user_tech is not None else stt_ram("short")
-        self.kernel_tech = kernel_tech if kernel_tech is not None else stt_ram("short")
-        self.refresh_mode = refresh_mode
-        self.policy = policy
-        self.name = name
+    config: DynamicControllerConfig = field(default_factory=lambda: DynamicControllerConfig())
+    user_tech: MemoryTechnology = field(default_factory=lambda: stt_ram("short"))
+    kernel_tech: MemoryTechnology = field(default_factory=lambda: stt_ram("short"))
+    refresh_mode: str = "invalidate"
+    name: str = "dynamic-stt"
 
     def _make_segment(
         self, platform: PlatformConfig, label: str, start_ways: int, max_ways: int,
@@ -198,7 +187,7 @@ class DynamicPartitionDesign:
                 geometry, min_rank_accesses=self.config.decision_accesses, **common
             )
         else:
-            cache = SetAssociativeCache(geometry, self.policy, **common)
+            cache = SetAssociativeCache(geometry, "lru", **common)
         cache.set_powered_ways(start_ways, 0)
         bytes_per_way = geometry.num_sets * geometry.block_size
         return _Segment(label, cache, tech, max_ways, bytes_per_way)
@@ -241,18 +230,6 @@ class DynamicPartitionDesign:
             seg.resizes += 1
         cache.begin_epoch()
 
-    def _fast_qualifies(self) -> bool:
-        """Cheap preconditions for the epoch-chunked fast kernel."""
-        if isinstance(self.policy, str):
-            if self.policy != "lru":
-                return False
-        elif type(self.policy) is not LRUPolicy:
-            return False
-        return all(
-            tech.retention is None or self.refresh_mode == "invalidate"
-            for tech in (self.user_tech, self.kernel_tech)
-        )
-
     def run(
         self, stream: L2Stream, platform: PlatformConfig, engine: str = "auto"
     ) -> DesignResult:
@@ -261,16 +238,16 @@ class DynamicPartitionDesign:
         ``engine`` picks the replay path under the shared contract
         (``"auto"``/``"fast"``/``"reference"``, see
         :func:`~repro.core.pipeline.run_fixed_design`): the design
-        qualifies for the vectorized epoch-chunked kernel when its
-        replacement policy is true LRU and every segment technology is
-        retention-free or handled with fixed-window ``invalidate``.
+        qualifies for the vectorized epoch-chunked kernel when every
+        segment technology is retention-free or handled with
+        fixed-window ``invalidate``.
         """
         cfg = self.config
         session = ReplaySession(self.name, stream, engine)
         fast = session.dispatch_fast(
-            self._fast_qualifies(),
-            "needs LRU replacement and retention 'none'/'invalidate' with "
-            "the fixed-window model",
+            all(tech.retention is None or self.refresh_mode == "invalidate"
+                for tech in (self.user_tech, self.kernel_tech)),
+            "needs retention 'none'/'invalidate' with the fixed-window model",
         )
         user = self._make_segment(
             platform, "user", cfg.start_user_ways, cfg.max_user_ways, self.user_tech, fast

@@ -1,12 +1,13 @@
-"""Design-space search for the static partition sizes.
+"""Selection rule of the static partition search.
 
 The paper picks the static (user, kernel) segment sizes by sweeping the
 partition space and choosing the smallest total size whose miss rate
-stays close to the full-size shared baseline.  This module implements
-that sweep over pre-filtered L2 streams (cheap: the L1 work is already
-done).  The selection rule, :func:`choose_partition`, is a pure function
-over already-evaluated points, so Figure 4 applies it to the results of
-its own engine batch instead of re-simulating the sweep.
+stays close to the full-size shared baseline.  The sweep is one
+store-backed spec batch,
+:func:`repro.experiments.figures.fig4_static_space` (``repro search``
+runs it over a wider grid); this module holds what it applies to the
+results: :func:`partition_point` summarises one partition and
+:func:`choose_partition` picks among the evaluated points.
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.hierarchy import L2Stream
 from repro.config import PlatformConfig
-from repro.core.baseline import BaselineDesign
 from repro.core.result import DesignResult
-from repro.core.static_partition import StaticPartitionDesign
 
-__all__ = [
-    "PartitionPoint",
-    "partition_point",
-    "sweep_partitions",
-    "choose_partition",
-    "find_static_partition",
-]
+__all__ = ["PartitionPoint", "partition_point", "choose_partition"]
 
 
 @dataclass(frozen=True)
@@ -76,24 +68,6 @@ def partition_point(
     )
 
 
-def sweep_partitions(
-    streams: list[L2Stream],
-    platform: PlatformConfig,
-    user_way_options: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
-    kernel_way_options: tuple[int, ...] = (1, 2, 3, 4, 6),
-) -> list[PartitionPoint]:
-    """Evaluate every (user, kernel) way combination on ``streams``."""
-    if not streams:
-        raise ValueError("need at least one stream to sweep")
-    points = []
-    for uw in user_way_options:
-        for kw in kernel_way_options:
-            design = StaticPartitionDesign(user_ways=uw, kernel_ways=kw)
-            results = [design.run(stream, platform) for stream in streams]
-            points.append(partition_point(uw, kw, results, platform))
-    return points
-
-
 def choose_partition(
     points: list[PartitionPoint], baseline_miss_rate: float, tolerance: float = 0.10
 ) -> PartitionPoint:
@@ -111,20 +85,3 @@ def choose_partition(
     if admissible:
         return min(admissible, key=lambda p: (p.total_bytes, p.demand_miss_rate))
     return min(points, key=lambda p: p.demand_miss_rate)
-
-
-def find_static_partition(
-    streams: list[L2Stream],
-    platform: PlatformConfig,
-    tolerance: float = 0.10,
-    user_way_options: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
-    kernel_way_options: tuple[int, ...] = (1, 2, 3, 4, 6),
-) -> PartitionPoint:
-    """Sweep ``streams`` and pick a partition with :func:`choose_partition`.
-
-    The reference is the full-size shared baseline's mean demand miss
-    rate over the same streams.
-    """
-    baseline = [BaselineDesign().run(stream, platform) for stream in streams]
-    points = sweep_partitions(streams, platform, user_way_options, kernel_way_options)
-    return choose_partition(points, _mean_miss_rates(baseline)[0], tolerance)

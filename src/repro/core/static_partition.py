@@ -14,6 +14,8 @@ See :mod:`repro.core.multi_retention` for the canonical configuration.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
@@ -34,8 +36,11 @@ DEFAULT_USER_WAYS = 8
 DEFAULT_KERNEL_WAYS = 4
 
 
+@dataclass(frozen=True)
 class StaticPartitionDesign:
     """Statically partitioned L2 with per-segment technology.
+
+    Both segments replace LRU.
 
     Args:
         user_ways: Way count of the user segment.
@@ -48,31 +53,20 @@ class StaticPartitionDesign:
         retention_distribution: ``"fixed"`` (hard window at the spec
             value) or ``"exponential"`` (thermally realistic lifetimes
             with the spec value as mean).
-        policy: Replacement policy of both segments.
         name: Design label in results.
     """
 
-    def __init__(
-        self,
-        user_ways: int = DEFAULT_USER_WAYS,
-        kernel_ways: int = DEFAULT_KERNEL_WAYS,
-        user_tech: MemoryTechnology | None = None,
-        kernel_tech: MemoryTechnology | None = None,
-        refresh_mode: str = "invalidate",
-        retention_distribution: str = "fixed",
-        policy: str = "lru",
-        name: str = "static",
-    ) -> None:
-        if user_ways <= 0 or kernel_ways <= 0:
+    user_ways: int = DEFAULT_USER_WAYS
+    kernel_ways: int = DEFAULT_KERNEL_WAYS
+    user_tech: MemoryTechnology = field(default_factory=lambda: sram())
+    kernel_tech: MemoryTechnology = field(default_factory=lambda: sram())
+    refresh_mode: str = "invalidate"
+    retention_distribution: str = "fixed"
+    name: str = "static"
+
+    def __post_init__(self) -> None:
+        if self.user_ways <= 0 or self.kernel_ways <= 0:
             raise ValueError("both segments need at least one way")
-        self.user_ways = user_ways
-        self.kernel_ways = kernel_ways
-        self.user_tech = user_tech if user_tech is not None else sram()
-        self.kernel_tech = kernel_tech if kernel_tech is not None else sram()
-        self.refresh_mode = refresh_mode
-        self.retention_distribution = retention_distribution
-        self.policy = policy
-        self.name = name
 
     def _segment(
         self, platform: PlatformConfig, ways: int, tech: MemoryTechnology, label: str
@@ -81,7 +75,7 @@ class StaticPartitionDesign:
         retention = tech.retention_ticks(platform.clock_hz)
         return SetAssociativeCache(
             geometry,
-            self.policy,
+            "lru",
             retention_ticks=retention,
             refresh_mode="none" if retention is None else self.refresh_mode,
             retention_distribution=self.retention_distribution,

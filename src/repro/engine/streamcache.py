@@ -288,14 +288,16 @@ def load_stream(
     (``REPRO_CACHE_DISABLE``) is the stream built in-process and the
     entry owns its arrays.  The stream is filtered through
     ``platform``'s L1s, so a non-default platform sees its own L1
-    behaviour.  Arguments are normalised before the memo lookup, so
-    every call spelling shares one entry.
+    behaviour.  The memo is keyed on the stream key, so an edited app
+    profile misses it just as it misses the persistent cache.
     """
-    return _memoised_stream(app, length, seed, platform)
+    return _memoised_stream(stream_key(app, length, seed, platform), app, length, seed, platform)
 
 
 @lru_cache(maxsize=16)
-def _memoised_stream(app: str, length: int, seed: int, platform: PlatformConfig) -> L2Stream:
+def _memoised_stream(
+    key: str, app: str, length: int, seed: int, platform: PlatformConfig
+) -> L2Stream:
     cache = default_stream_cache()
     if cache is None:
         return l1_filter(suite_trace(app, length, seed), platform)

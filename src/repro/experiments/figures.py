@@ -245,10 +245,12 @@ def fig4_static_space(
 
     Defaults to three representative apps to keep the sweep tractable;
     pass ``apps=APP_NAMES`` for the full-suite version.  Each (design,
-    app) pair is simulated once; the selection rule is
-    :func:`~repro.core.search.choose_partition`, the same one
-    :func:`~repro.core.search.find_static_partition` applies.
+    app) pair is one spec of a single store-backed batch; the selection
+    rule is :func:`~repro.core.search.choose_partition`.  ``repro
+    search`` runs this sweep over a wider way grid.
     """
+    if not apps:
+        raise ValueError("need at least one app to sweep")
     ways = [(uw, kw) for uw in user_way_options for kw in kernel_way_options]
     specs = {("baseline", app): JobSpec("baseline", app, length) for app in apps}
     for uw, kw in ways:

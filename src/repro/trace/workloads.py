@@ -88,8 +88,8 @@ def _build_profile(
     user_dwell: int = 520,
 ) -> AppProfile:
     """Assemble the standard three-phase interactive-app profile."""
-    # the phase model loads only when a profile is built, which a sweep
-    # over cached streams never does
+    # the phase model loads when the first profile is built (stream keys
+    # hash the profiles, so every sweep builds them)
     from repro.trace.phases import AppProfile, PhaseSpec, Region
 
     user_code = Region("user_code", _USER_CODE, 96 * _KB, "hot", 4.2, _CODE_KINDS)

@@ -23,6 +23,10 @@ a change that is meant to alter output, bump
 ``repro.engine.spec.MODEL_VERSION`` and rerun, from the repository root::
 
     PYTHONPATH=src python tests/golden/regen.py
+
+Result and stream keys hash ``MODEL_VERSION``, so the bump also turns
+every cached result and stream into a miss: no store serves a number of
+the old model.
 """
 
 from __future__ import annotations

@@ -129,14 +129,6 @@ class TestDrowsyDesign:
         assert result.extras["sim_engine"] == "fastsim"
         assert obs.REGISTRY.counters["pipeline.dispatch.fastsim"] == before + 1
 
-    def test_non_lru_policy_replays_on_reference(self, browser_stream_small):
-        design = DrowsySRAMDesign(policy="fifo")
-        assert design.run(browser_stream_small, DEFAULT_PLATFORM).extras["sim_engine"] == (
-            "reference"
-        )
-        with pytest.raises(ValueError, match="fast kernel"):
-            design.run(browser_stream_small, DEFAULT_PLATFORM, engine="fast")
-
     def test_rejects_finite_retention_tech(self):
         with pytest.raises(ValueError, match="SRAM technique"):
             DrowsySRAMDesign(tech=stt_ram("short"))

@@ -209,8 +209,8 @@ class TestChunkDriver:
                     for i, (tick, *rest) in enumerate(rows)]
         stream = synthetic_stream(rows)
         cfg = DynamicControllerConfig(epoch_ticks=10_000)
-        tech = sram() if variant == "sram" else None
-        design = DynamicPartitionDesign(cfg, user_tech=tech, kernel_tech=tech)
+        techs = {"user_tech": sram(), "kernel_tech": sram()} if variant == "sram" else {}
+        design = DynamicPartitionDesign(cfg, **techs)
         result = design.run(stream, DEFAULT_PLATFORM, engine="reference")
         user, kernel, timeline = per_access_epoch_replay(design, stream, DEFAULT_PLATFORM)
         extras = result.extras

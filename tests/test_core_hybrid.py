@@ -14,8 +14,8 @@ class TestConstruction:
 
     def test_default_capacity_matches_static(self):
         d = HybridPartitionDesign()
-        assert sum(d.user_split) == 8
-        assert sum(d.kernel_split) == 4
+        assert d.user_sram_ways + d.user_stt_ways == 8
+        assert d.kernel_sram_ways + d.kernel_stt_ways == 4
 
 
 class TestBehaviour:
@@ -51,7 +51,7 @@ class TestBehaviour:
         from repro.core.hybrid import _HybridSegment
         from repro.energy.technology import sram, stt_ram
 
-        seg = _HybridSegment("t", DEFAULT_PLATFORM, 1, 3, sram(), stt_ram("medium"), "lru")
+        seg = _HybridSegment("t", DEFAULT_PLATFORM, 1, 3, sram(), stt_ram("medium"))
         seg.access(0x1000, False, 0, 0, True)    # demand fill -> STT
         assert seg.stt.contains(0x1000)
         seg.access(0x1000, True, 0, 1, False)    # 1st write: stays in STT

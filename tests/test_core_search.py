@@ -1,18 +1,21 @@
-"""Unit tests for the static-partition design-space search."""
+"""Unit tests for the static-partition design-space search.
+
+The sweep is Figure 4's store-backed spec batch
+(:func:`repro.experiments.fig4_static_space`); these cases run it on two
+apps at a short trace length.
+"""
 
 import pytest
 
-from repro.cache.hierarchy import l1_filter
-from repro.config import DEFAULT_PLATFORM
-from repro.core.search import PartitionPoint, find_static_partition, sweep_partitions
-from repro.trace.generator import generate_trace
-from repro.trace.workloads import app_profile
+from repro.core.search import PartitionPoint
+from repro.experiments import fig4_static_space
+
+LENGTH = 25_000
+APPS = ("game", "email")
 
 
-@pytest.fixture(scope="module")
-def small_streams():
-    traces = [generate_trace(app_profile(a), 25_000, seed=1) for a in ("game", "email")]
-    return [l1_filter(t, DEFAULT_PLATFORM) for t in traces]
+def sweep(user_way_options, kernel_way_options, tolerance=0.10):
+    return fig4_static_space(LENGTH, APPS, user_way_options, kernel_way_options, tolerance)
 
 
 class TestPartitionPoint:
@@ -22,48 +25,37 @@ class TestPartitionPoint:
 
 
 class TestSweep:
-    def test_grid_size(self, small_streams):
-        points = sweep_partitions(small_streams, DEFAULT_PLATFORM, (2, 4), (1, 2))
-        assert len(points) == 4
+    def test_grid_size(self):
+        assert len(sweep((2, 4), (1, 2)).points) == 4
 
-    def test_bytes_computed_from_ways(self, small_streams):
-        points = sweep_partitions(small_streams, DEFAULT_PLATFORM, (2,), (1,))
-        assert points[0].total_bytes == 3 * 64 * 1024
+    def test_bytes_computed_from_ways(self):
+        assert sweep((2,), (1,)).points[0].total_bytes == 3 * 64 * 1024
 
-    def test_bigger_partitions_do_not_miss_more(self, small_streams):
-        points = {(p.user_ways, p.kernel_ways): p
-                  for p in sweep_partitions(small_streams, DEFAULT_PLATFORM, (2, 8), (2, 8))}
+    def test_bigger_partitions_do_not_miss_more(self):
+        points = {(p.user_ways, p.kernel_ways): p for p in sweep((2, 8), (2, 8)).points}
         assert points[(8, 8)].demand_miss_rate <= points[(2, 2)].demand_miss_rate + 1e-9
 
     def test_rejects_empty_streams(self):
-        with pytest.raises(ValueError, match="at least one stream"):
-            sweep_partitions([], DEFAULT_PLATFORM)
+        with pytest.raises(ValueError, match="at least one app"):
+            fig4_static_space(LENGTH, ())
 
 
 class TestFind:
-    def test_picks_admissible_minimum(self, small_streams):
-        chosen = find_static_partition(
-            small_streams, DEFAULT_PLATFORM, tolerance=0.5,
-            user_way_options=(2, 8), kernel_way_options=(2, 8))
+    def test_picks_admissible_minimum(self):
+        chosen = sweep((2, 8), (2, 8), tolerance=0.5).chosen
         # with a generous tolerance the smallest config should win
         assert chosen.total_ways == 4
 
-    def test_tight_tolerance_prefers_larger(self, small_streams):
-        loose = find_static_partition(
-            small_streams, DEFAULT_PLATFORM, tolerance=1.0,
-            user_way_options=(2, 10), kernel_way_options=(2, 6))
-        tight = find_static_partition(
-            small_streams, DEFAULT_PLATFORM, tolerance=0.005,
-            user_way_options=(2, 10), kernel_way_options=(2, 6))
+    def test_tight_tolerance_prefers_larger(self):
+        loose = sweep((2, 10), (2, 6), tolerance=1.0).chosen
+        tight = sweep((2, 10), (2, 6), tolerance=0.005).chosen
         assert tight.total_bytes >= loose.total_bytes
 
-    def test_rejects_negative_tolerance(self, small_streams):
+    def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):
-            find_static_partition(small_streams, DEFAULT_PLATFORM, tolerance=-0.1)
+            sweep((2,), (2,), tolerance=-0.1)
 
-    def test_falls_back_to_best_point(self, small_streams):
+    def test_falls_back_to_best_point(self):
         # impossible budget: nothing admissible, must return lowest-mr point
-        chosen = find_static_partition(
-            small_streams, DEFAULT_PLATFORM, tolerance=0.0,
-            user_way_options=(1,), kernel_way_options=(1,))
+        chosen = sweep((1,), (1,), tolerance=0.0).chosen
         assert chosen.user_ways == 1 and chosen.kernel_ways == 1

@@ -1,12 +1,13 @@
 """Tests for the persistent result store and the result codec."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.designs import DESIGN_NAMES
 from repro.core.result import DesignResult
-from repro.engine.executor import execute_spec
+from repro.engine.executor import execute_spec, run_jobs
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore, default_store
 
@@ -99,6 +100,45 @@ class TestResultStore:
         store.put(JobSpec("baseline", "browser", length=LENGTH),
                   canonical_results["baseline"])
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestStaleModelInputs:
+    """A stored result is served only while every input behind it holds."""
+
+    def _run(self, store):
+        (outcome,) = run_jobs([JobSpec("baseline", "browser", length=LENGTH)], store=store)
+        return outcome
+
+    def test_unmodified_warm_rerun_is_all_hits(self, tmp_path):
+        store = ResultStore(tmp_path)
+        specs = [JobSpec(name, "browser", length=LENGTH) for name in DESIGN_NAMES]
+        assert not any(o.cached for o in run_jobs(specs, store=store))
+        assert all(o.cached for o in run_jobs(specs, store=store))
+
+    def test_sram_leakage_edit_misses_and_recomputes(self, tmp_path, monkeypatch):
+        from repro.core import baseline
+        from repro.energy.technology import sram
+
+        store = ResultStore(tmp_path)
+        old = self._run(store).result
+        monkeypatch.setattr(baseline, "sram",
+                            lambda: dataclasses.replace(sram(), leakage_mw_per_mb=10.0))
+        warm = self._run(store)
+        assert not warm.cached
+        assert warm.result.l2_energy.total_j < old.l2_energy.total_j
+        assert warm.result == self._run(None).result
+
+    def test_app_profile_edit_misses(self, tmp_path, monkeypatch):
+        from repro.trace import workloads
+
+        store = ResultStore(tmp_path)
+        old = self._run(store).result
+        profile = workloads.app_profile("browser")
+        monkeypatch.setitem(workloads._profiles(), "browser",
+                            dataclasses.replace(profile, idle_prob=profile.idle_prob / 2))
+        warm = self._run(store)
+        assert not warm.cached
+        assert warm.result.l2_stats != old.l2_stats
 
 
 class TestDefaultStore:

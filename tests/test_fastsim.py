@@ -451,10 +451,6 @@ def test_dynamic_fast_engine_raises_when_disqualified(browser_stream_small):
     from repro.core.dynamic_partition import DynamicPartitionDesign
 
     with pytest.raises(ValueError, match="fast"):
-        DynamicPartitionDesign(policy="plru").run(
-            browser_stream_small, DEFAULT_PLATFORM, engine="fast"
-        )
-    with pytest.raises(ValueError, match="fast"):
         DynamicPartitionDesign(refresh_mode="rewrite").run(
             browser_stream_small, DEFAULT_PLATFORM, engine="fast"
         )

@@ -34,7 +34,6 @@ NOT_IMPORTED = (
     "repro.trace.importers",
     "repro.trace.io",
     "repro.trace.microbench",
-    "repro.trace.phases",
     "repro.trace.transform",
     "repro.cache.analysis",
     "repro.cache.prefetch",

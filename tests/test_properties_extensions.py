@@ -96,7 +96,7 @@ def test_hybrid_segment_never_duplicates_blocks(accs):
     from repro.core.hybrid import _HybridSegment
     from repro.energy.technology import sram, stt_ram
 
-    seg = _HybridSegment("t", DEFAULT_PLATFORM, 1, 3, sram(), stt_ram("medium"), "lru")
+    seg = _HybridSegment("t", DEFAULT_PLATFORM, 1, 3, sram(), stt_ram("medium"))
     for i, (block, is_write, priv) in enumerate(accs):
         addr = block * 64
         seg.access(addr, is_write, priv, i, True)

@@ -84,6 +84,17 @@ class TestKeying:
             "browser", SHORT, 0, replace(DEFAULT_PLATFORM, l1i=CacheGeometry(16 * 1024, 4))
         )
 
+    def test_app_profile_edit_misses(self, cache, monkeypatch):
+        from repro.trace import workloads
+
+        cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
+        profile = workloads.app_profile("browser")
+        monkeypatch.setitem(workloads._profiles(), "browser",
+                            replace(profile, idle_mean_ticks=profile.idle_mean_ticks + 1))
+        assert cache.get("browser", SHORT, 0, DEFAULT_PLATFORM) is None
+        monkeypatch.undo()
+        assert cache.get("browser", SHORT, 0, DEFAULT_PLATFORM) is not None
+
     def test_l2_variant_is_served_the_default_streams_bundle(self, cache):
         cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
         variant = DEFAULT_PLATFORM.with_l2(CacheGeometry(512 * 1024, 8))
