@@ -14,9 +14,8 @@ instantiates it for eight named apps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.types import Privilege
 
@@ -77,7 +76,7 @@ class Region:
         if min(self.kind_weights) < 0:
             raise ValueError(f"region {self.name!r}: negative entry in kind_weights {self.kind_weights}")
         total = sum(self.kind_weights)
-        if not np.isclose(total, 1.0):
+        if not math.isclose(total, 1.0, abs_tol=1e-5):
             raise ValueError(f"region {self.name!r}: kind_weights sum to {total}, expected 1")
         if self.run_mean < 1.0:
             raise ValueError(f"region {self.name!r}: run_mean must be >= 1")
@@ -113,7 +112,7 @@ class PhaseSpec:
             raise ValueError(f"phase {self.name!r}: {len(self.weights)} weights for {len(self.regions)} regions")
         if min(self.weights) < 0:
             raise ValueError(f"phase {self.name!r}: negative entry in weights {self.weights}")
-        if not np.isclose(sum(self.weights), 1.0):
+        if not math.isclose(sum(self.weights), 1.0, abs_tol=1e-5):
             raise ValueError(f"phase {self.name!r}: weights must sum to 1")
         if self.mean_accesses < 1:
             raise ValueError(f"phase {self.name!r}: mean_accesses must be >= 1")
@@ -163,7 +162,7 @@ class AppProfile:
         if len(self.transitions) != n or any(len(row) != n for row in self.transitions):
             raise ValueError(f"profile {self.name!r}: transition matrix must be {n}x{n}")
         for i, row in enumerate(self.transitions):
-            if not np.isclose(sum(row), 1.0):
+            if not math.isclose(sum(row), 1.0, abs_tol=1e-5):
                 raise ValueError(f"profile {self.name!r}: transition row {i} sums to {sum(row)}")
             if min(row) < 0:
                 raise ValueError(f"profile {self.name!r}: negative transition probability in row {i}")
