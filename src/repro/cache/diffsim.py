@@ -35,7 +35,9 @@ odd ones are ``invalidate`` with the window at the stream's span
 dynamic-design sampler's seeds from :data:`CLEAN_DYNAMIC_CASES_FROM` on
 hold a few blocks per set, so the epoch replay resolves most rows of
 its clean sets in NumPy and hands sets to its loop mid-run, in each of
-the ways :data:`CLEAN_SCENARIOS` names.  Seeds from
+the ways :data:`CLEAN_SCENARIOS` names; from
+:data:`RUN_DYNAMIC_CASES_FROM` on they also end the replay's runs of
+constant ways mid-stream.  Seeds from
 :data:`STRESS_CASES_FROM` on are retention-free cases that stress the
 kernel's two rules (hits from the distinct blocks between a block's
 accesses, victims paired with evicting misses by last access), cycling
@@ -68,7 +70,12 @@ FOOTPRINT_CASES_FROM = 56
 #: clean, cycling through :data:`CLEAN_SCENARIOS`; lower seeds keep their
 #: original configurations unchanged.
 CLEAN_DYNAMIC_CASES_FROM = 24
-CLEAN_SCENARIOS = ("overflow", "dirty-gate", "sram-gate", "decay", "shrunk-rank")
+_RUN_SCENARIOS = ("regrow", "sram-idle")
+CLEAN_SCENARIOS = ("overflow", "dirty-gate", "sram-gate", "decay", "shrunk-rank") + _RUN_SCENARIOS
+#: First :func:`sample_dynamic_case` seed that cycles through the last
+#: two :data:`CLEAN_SCENARIOS` (run boundaries of the epoch replay);
+#: lower seeds cycle through the others, unchanged.
+RUN_DYNAMIC_CASES_FROM = 34
 #: First :func:`sample_case` seed drawn from :data:`STRESS_SCENARIOS`;
 #: lower seeds keep their original workloads unchanged.
 STRESS_CASES_FROM = 72
@@ -80,6 +87,7 @@ __all__ = [
     "FOOTPRINT_CASES_FROM",
     "CLEAN_DYNAMIC_CASES_FROM",
     "CLEAN_SCENARIOS",
+    "RUN_DYNAMIC_CASES_FROM",
     "STRESS_CASES_FROM",
     "STRESS_SCENARIOS",
     "DiffCase",
@@ -417,7 +425,13 @@ def sample_dynamic_case(seed: int) -> DynamicDiffCase:
     sets), ``decay`` (a slow clock: clean blocks decay between hits) and
     ``shrunk-rank`` (full start capacity the controller shrinks below
     some sets' footprints, so clean hits see ranks restricted to the
-    powered ways).
+    powered ways).  Seeds from :data:`RUN_DYNAMIC_CASES_FROM` on cycle
+    through the scenarios that end the epoch replay's runs: ``regrow``
+    (eager grow and shrink thresholds around a three-block footprint, so
+    the busy ways change again and again, with idle gates over dirty
+    clean frames in between) and ``sram-idle`` (SRAM whose controller
+    never decides, so each idle gate drops clean sets while the busy
+    ways stay put).
     """
     rng = np.random.default_rng(seed ^ 0xD1FF)
     epoch_ticks = int(rng.choice([2_000, 5_000, 12_500, 25_000]))
@@ -450,7 +464,11 @@ def sample_dynamic_case(seed: int) -> DynamicDiffCase:
     )
     if seed < CLEAN_DYNAMIC_CASES_FROM:
         return case
-    scenario = CLEAN_SCENARIOS[(seed - CLEAN_DYNAMIC_CASES_FROM) % len(CLEAN_SCENARIOS)]
+    if seed >= RUN_DYNAMIC_CASES_FROM:
+        scenario = _RUN_SCENARIOS[(seed - RUN_DYNAMIC_CASES_FROM) % len(_RUN_SCENARIOS)]
+        return _run_case(case, scenario)
+    scenario = CLEAN_SCENARIOS[(seed - CLEAN_DYNAMIC_CASES_FROM)
+                               % (len(CLEAN_SCENARIOS) - len(_RUN_SCENARIOS))]
     if scenario == "overflow":
         # block b maps to set b % sets: a quarter of the sets get one
         # block more than the smaller start capacity
@@ -469,6 +487,27 @@ def sample_dynamic_case(seed: int) -> DynamicDiffCase:
     return replace(case, user_tech="long", kernel_tech="long", start_user_ways=max_user,
                    start_kernel_ways=max_kernel, decision_accesses=40, burst_gap=4,
                    addr_blocks=3 * case.sets, shrink_last_way_util=0.5)
+
+
+def _run_case(case: DynamicDiffCase, scenario: str) -> DynamicDiffCase:
+    """``case`` reshaped for one of the scenarios that end runs."""
+    bursty = dict(idle_accesses=24, idle_gap=3 * case.epoch_ticks, write_frac=0.5,
+                  burst_gap=4, addr_blocks=3 * case.sets)
+    if scenario == "regrow":
+        # Three blocks per set: a controller eager to shrink drops below
+        # them, the misses that follow grow it back, and so on.
+        return replace(case, user_tech="long", kernel_tech="long",
+                       start_user_ways=case.max_user_ways, max_user_ways=max(case.max_user_ways, 4),
+                       start_kernel_ways=case.max_kernel_ways,
+                       max_kernel_ways=max(case.max_kernel_ways, 4), decision_accesses=40,
+                       grow_step=1, shrink_last_way_util=0.5, **bursty)
+    # sram-idle: no epoch has enough accesses to decide, so the busy ways
+    # stay at their start and every gate is an idle one
+    return replace(case, user_tech="sram", kernel_tech="sram", decision_accesses=10**9,
+                   start_user_ways=max(2, case.start_user_ways),
+                   max_user_ways=max(2, case.max_user_ways),
+                   start_kernel_ways=max(2, case.start_kernel_ways),
+                   max_kernel_ways=max(2, case.max_kernel_ways), **bursty)
 
 
 def _dynamic_stream(case: DynamicDiffCase):

@@ -51,10 +51,11 @@ epoch), while powered-way gating and wake-on-first-access are applied
 between chunks — exactly where the reference engine applies them — so
 the epoch controller's decisions, timelines and resize counters come out
 bit-identical too.  Step 2's elision applies there per chunk; a fixed
-design's expiring stream is the special case of one chunk.  A chunk's
-*clean sets* (see the class) resolve in NumPy, and a loop replays each
-other set from its first event on (counters ``fastsim.prefix.rows`` and
-``fastsim.loop.rows``).
+design's expiring stream is the special case of one chunk.  The rows
+of *clean sets* (see the class) resolve in NumPy, once per run of
+chunks at constant powered ways (``fastsim.epoch.runs``), and a loop
+replays each other set from its first event on (counters
+``fastsim.prefix.rows`` and ``fastsim.loop.rows``).
 
 Everything outside the envelope — ``rewrite`` refresh, exponential
 retention lifetimes, non-LRU policies, and prefetching (its fills
@@ -101,6 +102,10 @@ SUPPORTED_REFRESH_MODES = ("none", "invalidate")
 #: Widest way index a clean set's rank mask holds; rows of a clean set
 #: at way ``_MASK_BITS`` or beyond leave it (no real geometry gets there).
 _MASK_BITS = 64
+
+#: Chunks an epoch replay resolves when a run of constant ways starts;
+#: each further span of the run is twice the one before.
+_FIRST_SPAN = 64
 
 
 def enabled() -> bool:
@@ -280,10 +285,20 @@ def _set_order(blocks, num_sets):
     return np.argsort(set_idx.astype(key), kind="stable")
 
 
-def _block_order(blocks):
+def _block_order(blocks, num_sets: int = 1):
     """Stable argsort of ``blocks``: rows grouped by block, each block's
-    rows in their original order."""
+    rows in their original order.
+
+    With ``num_sets``, the rows must already be grouped by set in
+    ascending set order (set-major): a stable sort by tag (the block
+    without its set bits) then keeps equal tags in set order, which is
+    block order."""
     n = len(blocks)
+    tags = blocks >> np.uint64(num_sets.bit_length() - 1)
+    low = int(tags.min())
+    if int(tags.max()) - low < 1 << 16:
+        # a 16-bit key: the stable argsort runs as a radix sort
+        return np.argsort((tags - np.uint64(low)).astype(np.uint16), kind="stable")
     if int(blocks.max()) < np.iinfo(np.int64).max // n:
         # block * n + row is unique and sorts the same: a quicksort
         # instead of the slower stable sort
@@ -306,7 +321,7 @@ def _first_occurrences(set_blocks, set_idx, num_sets):
     """
     # A block's rows all lie in its set's range, so each block group's
     # first row is the block's first occurrence in its set.
-    by_block = _block_order(set_blocks)
+    by_block = _block_order(set_blocks, num_sets)
     grouped = set_blocks[by_block]
     group_lo = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
     first_pos = by_block[group_lo]
@@ -348,7 +363,7 @@ def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
     # lie in its set's range); ``opens`` marks each block's first row.
     kept_rows = len(order)
     idx = np.int32 if kept_rows < 1 << 31 else np.int64
-    by_block = _block_order(k_blocks).astype(idx)
+    by_block = _block_order(k_blocks, num_sets).astype(idx)
     grouped = k_blocks[by_block]
     opens = np.empty(kept_rows, dtype=bool)
     opens[0] = True
@@ -514,6 +529,44 @@ def _between_masks(way, prev, ways, dtype):
 # epoch-chunked replay (the dynamic partition design)
 
 
+@dataclass(eq=False)
+class _Span:
+    """Chunks ``first`` to ``stop`` of a run: consecutive chunks an
+    :class:`EpochReplaySegment` replays at the same powered ``ways``.
+
+    Rows from ``lo`` on.  Each ``*_off`` list cuts its array by chunk:
+    chunk ``first + i`` owns ``[off[i], off[i + 1])``.  Per chunk: the
+    sets whose first event falls in it (``turn_sets``), their rows from
+    that event on (``tails``, to the segment's end) and the blocks they
+    hand the loop (``handover`` columns, see
+    :meth:`EpochReplaySegment._handover`); the rows the loop replays
+    (``loop``, their seven loop columns in ``cols``); and the frames its
+    clean stores dirty (``store_frames``).  ``ranks`` is each row's
+    clean-hit rank, when some chunk tracks ranks.  The first ``done``
+    chunks are replayed, and the stores of the first ``flushed``
+    applied.
+    """
+
+    ways: int
+    first: int
+    stop: int
+    lo: int
+    ranks: np.ndarray | None
+    turn_sets: np.ndarray
+    turn_off: list[int]
+    tails: np.ndarray
+    tail_off: list[int]
+    handover: np.ndarray
+    hand_off: list[int]
+    loop: np.ndarray
+    loop_off: list[int]
+    cols: np.ndarray
+    store_frames: np.ndarray
+    store_off: list[int]
+    done: int = 0
+    flushed: int = 0
+
+
 class EpochReplaySegment:
     """Array-backed cache replayed one controller epoch at a time.
 
@@ -542,9 +595,19 @@ class EpochReplaySegment:
     ways a row is a miss filling way ``j`` (first occurrence) or a hit
     whose LRU rank is the number of powered ways accessed since the
     block's last access — all known from :meth:`load`'s per-row columns.
-    ``replay_chunk`` resolves a chunk's clean rows in NumPy, hands each
-    set to the loop at its first event row (way ``j >= P``, or a decayed
-    hit), and loops only over the rows from there on.
+    Each set goes to the loop at its first event row (way ``j >= P``, or
+    a decayed hit), and the loop replays only the rows from there on.
+
+    Given the sets already in the loop, which rows those are depends on
+    ``P`` alone, so they are resolved once per *run* — consecutive
+    chunks replayed at the same powered ways — in NumPy passes over
+    spans of its chunks (:class:`_Span`);
+    a new run starts when a chunk meets other ways, or after an SRAM
+    gate dropped clean sets.  A chunk then costs list reads, the sets
+    that reach their first event in it, and its loop rows.  The clean
+    rows' stores reach ``dirty`` when something reads it (:meth:`_flush`),
+    and a clean block's recency and last cell write are read off its
+    rows when the loop takes the set over (:meth:`_handover`).
 
     The envelope matches :func:`supports_cache` plus gating: true LRU,
     retention ``none`` or fixed-window ``invalidate``, and power-gated
@@ -593,7 +656,7 @@ class EpochReplaySegment:
         # flat arrays plus one block-keyed tag dict keep the per-access
         # work to a few C-level index operations.  A frame without a
         # resident block is always clean: the gating and finalize scans
-        # rely on it.  ``dirty`` covers every set (``replay_chunk`` writes
+        # rely on it.  ``dirty`` covers every set (:meth:`_flush` writes
         # the clean rows' stores in bulk) and has a NumPy view for those
         # scans; the tag map, ``valid``, ``privw``, ``lastref``, ``seqs``
         # and ``blockw`` only cover the sets the loop replays.
@@ -607,15 +670,14 @@ class EpochReplaySegment:
         self._tagmap: dict[int, int] = {}
         self._valid_np = np.frombuffer(self._valid, np.uint8)
         self._dirty_np = np.frombuffer(self._dirty, np.uint8)
-        self._privw_np = np.frombuffer(self._privw, np.uint8)
-        # Clean-set state: the block and privilege that fill each frame
-        # while its set is clean (from :meth:`load`), each frame's last
-        # access as a recency sequence (0 until the frame fills) and its
-        # last cell write, and which sets are still clean.
+        # Clean-set state (from :meth:`load`): the block and privilege
+        # that fill each frame while its set is clean, the block's first
+        # row (past every row if none) and its group in ``_block_key``,
+        # and which sets are still clean.
         self._way_block = np.zeros(n_frames, np.uint64)
         self._way_priv = np.zeros(n_frames, np.uint8)
-        self._clean_seq = np.zeros(n_frames, np.int64)
-        self._clean_ref = np.zeros(n_frames, np.int64)
+        self._way_first = np.full(n_frames, np.iinfo(np.int64).max)
+        self._way_group = np.zeros(n_frames, np.int64)
         self._clean_set = np.ones(geometry.num_sets, dtype=bool)
         # The loop's recency sequence: a clean row's is its row number
         # plus one; the loop counts on from the row count, so it stays
@@ -627,6 +689,11 @@ class EpochReplaySegment:
         # outlast the window from it (see :meth:`_decay_window`).
         self._tick_min = 0
         self._full_from = 0
+        # The span being replayed, how many rows are replayed, and the
+        # gate masks by (new, old) powered ways.
+        self._span: _Span | None = None
+        self._replayed = 0
+        self._gates: dict[tuple[int, int], np.ndarray] = {}
 
     # -- geometry ------------------------------------------------------
 
@@ -652,35 +719,43 @@ class EpochReplaySegment:
             raise ValueError(f"new_powered must be in [1, {self.ways}], got {new_powered}")
         flushes = 0
         if new_powered < self.powered_ways:
-            gated = np.s_[:, new_powered:self.powered_ways]
-            dirty = self._dirty_np.reshape(-1, self.ways)[gated]
+            self._flush()
+            # The gated frames as a flat 0/1 mask: contiguous scans beat
+            # strided views of the frame arrays.
+            gate = self._gates.get((new_powered, self.powered_ways))
+            if gate is None:
+                gate = np.zeros((self.geometry.num_sets, self.ways), np.uint8)
+                gate[:, new_powered:self.powered_ways] = 1
+                gate = self._gates[new_powered, self.powered_ways] = gate.ravel()
+            dirty = self._dirty_np & gate
             held = int(np.count_nonzero(dirty))
             window = self._decay_window(tick)
             expired = 0
             if held and window is not None:
-                sets, ways = dirty.nonzero()
-                frames = sets * self.ways + ways + new_powered
-                expired = int(np.count_nonzero(tick - self._refs(frames) > window))
+                expired = int(np.count_nonzero(tick - self._refs(dirty.nonzero()[0]) > window))
             flushes = held - expired
             st = self.stats
             st.expiry_writebacks += expired
             st.writebacks += flushes
             st.gate_flushes += flushes
-            dirty[...] = 0
+            if held:
+                self._dirty_np ^= dirty  # clears the gated dirty bits
             if not self.retains_when_gated:
                 # Dropping a clean set's blocks ends its clean state: the
                 # loop replays all its remaining rows.
-                filled = self._clean_seq.reshape(-1, self.ways)[gated] > 0
-                turned = np.flatnonzero(self._clean_set & filled.any(axis=1))
+                filled = self._way_first.reshape(-1, self.ways)[:, new_powered:self.powered_ways]
+                turned = np.flatnonzero(self._clean_set & (filled < self._replayed).any(axis=1))
                 if len(turned):
-                    self._to_loop(turned, self._set_bounds[turned])
-                    self._materialise(turned)
-                valid = self._valid_np.reshape(-1, self.ways)[gated]
-                sets, ways = valid.nonzero()
+                    self._clean_set[turned] = False
+                    self._reach[self._set_tails(turned, self._set_bounds[turned])] = -1
+                    self._materialise(
+                        self._handover(turned, np.full(len(turned), self._replayed))[0])
+                    self._close_span()  # its loop rows no longer hold: a new run
+                valid = self._valid_np & gate
                 tagmap, blockw = self._tagmap, self._blockw
-                for f in (sets * self.ways + ways + new_powered).tolist():
+                for f in valid.nonzero()[0].tolist():
                     del tagmap[blockw[f]]
-                valid[...] = 0
+                self._valid_np ^= valid
         self.powered_ways = new_powered
         return flushes
 
@@ -693,6 +768,7 @@ class EpochReplaySegment:
         """Drain dirty blocks that decayed unobserved (all ways, gated
         included — gated blocks are always clean, so only live-frame
         decay can charge here)."""
+        self._flush()
         window = self._decay_window(tick)
         if window is None:
             return
@@ -714,37 +790,137 @@ class EpochReplaySegment:
     # -- clean sets ----------------------------------------------------
 
     def _refs(self, frames):
-        """Last cell write of each of ``frames`` (flat indices): from the
-        clean-set array, or from the loop's list for a set it replays."""
-        refs = self._clean_ref[frames]
-        looped = ~self._clean_set[frames // self.ways]
+        """Last cell write of each of ``frames`` (flat indices, resident
+        blocks): as of the block's latest replayed row in a clean set, or
+        from the loop's list for a set it replays."""
+        refs = np.empty(len(frames), np.int64)
+        clean = self._clean_set[frames // self.ways]
         lastref = self._lastref
-        refs[looped] = [lastref[f] for f in frames[looped].tolist()]
+        refs[~clean] = [lastref[f] for f in frames[~clean].tolist()]
+        if clean.any():
+            refs[clean] = self._ref[self._last_rows(frames[clean], self._replayed)]
         return refs
 
-    def _to_loop(self, sets, positions) -> None:
-        """Mark the rows of ``sets`` from set-major ``positions`` on for
-        the loop."""
-        self._clean_set[sets] = False
+    def _last_rows(self, frames, before):
+        """The latest row before ``before`` (a row, or one per frame) of
+        the block each clean frame of ``frames`` holds; the block must
+        have a row by then."""
+        base = self._way_group[frames] * (len(self._reach) + 1)
+        key = self._block_key
+        # The search runs several times faster on ascending queries.
+        query = base + before
+        by_query = np.argsort(query)
+        at = np.empty_like(by_query)
+        at[by_query] = np.searchsorted(key, query[by_query])
+        return key[at - 1] - base
+
+    def _set_tails(self, sets, positions):
+        """The rows of ``sets`` from set-major ``positions`` on."""
         lens = self._set_bounds[sets + 1] - positions
         shift = (positions - lens.cumsum() + lens).repeat(lens)
-        self._reach[self._set_rows[shift + np.arange(len(shift))]] = -1
+        return self._set_rows[shift + np.arange(len(shift))]
 
-    def _materialise(self, sets) -> None:
-        """Hand clean ``sets`` to the loop: their resident blocks enter
-        the tag map and the loop-only frame columns."""
-        frames = (sets[:, None] * self.ways + np.arange(self.ways)).ravel()
-        frames = frames[self._clean_seq[frames] > 0]
-        self._valid_np[frames] = 1
-        self._privw_np[frames] = self._way_priv[frames]
-        blockw, seqs, lastref, tagmap = self._blockw, self._seqs, self._lastref, self._tagmap
-        for f, block, seq, ref in zip(frames.tolist(), self._way_block[frames].tolist(),
-                                      self._clean_seq[frames].tolist(),
-                                      self._clean_ref[frames].tolist()):
+    def _handover(self, sets, before):
+        """What the loop takes over from clean ``sets`` at rows ``before``
+        (one per set): columns (frame, block, recency, last cell write,
+        privilege) of the blocks each set holds by then, and how many
+        each holds.  A block's recency is its latest row plus one, and
+        its last write that row's (read only under retention)."""
+        ways = self.ways
+        frames = (sets[:, None] * ways + np.arange(ways)).ravel()
+        before = before.repeat(ways)
+        filled = self._way_first[frames] < before
+        frames = frames[filled]
+        last = self._last_rows(frames, before[filled])
+        columns = np.stack([frames, self._way_block[frames].astype(np.int64), last + 1,
+                            self._ref[last] if self._window is not None else last,
+                            self._way_priv[frames]])
+        return columns, filled.reshape(-1, ways).sum(axis=1)
+
+    def _materialise(self, handover) -> None:
+        """Hand clean sets to the loop: the blocks of ``handover``
+        (columns from :meth:`_handover`) enter the tag map and the loop's
+        frame columns."""
+        valid, privw, blockw = self._valid, self._privw, self._blockw
+        seqs, lastref, tagmap = self._seqs, self._lastref, self._tagmap
+        for f, block, seq, ref, priv in zip(*handover.tolist()):
+            valid[f] = 1
+            privw[f] = priv
             blockw[f] = block
             seqs[f] = seq
             lastref[f] = ref
             tagmap[block] = f
+
+    # -- runs of constant ways -----------------------------------------
+
+    def _resolve(self, chunk: int, stop: int) -> _Span:
+        """Resolve chunks ``chunk`` to ``stop`` of a run under the current
+        powered ways ``P``: one NumPy pass over their rows.
+
+        A clean set's first event is its first row with ``reach >= P``
+        (a way at or past ``P``, or a decayed hit); from there on its
+        rows go to the loop, as do those of every set already there
+        (``reach < 0``)."""
+        powered, ways = self.powered_ways, self.ways
+        starts = self._starts[chunk:stop + 1]
+        lo, n = int(starts[0]), int(starts[-1])
+        reach = self._reach[lo:n]
+        at = np.flatnonzero(reach >= min(powered, _MASK_BITS)) + lo
+        turned, first = np.unique(self._set[at], return_index=True)
+        at = at[first]
+        by_event = np.argsort(at)
+        turned, at = turned[by_event], at[by_event]
+        pos = self._set_pos[at]
+        tails = self._set_tails(turned, pos)
+        loop = np.sort(np.concatenate([np.flatnonzero(reach < 0) + lo, tails[tails < n]]))
+        turn_off = np.searchsorted(at, starts)
+        handover, held = self._handover(turned, at)
+        stores = self._writes[lo:n].copy()
+        stores[loop - lo] = False
+        stores = np.flatnonzero(stores)
+        cols = np.stack([self._ticks[loop], self._blocks[loop].astype(np.int64),
+                         self._set[loop] * ways, self._privs[loop], self._writes[loop],
+                         self._demand[loop], self._first[loop]])
+        ranks = None
+        if (np.diff(starts) >= self.min_rank_accesses).any():
+            # A clean hit's rank: the powered ways accessed since its
+            # block's previous access (a clean set has no stale frames).
+            # Misses and the loop's rows rank ``ways``, past every hit.
+            ranks = np.bitwise_count(
+                self._mask[lo:n] & ((1 << min(powered, _MASK_BITS)) - 1)).astype(np.int16)
+            ranks[self._first[lo:n]] = ways
+            ranks[loop - lo] = ways
+        tail_off = np.concatenate(([0], np.cumsum(self._set_bounds[turned + 1] - pos)))
+        hand_off = np.concatenate(([0], held.cumsum()))
+        return _Span(powered, chunk, stop, lo, ranks, turned, turn_off.tolist(), tails,
+                     tail_off[turn_off].tolist(), handover, hand_off[turn_off].tolist(), loop,
+                     np.searchsorted(loop, starts).tolist(), cols, self._frame[stores + lo],
+                     np.searchsorted(stores, starts - lo).tolist())
+
+    def _flush(self) -> None:
+        """Set ``dirty`` for the stores of the span's replayed clean rows.
+        Every reader of ``dirty`` flushes first: gates, materialisation
+        and finalize."""
+        span = self._span
+        if span is not None and span.flushed < span.done:
+            self._dirty_np[span.store_frames[span.store_off[span.flushed]:
+                                             span.store_off[span.done]]] = 1
+            span.flushed = span.done
+
+    def _close_span(self) -> None:
+        """Flush the current span, mark the rows its loop took over from
+        the sets it handed over (``reach = -1``), and book its replayed
+        rows per route."""
+        span = self._span
+        if span is None:
+            return
+        self._flush()
+        self._span = None
+        self._reach[span.tails[:span.tail_off[span.done]]] = -1
+        rows = self._chunk_starts[span.first + span.done] - span.lo
+        looped = span.loop_off[span.done]
+        obs.inc("fastsim.prefix.rows", rows - looped)
+        obs.inc("fastsim.loop.rows", looped)
 
     # -- chunked replay ------------------------------------------------
 
@@ -784,6 +960,7 @@ class EpochReplaySegment:
         # searchsorted.
         chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
         starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1))
+        self._starts = starts
         self._chunk_starts = starts.tolist()
         if n == 0:
             return
@@ -800,14 +977,21 @@ class EpochReplaySegment:
                 obs.inc("fastsim.retention.elided_chunks", elided)
         self._model_rows(ticks, addrs, privs, writes, demand,
                          bool((np.diff(starts) >= self.min_rank_accesses).any()))
+        # Each chunk's first occurrences, and those of kernel rows and of
+        # demand rows: its misses while every set it touches is clean.
+        first = self._first
+        self._chunk_fills = [
+            np.diff(np.searchsorted(np.flatnonzero(rows), starts)).tolist()
+            for rows in (first, first & (privs != 0), first & demand)
+        ]
 
     def _model_rows(self, ticks, addrs, privs, writes, demand, ranked: bool) -> None:
         """Per-row columns of the clean-set model, in row order.
 
         Row ``r`` accesses the ``j``-th distinct block of its set (in
         first-occurrence order), which a clean set holds in frame
-        ``_frame[r]`` (way ``j``); ``_first`` marks the block's first row
-        and ``_nxt`` its next row (``n`` if none).  ``_reach`` is ``j``,
+        ``_frame[r]`` (way ``j``); ``_first`` marks the block's first row,
+        and ``_block_key`` lists each block's rows.  ``_reach`` is ``j``,
         or the int32 maximum for a hit whose block decayed since its last
         cell write (its fill or latest store, ``_ref`` under retention):
         the row keeps its set clean while ``_reach`` is below the powered
@@ -830,15 +1014,19 @@ class EpochReplaySegment:
         by_block, group_lo, groups, first_rows, distinct_before = _first_occurrences(
             s_blocks, s_set, num_sets)
         n_groups = len(group_lo)
+        group_len = np.diff(group_lo, append=n)
         group_way = np.empty(n_groups, np.int64)
         group_way[groups] = np.arange(n_groups) - distinct_before[s_set[first_rows]]
         way = np.empty(n, np.int64)
-        way[by_block] = np.repeat(group_way, np.diff(np.r_[group_lo, n]))
+        way[by_block] = np.repeat(group_way, group_len)
         # The fill of frame (set, j) while the set is clean.
-        fills = first_rows[way[first_rows] < ways]
-        frames = s_set[fills] * ways + way[fills]
+        fills = way[first_rows] < ways
+        frames = s_set[first_rows[fills]] * ways + way[first_rows[fills]]
+        self._way_group[frames] = groups[fills]
+        fills = first_rows[fills]
         self._way_block[frames] = s_blocks[fills]
         self._way_priv[frames] = privs[order[fills]]
+        self._way_first[frames] = order[fills]
         self._frame = np.empty(n, np.intp)
         self._frame[order] = s_set * ways + way
         self._set_rows = order
@@ -849,51 +1037,51 @@ class EpochReplaySegment:
 
         # Each block's accesses in row order: ``by_block`` lists their
         # set-major positions block by block, ``r_rows`` their rows, and
-        # ``opens`` marks each block's first.
+        # ``opens`` marks each block's first.  Keyed ``group * (n + 1) +
+        # row`` they ascend, so a block's latest row before any bound is
+        # one search away (``_last_rows``).
         opens = np.zeros(n, dtype=bool)
         opens[group_lo] = True
         r_rows = order[by_block]
-        shifted = np.empty(n, np.intp)
-        shifted[0] = -1
-        shifted[1:] = by_block[:-1]
-        shifted[opens] = -1
-        prev = np.empty(n, np.intp)
-        prev[by_block] = shifted
-        shifted[:-1] = r_rows[1:]
-        shifted[-1] = n
-        shifted[:-1][opens[1:]] = n
-        self._nxt = np.empty(n, np.intp)
-        self._nxt[r_rows] = shifted
+        self._block_key = np.repeat(np.arange(n_groups) * (n + 1), group_len) + r_rows
         self._first = np.empty(n, dtype=bool)
         self._first[r_rows] = opens
-        # Rows the loop replays get reach -1; ``_reach[n]`` stands for
-        # "no next row" in ``replay_chunk``.
-        self._reach = np.zeros(n + 1, np.int32)
+        # Rows the loop replays get reach -1.
+        self._reach = np.empty(n, np.int32)
         self._reach[order] = way
         if self._window is not None:
             # A hit decays when its tick is past the window from the
             # block's last cell write; no row of a chunk before
-            # ``_full_from`` can, so the test is exact in every chunk.
+            # ``_full_from`` can, so the test is exact in every chunk, and
+            # skipped when no chunk can decay.  Gates and finalize past
+            # the window still read the last writes.
             r_ticks = ticks[r_rows]
             stores = opens | writes[r_rows]
             ref = r_ticks[np.maximum.accumulate(np.where(stores, np.arange(n), 0))]
-            decayed = np.zeros(n, dtype=bool)
-            np.greater(r_ticks[1:] - ref[:-1], self._window, out=decayed[1:])
-            decayed &= ~opens
-            self._reach[r_rows[decayed]] = np.iinfo(np.int32).max
+            if self._full_from < len(self._chunk_starts) - 1:
+                decayed = np.zeros(n, dtype=bool)
+                np.greater(r_ticks[1:] - ref[:-1], self._window, out=decayed[1:])
+                decayed &= ~opens
+                self._reach[r_rows[decayed]] = np.iinfo(np.int32).max
             self._ref = np.empty(n, np.int64)
             self._ref[r_rows] = ref
 
         if ranked:
+            prev = np.empty(n, np.intp)  # the set-major position of the block's previous row
+            prev[by_block[1:]] = by_block[:-1]
+            prev[by_block[opens]] = -1
             self._mask = np.empty(n, np.uint16 if ways <= 16 else np.uint64)
             self._mask[order] = _between_masks(way, prev, ways, self._mask.dtype)
 
     def replay_chunk(self, chunk: int) -> None:
         """Replay one chunk's accesses under the current powered ways.
 
-        The clean sets' rows are resolved in NumPy; a set whose first
-        event falls in the chunk is materialised at that row, and the
-        per-access loop replays it from there on."""
+        A chunk that meets other powered ways than the current run's, or
+        follows a gate that dropped clean sets, starts a run; one past
+        the resolved span of its run resolves the next span (see
+        :class:`_Span`).  Then the chunk's clean rows cost list reads,
+        the sets whose first event falls in it go to the loop, and the
+        per-access loop replays the rows its span marked for it."""
         lo = self._chunk_starts[chunk]
         hi = self._chunk_starts[chunk + 1]
         self.epoch_accesses += hi - lo
@@ -902,163 +1090,147 @@ class EpochReplaySegment:
         st = self.stats
         window = self._window if chunk >= self._full_from else None
         powered = self.powered_ways
-        rows = slice(lo, hi)
-        reach = self._reach[lo:hi]
-        # A clean set's first event: a row past the powered ways (a miss
-        # that must evict or reclaim, or a gated miss) or a decayed hit.
-        event = reach >= min(powered, _MASK_BITS)
-        turned = None
-        if event.any():
-            at = event.nonzero()[0] + lo
-            turned, first = np.unique(self._set[at], return_index=True)
-            self._to_loop(turned, self._set_pos[at[first]])
-        looped = reach < 0
-        loop = looped.nonzero()[0] + lo
-
-        # Clean rows: a first occurrence misses into its free way, any
-        # other row hits.  Stores, and each block's last row in the
-        # chunk, reach the frame state in bulk.
-        frames = self._frame[rows]
-        fills = self._first[rows]
-        stores = self._writes[rows]
-        nxt = self._nxt[rows]
-        last = nxt >= hi
-        if len(loop):
-            clean = ~looped
-            fills = fills & clean
-            stores = stores & clean
-            last = clean & (last | (self._reach[nxt] < 0))
-        misses = int(np.count_nonzero(fills))
+        span = self._span
+        if span is None or span.ways != powered or chunk >= span.stop:
+            if span is None or span.ways != powered:
+                obs.inc("fastsim.epoch.runs")
+                width = _FIRST_SPAN
+            else:  # the run goes on
+                width = 2 * (span.stop - span.first)
+            self._close_span()
+            span = self._span = self._resolve(
+                chunk, min(chunk + width, len(self._chunk_starts) - 1))
+        c = chunk - span.first
+        span.done = c + 1
+        self._replayed = hi
+        if span.turn_off[c] < span.turn_off[c + 1]:
+            self._clean_set[span.turn_sets[span.turn_off[c]:span.turn_off[c + 1]]] = False
+            self._flush()
+            self._materialise(span.handover[:, span.hand_off[c]:span.hand_off[c + 1]])
+        # A first occurrence misses, in a clean set or in the loop.
+        misses = self._chunk_fills[0][chunk]
+        kernel_misses = self._chunk_fills[1][chunk]
+        demand_misses = self._chunk_fills[2][chunk]
+        a, b = span.loop_off[c], span.loop_off[c + 1]
         missed = self._missed
         if missed is not None:
+            fills = self._first[lo:hi].copy()
+            fills[span.loop[a:b] - lo] = False
             missed.append(np.flatnonzero(fills) + lo)
-        kernel_misses = int(np.count_nonzero(fills & self._privs[rows]))
-        demand_misses = int(np.count_nonzero(fills & self._demand[rows]))
-        self._dirty_np[frames[stores]] = 1
-        at = last.nonzero()[0]
-        frames = frames[at]
-        self._clean_seq[frames] = at + (lo + 1)
-        if self._window is not None:
-            self._clean_ref[frames] = self._ref[rows][at]
-        if turned is not None:
-            self._materialise(turned)
         track_ranks = (hi - lo) >= self.min_rank_accesses
         if track_ranks:
-            # A hit's rank: the powered ways accessed since its block's
-            # previous access (a clean set has no stale frames).  Misses
-            # have an empty mask: take them out of rank 0.
-            mask = self._mask[rows]
-            if len(loop):
-                mask = mask[clean]
-            ranks = np.bincount(
-                np.bitwise_count(mask & ((1 << min(powered, _MASK_BITS)) - 1)),
-                minlength=self.ways).tolist()
-            ranks[0] -= misses
-            self.epoch_rank_hits = [a + b for a, b in zip(self.epoch_rank_hits, ranks)]
-        obs.inc("fastsim.prefix.rows", hi - lo - len(loop))
-        obs.inc("fastsim.loop.rows", len(loop))
+            # the clean hits' ranks; the zip drops the bucket ``ways`` (the rest)
+            ranks = np.bincount(span.ranks[lo - span.lo:hi - span.lo], minlength=self.ways + 1)
+            self.epoch_rank_hits = [x + y for x, y in zip(self.epoch_rank_hits, ranks.tolist())]
 
         # The rows from each set's first event on: the per-access loop.
-        rank_hits = self.epoch_rank_hits
-        tagmap = self._tagmap
-        mget = tagmap.get
-        valid = self._valid
-        dirty = self._dirty
-        privw = self._privw
-        lastref = self._lastref
-        seqs = self._seqs
-        blockw = self._blockw
-        evictions = writebacks = exp_inv = exp_wb = 0
-        ec = [0, 0, 0, 0]
-        seqc = seq0 = self._seqc
-        record = missed is not None
-        loop_missed, loop_evicted = [], []
-        cols = () if not len(loop) else zip(
-            self._ticks[loop].tolist(), self._blocks[loop].tolist(),
-            (self._set[loop] * self.ways).tolist(), self._privs[loop].tolist(),
-            self._writes[loop].tolist(), self._demand[loop].tolist(),
-        )
-        for tick, block, base, priv, isw, dm in cols:
-            seqc += 1
-            f = mget(block)
-            if f is not None:
-                if f - base >= powered:
-                    # The block sits in a power-gated way: unreachable,
-                    # so this access misses and the stale mapping dies.
-                    # (Invalid frames stay clean — the gating and
-                    # finalize scans rely on it.)
-                    self.gated_misses += 1
-                    valid[f] = 0
-                    dirty[f] = 0
-                    del tagmap[block]
-                elif window is not None and tick - lastref[f] > window:
-                    # Resident but decayed: a retention-caused miss.
-                    exp_inv += 1
-                    if dirty[f]:
-                        exp_wb += 1
+        if a < b:
+            rank_hits = self.epoch_rank_hits
+            tagmap = self._tagmap
+            mget = tagmap.get
+            valid = self._valid
+            dirty = self._dirty
+            privw = self._privw
+            lastref = self._lastref
+            seqs = self._seqs
+            blockw = self._blockw
+            evictions = writebacks = exp_inv = exp_wb = 0
+            ec = [0, 0, 0, 0]
+            seqc = seq0 = self._seqc
+            record = missed is not None
+            loop_missed, loop_evicted = [], []
+            for tick, block, base, priv, isw, dm, fresh in zip(*span.cols[:, a:b].tolist()):
+                seqc += 1
+                f = mget(block)
+                if f is not None:
+                    if f - base >= powered:
+                        # The block sits in a power-gated way: unreachable,
+                        # so this access misses and the stale mapping dies.
+                        # (Invalid frames stay clean — the gating and
+                        # finalize scans rely on it.)
+                        self.gated_misses += 1
+                        valid[f] = 0
                         dirty[f] = 0
-                    valid[f] = 0
-                    del tagmap[block]
-                else:
-                    if track_ranks:
-                        mine = seqs[f]
-                        rank = 0
-                        for x in seqs[base:base + powered]:
-                            if x > mine:
-                                rank += 1
-                        rank_hits[rank] += 1
-                    seqs[f] = seqc
-                    if isw:
-                        dirty[f] = 1
-                        lastref[f] = tick  # a store rewrites the cells
-                    continue
-            misses += 1
-            if priv:
-                kernel_misses += 1
-            if dm:
-                demand_misses += 1
-            end = base + powered
-            target = valid.find(0, base, end)
-            if target < 0:
-                expired = -1
-                if window is not None:
-                    for i in range(base, end):
-                        if tick - lastref[i] > window:
-                            expired = i
-                            break
-                if expired >= 0:
-                    # Reclaim a decayed frame: not an interference
-                    # eviction (data already gone).
-                    target = expired
-                    if dirty[target]:
-                        exp_wb += 1
-                    del tagmap[blockw[target]]
-                else:
-                    sub = seqs[base:end]
-                    target = base + sub.index(min(sub))
-                    evictions += 1
-                    if record:
-                        loop_evicted += (seqc, blockw[target], privw[target], dirty[target])
-                    ec[(privw[target] << 1) | priv] += 1
-                    if dirty[target]:
-                        writebacks += 1
-                    del tagmap[blockw[target]]
-            valid[target] = 1
-            blockw[target] = block
-            privw[target] = priv
-            dirty[target] = 1 if isw else 0
-            lastref[target] = tick
-            seqs[target] = seqc
-            tagmap[block] = target
+                        del tagmap[block]
+                    elif window is not None and tick - lastref[f] > window:
+                        # Resident but decayed: a retention-caused miss.
+                        exp_inv += 1
+                        if dirty[f]:
+                            exp_wb += 1
+                            dirty[f] = 0
+                        valid[f] = 0
+                        del tagmap[block]
+                    else:
+                        if track_ranks:
+                            mine = seqs[f]
+                            rank = 0
+                            for x in seqs[base:base + powered]:
+                                if x > mine:
+                                    rank += 1
+                            rank_hits[rank] += 1
+                        seqs[f] = seqc
+                        if isw:
+                            dirty[f] = 1
+                            lastref[f] = tick  # a store rewrites the cells
+                        continue
+                if not fresh:  # a first occurrence is counted above
+                    misses += 1
+                    if priv:
+                        kernel_misses += 1
+                    if dm:
+                        demand_misses += 1
+                end = base + powered
+                target = valid.find(0, base, end)
+                if target < 0:
+                    expired = -1
+                    if window is not None:
+                        for i in range(base, end):
+                            if tick - lastref[i] > window:
+                                expired = i
+                                break
+                    if expired >= 0:
+                        # Reclaim a decayed frame: not an interference
+                        # eviction (data already gone).
+                        target = expired
+                        if dirty[target]:
+                            exp_wb += 1
+                        del tagmap[blockw[target]]
+                    else:
+                        sub = seqs[base:end]
+                        target = base + sub.index(min(sub))
+                        evictions += 1
+                        if record:
+                            loop_evicted += (seqc, blockw[target], privw[target], dirty[target])
+                        ec[(privw[target] << 1) | priv] += 1
+                        if dirty[target]:
+                            writebacks += 1
+                        del tagmap[blockw[target]]
+                valid[target] = 1
+                blockw[target] = block
+                privw[target] = priv
+                dirty[target] = 1 if isw else 0
+                lastref[target] = tick
+                seqs[target] = seqc
+                tagmap[block] = target
+                if record:
+                    loop_missed.append(seqc)
+            self._seqc = seqc
             if record:
-                loop_missed.append(seqc)
-        self._seqc = seqc
-        if record:
-            # a loop row's sequence number less ``seq0 + 1`` is its index in ``loop``
-            missed.append(loop[np.array(loop_missed, dtype=np.int64) - (seq0 + 1)])
-            evicted = np.array(loop_evicted, dtype=np.int64).reshape(-1, 4)
-            evicted[:, 0] = loop[evicted[:, 0] - (seq0 + 1)]
-            self._evicted.append(evicted)
+                # a loop row's sequence number less ``seq0 + 1`` is its index in ``loop``
+                loop = span.loop[a:b]
+                missed.append(loop[np.array(loop_missed, dtype=np.int64) - (seq0 + 1)])
+                evicted = np.array(loop_evicted, dtype=np.int64).reshape(-1, 4)
+                evicted[:, 0] = loop[evicted[:, 0] - (seq0 + 1)]
+                self._evicted.append(evicted)
+            st.evictions += evictions
+            st.writebacks += writebacks
+            st.expiry_invalidations += exp_inv
+            st.expiry_writebacks += exp_wb
+            cross = st.evictions_cross
+            cross[0][0] += ec[0]
+            cross[0][1] += ec[1]
+            cross[1][0] += ec[2]
+            cross[1][1] += ec[3]
         self.epoch_misses += misses
         st.hits += hi - lo - misses  # every row that does not miss hits
         st.misses += misses
@@ -1066,15 +1238,8 @@ class EpochReplaySegment:
         st.demand_misses += demand_misses
         st.misses_by_priv[0] += misses - kernel_misses
         st.misses_by_priv[1] += kernel_misses
-        st.evictions += evictions
-        st.writebacks += writebacks
-        st.expiry_invalidations += exp_inv
-        st.expiry_writebacks += exp_wb
-        cross = st.evictions_cross
-        cross[0][0] += ec[0]
-        cross[0][1] += ec[1]
-        cross[1][0] += ec[2]
-        cross[1][1] += ec[3]
+        if hi == self._chunk_starts[-1]:
+            self._close_span()  # the segment's last row
 
     def miss_events(self, rows) -> MissEvents:
         """The recorded misses and evictions, each row position mapped to

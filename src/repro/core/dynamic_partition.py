@@ -112,11 +112,12 @@ class _Segment:
         each row's chunk, so chunk ``k`` is rows
         ``_starts[k]:_starts[k + 1]``."""
         self._ticks = ticks
-        self._starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
         if isinstance(self.cache, SetAssociativeCache):
+            self._starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
             self._rows = tuple(col.tolist() for col in (ticks, addrs, privs, writes, demand))
         else:
             self.cache.load(ticks, addrs, privs, writes, demand, chunk_ids, n_chunks)
+            self._starts = self.cache._chunk_starts
 
     def replay_chunk(self, chunk: int) -> None:
         """Wake at the chunk's first access, then replay its accesses."""

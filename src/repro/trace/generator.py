@@ -11,6 +11,7 @@ once per trace").
 
 from __future__ import annotations
 
+import bisect
 import zlib
 from functools import lru_cache
 
@@ -42,6 +43,9 @@ def _choice(rng: np.random.Generator, weights: tuple[float, ...], size: int | No
     double per sample) as numpy's weighted ``choice``, minus its
     per-call weight validation and CDF construction — the profile
     dataclasses validate weights once when they are built.
+    ``_generate`` inlines both forms with each phase's CDFs looked up
+    once per trace, the scalar one as ``bisect.bisect_right`` on the CDF
+    as a list.
     """
     cdf = _cdf(tuple(weights))
     if size is None:
@@ -99,7 +103,7 @@ class _RegionDraws:
                 break
             runs = rng.geometric(1.0 / run_mean, size=draws)
             self.runs.append(runs)
-            self.keeps.append(min(remaining, int(runs.sum())))
+            self.keeps.append(min(remaining, sum(runs.tolist())))
             remaining -= self.keeps[-1]
         self.dwells += 1
         self.kind_u.append(rng.random(n))
@@ -206,6 +210,13 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
         for phase in profile.phases
     ]
 
+    # Per phase, once per trace: the region CDF, the transition CDF (a
+    # list, for a scalar bisect), the dwell draw's p and the mean gap.
+    region_cdfs = [_cdf(tuple(phase.weights)) for phase in profile.phases]
+    transition_cdfs = [_cdf(tuple(row)).tolist() for row in profile.transitions]
+    dwell_p = [1.0 / phase.mean_accesses for phase in profile.phases]
+    mean_gaps = [phase.mean_gap for phase in profile.phases]
+
     # The dwell loop makes every RNG call, in the order that defines the
     # trace; everything else happens once per trace below.
     key_parts: list[np.ndarray] = []
@@ -219,15 +230,15 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
     pending_idle = 0
     while produced < length:
         phase = profile.phases[phase_i]
-        dwell = int(rng.geometric(1.0 / phase.mean_accesses))
+        dwell = int(rng.geometric(dwell_p[phase_i]))
         dwell = min(max(dwell, 1), length - produced)
-        region_idx = _choice(rng, phase.weights, dwell)
+        region_idx = region_cdfs[phase_i].searchsorted(rng.random(dwell), side="right")
         key_parts.append(phase_keys[phase_i][region_idx])
         counts = np.bincount(region_idx, minlength=len(phase.regions)).tolist()
         for draws, cnt in zip(phase_draws[phase_i], counts):
             if cnt:
                 draws.draw(rng, cnt)
-        gap_parts.append(rng.poisson(phase.mean_gap, size=dwell))
+        gap_parts.append(rng.poisson(mean_gaps[phase_i], size=dwell))
         if pending_idle:
             idle_at.append(produced)
             idle_ticks.append(pending_idle)
@@ -235,7 +246,7 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
         dwell_privs.append(int(phase.privilege))
         dwells.append(dwell)
         produced += dwell
-        phase_i = _choice(rng, profile.transitions[phase_i])
+        phase_i = bisect.bisect_right(transition_cdfs[phase_i], rng.random())
         # Interactive apps sleep between events; an idle period advances
         # the clock (leakage keeps burning, STT-RAM cells keep decaying)
         # without retiring instructions.

@@ -36,6 +36,7 @@ from repro.cache.diffsim import (
     CLEAN_SCENARIOS,
     ELISION_CASES_FROM,
     FOOTPRINT_CASES_FROM,
+    RUN_DYNAMIC_CASES_FROM,
     STRESS_CASES_FROM,
     STRESS_SCENARIOS,
     _workload,
@@ -73,8 +74,10 @@ FOOTPRINT_SEEDS = range(FOOTPRINT_CASES_FROM, STRESS_CASES_FROM)
 STRESS_SEEDS = range(STRESS_CASES_FROM, STRESS_CASES_FROM + 2 * len(STRESS_SCENARIOS))
 DIFF_SEEDS = range(STRESS_SEEDS.stop)
 # The dynamic-design sampler has no run cases; seeds from
-# CLEAN_DYNAMIC_CASES_FROM on keep most sets clean, two per scenario.
+# CLEAN_DYNAMIC_CASES_FROM on keep most sets clean, two per scenario
+# (those from RUN_DYNAMIC_CASES_FROM on end the epoch replay's runs).
 DYNAMIC_SEEDS = range(CLEAN_DYNAMIC_CASES_FROM + 2 * len(CLEAN_SCENARIOS))
+RUN_SEEDS = range(RUN_DYNAMIC_CASES_FROM, DYNAMIC_SEEDS.stop)
 
 
 # ----------------------------------------------------------------------
@@ -605,10 +608,54 @@ def test_dynamic_seeds_mix_clean_and_looped_rows(monkeypatch):
     segments = _dynamic_segments(monkeypatch)
 
     def mixes(seg):
-        looped = seg._reach[:-1] < 0  # the loop's rows are marked -1
+        looped = seg._reach < 0  # the loop's rows are marked -1
         return looped.any() and not looped.all()
 
     assert any(mixes(seg) for seed in DYNAMIC_SEEDS for seg in segments(seed))
+
+
+def test_run_seeds_end_runs(monkeypatch):
+    """The run seeds end the epoch replay's runs both ways: some segment
+    changes its busy ways at least twice with an idle gate between two of
+    the changes (``regrow``), and some SRAM segment whose busy ways never
+    change still resolves a second run, after an idle gate dropped clean
+    sets (``sram-idle``).  So ``test_dynamic_epoch_counters_match_reference``
+    compares run ends and in-run gates with the reference at every
+    controller step."""
+    from repro.core.dynamic_partition import DynamicPartitionDesign
+
+    steps, runs = {}, {}
+    step = DynamicPartitionDesign._controller_step
+    replay = fastsim.EpochReplaySegment.replay_chunk
+
+    def spy_step(self, seg, tick):
+        busy = seg.busy_ways
+        step(self, seg, tick)
+        steps.setdefault(seg.cache, []).append((busy, seg.busy_ways, seg.cache.powered_ways))
+
+    def spy_replay(self, chunk):
+        runs[self] = runs.get(self, 0) + _counted("fastsim.epoch.runs", lambda: replay(self, chunk))
+
+    monkeypatch.setattr(DynamicPartitionDesign, "_controller_step", spy_step)
+    monkeypatch.setattr(fastsim.EpochReplaySegment, "replay_chunk", spy_replay)
+
+    def regrows(seg_steps):
+        changes = [i for i, (before, after, _) in enumerate(seg_steps) if before != after]
+        return any(any(powered < after for _, after, powered in seg_steps[a + 1:b])
+                   for a, b in zip(changes, changes[1:]))
+
+    regrown = dropped = False
+    for seed in RUN_SEEDS:
+        steps.clear()
+        runs.clear()
+        run_dynamic_case(sample_dynamic_case(seed))
+        for seg, seg_steps in steps.items():
+            if not isinstance(seg, fastsim.EpochReplaySegment):
+                continue
+            regrown |= regrows(seg_steps)
+            steady = all(before == after for before, after, _ in seg_steps)
+            dropped |= not seg.retains_when_gated and steady and runs.get(seg, 0) >= 2
+    assert regrown and dropped
 
 
 @pytest.fixture(scope="module")
@@ -825,11 +872,18 @@ def test_prefix_dirty_block_evicted_by_first_new_block():
 
 def test_block_order_is_a_stable_argsort():
     """Each block's rows keep their order, whether the block numbers
-    leave room for the row number in one int64 sort key or not."""
+    leave room for the row number in one int64 sort key or not, and
+    whether set-major rows sort by a 16-bit tag or not."""
     rng = np.random.default_rng(5)
     for top in (1 << 20, 1 << 62):
         blocks = rng.integers(0, 8, 500).astype(np.uint64) * np.uint64(top // 8)
         assert np.array_equal(fastsim._block_order(blocks), np.argsort(blocks, kind="stable"))
+    for span in (1 << 10, 1 << 16, 1 << 40):  # distinct tags per 64 sets
+        blocks = rng.integers(0, span, 2_000).astype(np.uint64) * np.uint64(64)
+        blocks += rng.integers(0, 64, 2_000).astype(np.uint64)
+        blocks = blocks[fastsim._set_order(blocks, 64)]
+        assert np.array_equal(fastsim._block_order(blocks, 64),
+                              np.argsort(blocks, kind="stable")), span
 
 
 def test_prefix_counters(browser_stream_240k):
@@ -856,6 +910,39 @@ def test_epoch_replay_counters(browser_stream_240k):
     )
     assert rows["prefix"] > 9 * rows["loop"] > 0
     assert rows["scan"] == 0
+
+
+def test_epoch_runs_counter(browser_stream_240k, monkeypatch):
+    """At the benchmark's trace length dynamic-stt resolves its clean
+    sets once per run of constant ways, far fewer times than it replays a
+    non-empty chunk.  Each segment books every row once, on the prefix or
+    the loop route, and its loop rows are the rows marked for the loop."""
+    from repro.core.designs import make_design
+
+    booked, replays = {}, []
+    close_span = fastsim.EpochReplaySegment._close_span
+    replay = fastsim.EpochReplaySegment.replay_chunk
+
+    def spy_close_span(self):
+        rows = _route_rows(lambda: close_span(self))
+        for route, count in rows.items():
+            booked.setdefault(self, dict.fromkeys(rows, 0))[route] += count
+
+    def spy_replay(self, chunk):
+        if self._chunk_starts[chunk + 1] > self._chunk_starts[chunk]:
+            replays.append(chunk)
+        replay(self, chunk)
+
+    monkeypatch.setattr(fastsim.EpochReplaySegment, "_close_span", spy_close_span)
+    monkeypatch.setattr(fastsim.EpochReplaySegment, "replay_chunk", spy_replay)
+    runs = _counted("fastsim.epoch.runs", lambda: make_design("dynamic-stt").run(
+        browser_stream_240k, DEFAULT_PLATFORM))
+    assert 0 < runs < len(replays)
+    assert len(booked) == 2
+    for seg, rows in booked.items():
+        assert rows["prefix"] + rows["loop"] == seg._chunk_starts[-1], seg.name
+        assert rows["scan"] == 0
+        assert rows["loop"] == np.count_nonzero(seg._reach < 0), seg.name
 
 
 def test_fast_fixed_replay_leaves_reference_state_unbuilt(browser_stream_small, monkeypatch):
