@@ -50,8 +50,9 @@ replay**: the geometry stays fixed *within* a chunk (one controller
 epoch), while powered-way gating and wake-on-first-access are applied
 between chunks — exactly where the reference engine applies them — so
 the epoch controller's decisions, timelines and resize counters come out
-bit-identical too.  Step 2's elision applies there per chunk; a fixed
-design's expiring stream is the special case of one chunk.  The rows
+bit-identical too.  Step 2's elision applies there to a whole segment
+whose window outlasts it up to its finalize tick, else per chunk; a
+fixed design's expiring stream is the special case of one chunk.  The rows
 of *clean sets* (see the class) resolve in NumPy, once per run of
 chunks at constant powered ways (``fastsim.epoch.runs``), and a loop
 replays each other set from its first event on (counters
@@ -233,7 +234,7 @@ def simulate_trace(
                                      record_events=record_events)
             seg.load(ticks[order], addrs[order], privs[order], writes[order],
                      np.ones(n, dtype=bool) if demand is None else demand[order],
-                     np.zeros(n, dtype=np.int64), 1)
+                     np.zeros(n, dtype=np.int64), 1, horizon)
             seg.replay_chunk(0)
             if finalize_tick is not None:
                 seg.finalize(finalize_tick)
@@ -306,30 +307,32 @@ def _block_order(blocks, num_sets: int = 1):
     return np.argsort(blocks, kind="stable")
 
 
-def _first_occurrences(set_blocks, set_idx, num_sets):
+def _first_occurrences(set_blocks, set_idx, set_bounds):
     """Each set's distinct blocks in first-occurrence order.
 
     ``set_blocks`` are block numbers in set-major order (each set's rows
-    contiguous and in stream order) and ``set_idx`` their sets.  Returns
-    ``(by_block, group_lo, groups, first_rows, distinct_before)``: the
-    rows grouped by block (``by_block``; group ``g`` starts at
-    ``group_lo[g]``, its rows in ascending order), the groups in
-    first-occurrence order (``groups``) with their first rows
-    (``first_rows``, ascending), and each set's offset into that order
-    (``distinct_before``, ``num_sets + 1`` entries): the ``j``-th distinct
-    block of set ``s`` is group ``groups[distinct_before[s] + j]``.
+    contiguous and in stream order) and ``set_idx`` their sets; set
+    ``s`` holds positions ``set_bounds[s]`` to ``set_bounds[s + 1]``.
+    Returns ``(by_block, opens, first_pos, way)``: the positions
+    grouped by block (``by_block``, each block's ascending; ``opens``
+    marks each group's first entry), and each group's first position
+    (``first_pos``) and rank among its set's distinct blocks (``way``).
     """
     # A block's rows all lie in its set's range, so each block group's
     # first row is the block's first occurrence in its set.
-    by_block = _block_order(set_blocks, num_sets)
+    by_block = _block_order(set_blocks, len(set_bounds) - 1)
     grouped = set_blocks[by_block]
-    group_lo = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    first_pos = by_block[group_lo]
-    groups = np.argsort(first_pos)
-    first_rows = first_pos[groups]
-    distinct_before = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(set_idx[first_rows], minlength=num_sets), out=distinct_before[1:])
-    return by_block, group_lo, groups, first_rows, distinct_before
+    opens = np.empty(len(grouped), dtype=bool)
+    opens[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=opens[1:])
+    first_pos = by_block.take(np.flatnonzero(opens))
+    # The first occurrences up to each position; a set's first position
+    # is one.
+    seen = np.zeros(len(grouped), dtype=bool)
+    seen[first_pos] = True
+    seen = np.cumsum(seen, dtype=np.int32)
+    way = seen[first_pos] - seen[set_bounds[set_idx[first_pos]]]
+    return by_block, opens, first_pos, way
 
 
 def _replay_retention_free(stats, ways, num_sets, blocks, privs, writes, demand,
@@ -498,31 +501,25 @@ def _window_misses(prev, p, j, ways):
     return miss
 
 
-def _between_masks(way, prev, ways, dtype):
-    """Bitset of the ways accessed strictly between each set-major row
-    and the previous access of its block (``prev``, -1 for none; a first
-    access gets 0).  Rows at way ``min(ways, _MASK_BITS)`` or beyond
-    add no bit.  A sparse table of OR-ed way bits over power-of-two
-    spans answers each gap with two lookups."""
+def _between_masks(way, p, q, dtype):
+    """Bitset of the ways accessed strictly between set-major positions
+    ``p`` and ``q`` (pairwise, ``q > p + 1``), given each position's way.
+    A way past ``dtype``'s width adds no bit.  A sparse table of OR-ed
+    way bits over power-of-two spans answers each gap with two lookups."""
+    if len(p) == 0:
+        return np.zeros(0, dtype)
     n = len(way)
-    bit = np.zeros(n, dtype)
-    low = way < min(ways, _MASK_BITS)
-    bit[low] = np.left_shift(dtype.type(1), way[low].astype(dtype))
-    mask = np.zeros(n, dtype)
-    span = np.arange(n) - prev - 1
-    gaps = np.flatnonzero((prev >= 0) & (span > 0))
-    if len(gaps) == 0:
-        return mask
-    span = span[gaps]
-    # table[k, i]: OR of bit[i : i + 2**k] (valid for i <= n - 2**k)
+    span = q - p - 1
+    # table[k, i]: OR of the bits of positions i to i + 2**k - 1 (valid
+    # for i <= n - 2**k); NumPy shifts a bit past the width out to 0
     table = np.empty((int(span.max()).bit_length(), n), dtype)
-    table[0] = bit
+    np.left_shift(dtype.type(1), np.minimum(way, 8 * dtype.itemsize).astype(dtype), out=table[0])
     for k in range(1, len(table)):
         half = 1 << (k - 1)
         np.bitwise_or(table[k - 1, :n - half], table[k - 1, half:], out=table[k, :n - half])
     k = np.frexp(span)[1] - 1  # floor(log2(span))
-    mask[gaps] = table[k, prev[gaps] + 1] | table[k, gaps - (1 << k)]
-    return mask
+    flat, row = table.ravel(), k * n
+    return flat.take(row + p + 1) | flat.take(row + q - np.left_shift(1, k))
 
 
 # ----------------------------------------------------------------------
@@ -536,15 +533,14 @@ class _Span:
 
     Rows from ``lo`` on.  Each ``*_off`` list cuts its array by chunk:
     chunk ``first + i`` owns ``[off[i], off[i + 1])``.  Per chunk: the
-    sets whose first event falls in it (``turn_sets``), their rows from
-    that event on (``tails``, to the segment's end) and the blocks they
-    hand the loop (``handover`` columns, see
+    sets whose first event falls in it (``turn_sets``) and the blocks
+    they hand the loop (``handover`` columns, see
     :meth:`EpochReplaySegment._handover`); the rows the loop replays
-    (``loop``, their seven loop columns in ``cols``); and the frames its
-    clean stores dirty (``store_frames``).  ``ranks`` is each row's
-    clean-hit rank, when some chunk tracks ranks.  The first ``done``
-    chunks are replayed, and the stores of the first ``flushed``
-    applied.
+    (``loop``, their seven loop columns in ``cols``, None without any);
+    and the frames its clean stores dirty (``store_frames``).  ``ranks``
+    is each row's clean-hit rank, when some chunk tracks ranks.  The
+    first ``done`` chunks are replayed, and the stores of the first
+    ``flushed`` applied.
     """
 
     ways: int
@@ -554,13 +550,11 @@ class _Span:
     ranks: np.ndarray | None
     turn_sets: np.ndarray
     turn_off: list[int]
-    tails: np.ndarray
-    tail_off: list[int]
     handover: np.ndarray
     hand_off: list[int]
     loop: np.ndarray
     loop_off: list[int]
-    cols: np.ndarray
+    cols: np.ndarray | None
     store_frames: np.ndarray
     store_off: list[int]
     done: int = 0
@@ -633,6 +627,7 @@ class EpochReplaySegment:
         self.name = name
         self.ways = geometry.associativity
         self.powered_ways = self.ways
+        self._way_bytes = geometry.num_sets * geometry.block_size
         self.retention_ticks = retention_ticks
         self.refresh_mode = refresh_mode
         self.retains_when_gated = retains_when_gated
@@ -672,23 +667,26 @@ class EpochReplaySegment:
         self._dirty_np = np.frombuffer(self._dirty, np.uint8)
         # Clean-set state (from :meth:`load`): the block and privilege
         # that fill each frame while its set is clean, the block's first
-        # row (past every row if none) and its group in ``_block_key``,
-        # and which sets are still clean.
-        self._way_block = np.zeros(n_frames, np.uint64)
+        # row (past every row if none) and its group in ``_block_key``.
+        self._way_block = np.zeros(n_frames, np.int64)
         self._way_priv = np.zeros(n_frames, np.uint8)
         self._way_first = np.full(n_frames, np.iinfo(np.int64).max)
         self._way_group = np.zeros(n_frames, np.int64)
-        self._clean_set = np.ones(geometry.num_sets, dtype=bool)
+        # The row from which the loop replays each set: past every row
+        # while the set is clean, its first event once it is handed over.
+        self._handed = np.full(geometry.num_sets, np.iinfo(np.int64).max)
         # The loop's recency sequence: a clean row's is its row number
         # plus one; the loop counts on from the row count, so it stays
         # above every sequence a set brings from its clean state.
         self._seqc = 0
         self._loaded = False
         self._chunk_starts: list[int] = [0]
-        # Lower bound of every ``lastref``, and the first chunk that may
-        # outlast the window from it (see :meth:`_decay_window`).
+        # Lower bound of every ``lastref``, the first chunk that may
+        # outlast the window from it, and the last tick a decay test may
+        # read once rows are loaded (see :meth:`_decay_window`).
         self._tick_min = 0
         self._full_from = 0
+        self._horizon: int | None = None
         # The span being replayed, how many rows are replayed, and the
         # gate masks by (new, old) powered ways.
         self._span: _Span | None = None
@@ -699,11 +697,11 @@ class EpochReplaySegment:
 
     @property
     def size_bytes(self) -> int:
-        return self.geometry.num_sets * self.ways * self.geometry.block_size
+        return self._way_bytes * self.ways
 
     @property
     def powered_bytes(self) -> int:
-        return self.geometry.num_sets * self.powered_ways * self.geometry.block_size
+        return self._way_bytes * self.powered_ways
 
     # -- the SetAssociativeCache maintenance protocol ------------------
 
@@ -742,15 +740,16 @@ class EpochReplaySegment:
                 self._dirty_np ^= dirty  # clears the gated dirty bits
             if not self.retains_when_gated:
                 # Dropping a clean set's blocks ends its clean state: the
-                # loop replays all its remaining rows.
+                # loop replays all its remaining rows, in a new run (the
+                # current one's loop rows no longer hold).
                 filled = self._way_first.reshape(-1, self.ways)[:, new_powered:self.powered_ways]
-                turned = np.flatnonzero(self._clean_set & (filled < self._replayed).any(axis=1))
+                turned = np.flatnonzero((filled < self._replayed).any(axis=1)
+                                        & (self._handed >= self._replayed))
                 if len(turned):
-                    self._clean_set[turned] = False
-                    self._reach[self._set_tails(turned, self._set_bounds[turned])] = -1
+                    self._close_span()
                     self._materialise(
                         self._handover(turned, np.full(len(turned), self._replayed))[0])
-                    self._close_span()  # its loop rows no longer hold: a new run
+                    self._handed[turned] = self._replayed
                 valid = self._valid_np & gate
                 tagmap, blockw = self._tagmap, self._blockw
                 for f in valid.nonzero()[0].tolist():
@@ -781,7 +780,10 @@ class EpochReplaySegment:
     def _decay_window(self, tick: int) -> int | None:
         """The retention window, or None when no decay test at ``tick``
         can fire: every resident block was last written at or after
-        ``_tick_min``, so ``tick - lastref`` cannot exceed the window."""
+        ``_tick_min``, so ``tick - lastref`` cannot exceed the window.
+        No test may read a tick past the horizon :meth:`load` was given."""
+        if self._horizon is not None and tick > self._horizon:
+            raise ValueError(f"{self.name}: tick {tick} is past the horizon {self._horizon}")
         window = self._window
         if window is None or tick - self._tick_min <= window:
             return None
@@ -794,7 +796,7 @@ class EpochReplaySegment:
         blocks): as of the block's latest replayed row in a clean set, or
         from the loop's list for a set it replays."""
         refs = np.empty(len(frames), np.int64)
-        clean = self._clean_set[frames // self.ways]
+        clean = self._handed[frames // self.ways] >= self._replayed
         lastref = self._lastref
         refs[~clean] = [lastref[f] for f in frames[~clean].tolist()]
         if clean.any():
@@ -814,25 +816,21 @@ class EpochReplaySegment:
         at[by_query] = np.searchsorted(key, query[by_query])
         return key[at - 1] - base
 
-    def _set_tails(self, sets, positions):
-        """The rows of ``sets`` from set-major ``positions`` on."""
-        lens = self._set_bounds[sets + 1] - positions
-        shift = (positions - lens.cumsum() + lens).repeat(lens)
-        return self._set_rows[shift + np.arange(len(shift))]
-
     def _handover(self, sets, before):
         """What the loop takes over from clean ``sets`` at rows ``before``
         (one per set): columns (frame, block, recency, last cell write,
         privilege) of the blocks each set holds by then, and how many
         each holds.  A block's recency is its latest row plus one, and
         its last write that row's (read only under retention)."""
+        if not len(sets):
+            return np.zeros((5, 0), np.int64), np.zeros(0, np.int64)
         ways = self.ways
         frames = (sets[:, None] * ways + np.arange(ways)).ravel()
         before = before.repeat(ways)
         filled = self._way_first[frames] < before
         frames = frames[filled]
         last = self._last_rows(frames, before[filled])
-        columns = np.stack([frames, self._way_block[frames].astype(np.int64), last + 1,
+        columns = np.stack([frames, self._way_block[frames], last + 1,
                             self._ref[last] if self._window is not None else last,
                             self._way_priv[frames]])
         return columns, filled.reshape(-1, ways).sum(axis=1)
@@ -859,43 +857,48 @@ class EpochReplaySegment:
 
         A clean set's first event is its first row with ``reach >= P``
         (a way at or past ``P``, or a decayed hit); from there on its
-        rows go to the loop, as do those of every set already there
-        (``reach < 0``)."""
+        rows go to the loop, as do those of every set already there."""
         powered, ways = self.powered_ways, self.ways
         starts = self._starts[chunk:stop + 1]
         lo, n = int(starts[0]), int(starts[-1])
-        reach = self._reach[lo:n]
-        at = np.flatnonzero(reach >= min(powered, _MASK_BITS)) + lo
-        turned, first = np.unique(self._set[at], return_index=True)
-        at = at[first]
+        # A clean set (``_handed`` past every row) turns at its first
+        # event.
+        handed = self._handed
+        at = np.flatnonzero(self._reach[lo:n] >= min(powered, _MASK_BITS)) + lo
+        at_sets = self._set[at]
+        clean = handed[at_sets] > n
+        at, at_sets = at[clean], at_sets[clean]
+        np.minimum.at(handed, at_sets, at)
+        turned = np.flatnonzero(np.bincount(at_sets, minlength=len(handed)))
+        at = handed[turned]
         by_event = np.argsort(at)
         turned, at = turned[by_event], at[by_event]
-        pos = self._set_pos[at]
-        tails = self._set_tails(turned, pos)
-        loop = np.sort(np.concatenate([np.flatnonzero(reach < 0) + lo, tails[tails < n]]))
-        turn_off = np.searchsorted(at, starts)
+        # the rows of the sets handed over by then
+        loop = np.flatnonzero((handed < n)[self._set[lo:n]]) + lo
+        loop = loop[handed[self._set[loop]] <= loop]
         handover, held = self._handover(turned, at)
+        # the clean stores, and their frames: a clean row's way is its reach
         stores = self._writes[lo:n].copy()
         stores[loop - lo] = False
-        stores = np.flatnonzero(stores)
-        cols = np.stack([self._ticks[loop], self._blocks[loop].astype(np.int64),
+        stores = np.flatnonzero(stores) + lo
+        store_frames = self._set[stores] * ways + self._reach[stores]
+        cols = np.stack([self._ticks[loop], self._blocks[loop],
                          self._set[loop] * ways, self._privs[loop], self._writes[loop],
-                         self._demand[loop], self._first[loop]])
+                         self._demand[loop], self._first[loop]]) if len(loop) else None
         ranks = None
-        if (np.diff(starts) >= self.min_rank_accesses).any():
+        if any(self._ranked[chunk:stop]):
             # A clean hit's rank: the powered ways accessed since its
-            # block's previous access (a clean set has no stale frames).
-            # Misses and the loop's rows rank ``ways``, past every hit.
-            ranks = np.bitwise_count(
-                self._mask[lo:n] & ((1 << min(powered, _MASK_BITS)) - 1)).astype(np.int16)
-            ranks[self._first[lo:n]] = ways
-            ranks[loop - lo] = ways
-        tail_off = np.concatenate(([0], np.cumsum(self._set_bounds[turned + 1] - pos)))
+            # block's previous access (a clean set has no stale frames),
+            # so below ``P``.  First occurrences (all mask bits) and the
+            # loop's rows rank ``P``, past every hit.
+            top = min(powered, _MASK_BITS)
+            ranks = np.bitwise_count(self._mask[lo:n] & ((1 << top) - 1))
+            ranks[loop - lo] = top
         hand_off = np.concatenate(([0], held.cumsum()))
-        return _Span(powered, chunk, stop, lo, ranks, turned, turn_off.tolist(), tails,
-                     tail_off[turn_off].tolist(), handover, hand_off[turn_off].tolist(), loop,
-                     np.searchsorted(loop, starts).tolist(), cols, self._frame[stores + lo],
-                     np.searchsorted(stores, starts - lo).tolist())
+        turn_off = np.searchsorted(at, starts)
+        return _Span(powered, chunk, stop, lo, ranks, turned, turn_off.tolist(), handover,
+                     hand_off[turn_off].tolist(), loop, np.searchsorted(loop, starts).tolist(),
+                     cols, store_frames, np.searchsorted(stores, starts).tolist())
 
     def _flush(self) -> None:
         """Set ``dirty`` for the stores of the span's replayed clean rows.
@@ -908,15 +911,15 @@ class EpochReplaySegment:
             span.flushed = span.done
 
     def _close_span(self) -> None:
-        """Flush the current span, mark the rows its loop took over from
-        the sets it handed over (``reach = -1``), and book its replayed
-        rows per route."""
+        """Flush the current span, keep clean the sets whose first event
+        falls in a chunk it did not replay, and book its replayed rows
+        per route."""
         span = self._span
         if span is None:
             return
         self._flush()
         self._span = None
-        self._reach[span.tails[:span.tail_off[span.done]]] = -1
+        self._handed[span.turn_sets[span.turn_off[span.done]:]] = np.iinfo(np.int64).max
         rows = self._chunk_starts[span.first + span.done] - span.lo
         looped = span.loop_off[span.done]
         obs.inc("fastsim.prefix.rows", rows - looped)
@@ -924,22 +927,29 @@ class EpochReplaySegment:
 
     # -- chunked replay ------------------------------------------------
 
-    def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int) -> None:
+    def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int,
+             horizon: int) -> None:
         """Decompose and index this segment's rows for chunked replay.
 
         ``chunk_ids`` must be this segment's (non-decreasing) chunk
         index per row — ``cummax(global ticks) // epoch_ticks`` masked
         to the segment — so chunk boundaries agree across segments.
-        Outcome-independent stats (access totals, privilege and write
-        splits) are credited here; hit/miss counters accrue per chunk.
-        A segment loads its rows once.
+        ``horizon`` is the last tick a gate or :meth:`finalize` may come
+        at (the finalize tick).  Outcome-independent stats (access
+        totals, privilege and write splits) are credited here; hit/miss
+        counters accrue per chunk.  A segment loads its rows once.
 
-        Chunks whose ticks all lie within the window of the segment's
-        first tick skip the decay test (``fastsim.retention.elided_chunks``).
+        When the window covers every tick from the segment's first to
+        its last row or the horizon, whichever is later, no decay test
+        can fire and the segment replays retention-free
+        (``fastsim.retention.elided``).  Otherwise the chunks whose ticks
+        all lie within the window of the first tick skip the decay test
+        (``fastsim.retention.elided_chunks``).
         """
         if self._loaded:
             raise RuntimeError(f"{self.name}: a segment loads its rows once")
         self._loaded = True
+        self._horizon = horizon
         addrs = np.asarray(addrs, dtype=np.uint64)
         ticks = np.asarray(ticks, dtype=np.int64)
         privs = _checked_privs(privs)
@@ -968,87 +978,97 @@ class EpochReplaySegment:
         self._seqc = n
         self._tick_min = int(ticks.min())
         self._full_from = n_chunks
+        self._horizon = max(int(ticks.max()), horizon)
         if self._window is not None:
-            late = ticks > self._tick_min + self._window
-            if late.any():
-                self._full_from = int(chunk_ids[late.argmax()])
-            elided = int(np.count_nonzero(np.diff(starts[:self._full_from + 1])))
-            if elided:
-                obs.inc("fastsim.retention.elided_chunks", elided)
+            if self._horizon - self._tick_min <= self._window:
+                obs.inc("fastsim.retention.elided")
+                self._window = None
+            else:
+                late = ticks > self._tick_min + self._window
+                if late.any():
+                    self._full_from = int(chunk_ids[late.argmax()])
+                elided = int(np.count_nonzero(np.diff(starts[:self._full_from + 1])))
+                if elided:
+                    obs.inc("fastsim.retention.elided_chunks", elided)
+        sizes = np.diff(starts)
+        ranked = sizes >= self.min_rank_accesses
+        self._ranked = ranked.tolist()
         self._model_rows(ticks, addrs, privs, writes, demand,
-                         bool((np.diff(starts) >= self.min_rank_accesses).any()))
+                         np.repeat(ranked, sizes) if ranked.any() else None)
         # Each chunk's first occurrences, and those of kernel rows and of
         # demand rows: its misses while every set it touches is clean.
-        first = self._first
-        self._chunk_fills = [
-            np.diff(np.searchsorted(np.flatnonzero(rows), starts)).tolist()
-            for rows in (first, first & (privs != 0), first & demand)
-        ]
+        first = np.flatnonzero(self._first)
+        chunk_ids = chunk_ids[first]
+        self._chunk_fills = list(zip(*(
+            np.bincount(ids, minlength=n_chunks).tolist()
+            for ids in (chunk_ids, chunk_ids[privs[first] != 0], chunk_ids[demand[first]])
+        )))
 
-    def _model_rows(self, ticks, addrs, privs, writes, demand, ranked: bool) -> None:
+    def _model_rows(self, ticks, addrs, privs, writes, demand, ranked) -> None:
         """Per-row columns of the clean-set model, in row order.
 
         Row ``r`` accesses the ``j``-th distinct block of its set (in
-        first-occurrence order), which a clean set holds in frame
-        ``_frame[r]`` (way ``j``); ``_first`` marks the block's first row,
-        and ``_block_key`` lists each block's rows.  ``_reach`` is ``j``,
-        or the int32 maximum for a hit whose block decayed since its last
-        cell write (its fill or latest store, ``_ref`` under retention):
-        the row keeps its set clean while ``_reach`` is below the powered
-        ways.  When some chunk tracks ranks, ``_mask`` holds a hit's
-        bitset of the ways accessed in its set since its block's previous
-        access.
+        first-occurrence order), which a clean set holds in way ``j``;
+        ``_first`` marks the block's first row, and ``_block_key`` lists
+        each block's rows.  ``_reach`` is ``j``, or the int32 maximum for
+        a hit whose block decayed since its last cell write (its fill or
+        latest store, ``_ref`` under retention): the row keeps its set
+        clean while ``_reach`` is below the powered ways.  When some
+        chunk tracks ranks, ``ranked`` flags its rows, and ``_mask``
+        holds such a hit's bitset of the ways accessed in its set since
+        its block's previous access (all bits for a first occurrence).
         """
         geometry = self.geometry
         num_sets, ways = geometry.num_sets, self.ways
         n = len(addrs)
         blocks = addrs >> np.uint64(geometry.block_size.bit_length() - 1)
         set_idx = (blocks & np.uint64(num_sets - 1)).astype(np.intp)
-        self._ticks, self._blocks, self._set = ticks, blocks, set_idx
+        self._ticks, self._blocks, self._set = ticks, blocks.view(np.int64), set_idx
         self._privs, self._writes, self._demand = privs, writes, demand
 
         # First-occurrence ranks need each set's rows together: work in
         # set-major order (``order`` maps its positions to rows).
         order = _set_order(blocks, num_sets)
         s_blocks, s_set = blocks[order], set_idx[order]
-        by_block, group_lo, groups, first_rows, distinct_before = _first_occurrences(
-            s_blocks, s_set, num_sets)
-        n_groups = len(group_lo)
-        group_len = np.diff(group_lo, append=n)
-        group_way = np.empty(n_groups, np.int64)
-        group_way[groups] = np.arange(n_groups) - distinct_before[s_set[first_rows]]
-        way = np.empty(n, np.int64)
-        way[by_block] = np.repeat(group_way, group_len)
+        by_block, opens, first_pos, group_way = _first_occurrences(
+            s_blocks, s_set, np.searchsorted(s_set, np.arange(num_sets + 1)))
         # The fill of frame (set, j) while the set is clean.
-        fills = way[first_rows] < ways
-        frames = s_set[first_rows[fills]] * ways + way[first_rows[fills]]
-        self._way_group[frames] = groups[fills]
-        fills = first_rows[fills]
-        self._way_block[frames] = s_blocks[fills]
-        self._way_priv[frames] = privs[order[fills]]
-        self._way_first[frames] = order[fills]
-        self._frame = np.empty(n, np.intp)
-        self._frame[order] = s_set * ways + way
-        self._set_rows = order
-        self._set_pos = np.empty(n, np.intp)
-        self._set_pos[order] = np.arange(n)
-        self._set_bounds = np.zeros(num_sets + 1, np.intp)
-        np.cumsum(np.bincount(set_idx, minlength=num_sets), out=self._set_bounds[1:])
+        fills = np.flatnonzero(group_way < ways)
+        fill_pos = first_pos[fills]
+        frames = s_set[fill_pos] * ways + group_way[fills]
+        self._way_group[frames] = fills
+        self._way_block[frames] = s_blocks[fill_pos]
+        fill_rows = order[fill_pos]
+        self._way_priv[frames] = privs[fill_rows]
+        self._way_first[frames] = fill_rows
 
         # Each block's accesses in row order: ``by_block`` lists their
         # set-major positions block by block, ``r_rows`` their rows, and
         # ``opens`` marks each block's first.  Keyed ``group * (n + 1) +
         # row`` they ascend, so a block's latest row before any bound is
         # one search away (``_last_rows``).
-        opens = np.zeros(n, dtype=bool)
-        opens[group_lo] = True
         r_rows = order[by_block]
-        self._block_key = np.repeat(np.arange(n_groups) * (n + 1), group_len) + r_rows
-        self._first = np.empty(n, dtype=bool)
-        self._first[r_rows] = opens
-        # Rows the loop replays get reach -1.
+        group = np.zeros(n, np.intp)
+        np.cumsum(opens[1:], out=group[1:])
+        self._block_key = group * (n + 1)
+        self._block_key += r_rows
+        first_rows = order[first_pos]
+        self._first = np.zeros(n, dtype=bool)
+        self._first[first_rows] = True
         self._reach = np.empty(n, np.int32)
-        self._reach[order] = way
+        self._reach[r_rows] = group_way[group]
+
+        if ranked is not None:
+            # Consecutive rows of a block lie at set-major positions
+            # ``p < q``; a ranked hit with ways accessed between gets them.
+            p, q, rows = by_block[:-1], by_block[1:], r_rows[1:]
+            gaps = np.flatnonzero(~opens[1:] & ranked[rows] & (q - p > 1))
+            dtype = np.dtype(np.uint16 if ways <= 16 else np.uint64)
+            self._mask = np.zeros(n, dtype)
+            self._mask[rows.take(gaps)] = _between_masks(
+                self._reach[order], p.take(gaps), q.take(gaps), dtype)
+            self._mask[first_rows] = ~dtype.type(0)
+
         if self._window is not None:
             # A hit decays when its tick is past the window from the
             # block's last cell write; no row of a chunk before
@@ -1065,13 +1085,6 @@ class EpochReplaySegment:
                 self._reach[r_rows[decayed]] = np.iinfo(np.int32).max
             self._ref = np.empty(n, np.int64)
             self._ref[r_rows] = ref
-
-        if ranked:
-            prev = np.empty(n, np.intp)  # the set-major position of the block's previous row
-            prev[by_block[1:]] = by_block[:-1]
-            prev[by_block[opens]] = -1
-            self._mask = np.empty(n, np.uint16 if ways <= 16 else np.uint64)
-            self._mask[order] = _between_masks(way, prev, ways, self._mask.dtype)
 
     def replay_chunk(self, chunk: int) -> None:
         """Replay one chunk's accesses under the current powered ways.
@@ -1104,24 +1117,23 @@ class EpochReplaySegment:
         span.done = c + 1
         self._replayed = hi
         if span.turn_off[c] < span.turn_off[c + 1]:
-            self._clean_set[span.turn_sets[span.turn_off[c]:span.turn_off[c + 1]]] = False
             self._flush()
             self._materialise(span.handover[:, span.hand_off[c]:span.hand_off[c + 1]])
         # A first occurrence misses, in a clean set or in the loop.
-        misses = self._chunk_fills[0][chunk]
-        kernel_misses = self._chunk_fills[1][chunk]
-        demand_misses = self._chunk_fills[2][chunk]
+        misses, kernel_misses, demand_misses = self._chunk_fills[chunk]
         a, b = span.loop_off[c], span.loop_off[c + 1]
         missed = self._missed
         if missed is not None:
             fills = self._first[lo:hi].copy()
             fills[span.loop[a:b] - lo] = False
             missed.append(np.flatnonzero(fills) + lo)
-        track_ranks = (hi - lo) >= self.min_rank_accesses
+        track_ranks = self._ranked[chunk]
         if track_ranks:
-            # the clean hits' ranks; the zip drops the bucket ``ways`` (the rest)
-            ranks = np.bincount(span.ranks[lo - span.lo:hi - span.lo], minlength=self.ways + 1)
-            self.epoch_rank_hits = [x + y for x, y in zip(self.epoch_rank_hits, ranks.tolist())]
+            # the clean hits' ranks, without the bucket ``P`` (the rest)
+            top = min(powered, _MASK_BITS)
+            ranks = np.bincount(span.ranks[lo - span.lo:hi - span.lo], minlength=top + 1)
+            rank_hits = self.epoch_rank_hits
+            rank_hits[:top] = [x + y for x, y in zip(rank_hits, ranks[:top].tolist())]
 
         # The rows from each set's first event on: the per-access loop.
         if a < b:

@@ -107,16 +107,17 @@ class _Segment:
         self.busy_ways = cache.powered_ways
         self._rows: tuple | None = None
 
-    def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int) -> None:
+    def load(self, ticks, addrs, privs, writes, demand, chunk_ids, n_chunks: int,
+             horizon: int) -> None:
         """Take this segment's rows; ``chunk_ids`` (non-decreasing) is
         each row's chunk, so chunk ``k`` is rows
-        ``_starts[k]:_starts[k + 1]``."""
+        ``_starts[k]:_starts[k + 1]``, and ``horizon`` the finalize tick."""
         self._ticks = ticks
         if isinstance(self.cache, SetAssociativeCache):
             self._starts = np.searchsorted(chunk_ids, np.arange(n_chunks + 1)).tolist()
             self._rows = tuple(col.tolist() for col in (ticks, addrs, privs, writes, demand))
         else:
-            self.cache.load(ticks, addrs, privs, writes, demand, chunk_ids, n_chunks)
+            self.cache.load(ticks, addrs, privs, writes, demand, chunk_ids, n_chunks, horizon)
             self._starts = self.cache._chunk_starts
 
     def replay_chunk(self, chunk: int) -> None:
@@ -267,24 +268,51 @@ class DynamicPartitionDesign:
             # past it.  The segments' caches are independent: replaying
             # one segment's rows of a chunk after the other's equals
             # stream order.
+            #
+            # Once both segments sit at ``min_ways``, where the idle rule
+            # gates them, the steps after a chunk without rows are no-ops:
+            # the idle rule targets ``min_ways`` again and the epoch
+            # counters stay zero.  The chunk loop records those boundaries
+            # directly and goes on at the next chunk with rows.
             if len(stream.ticks):
-                epoch_idx = np.maximum.accumulate(stream.ticks) // cfg.epoch_ticks
+                ticks = stream.ticks
+                if not (ticks[1:] >= ticks[:-1]).all():  # else ticks are their own maximum
+                    ticks = np.maximum.accumulate(ticks)
+                epoch_idx = ticks // cfg.epoch_ticks
                 n_chunks = int(epoch_idx[-1]) + 1
                 for seg, rows in zip(segments, stream.privilege_rows()):
                     seg.load(
                         stream.ticks[rows], stream.addrs[rows], stream.privs[rows],
                         stream.writes[rows], stream.demand[rows], epoch_idx[rows], n_chunks,
+                        stream.duration_ticks,
                     )
-                for k in range(n_chunks):
-                    if k:
-                        boundary = k * cfg.epoch_ticks
-                        for seg in segments:
-                            self._controller_step(seg, boundary)
-                        timeline_ticks.append(boundary)
-                        timeline_user.append(user.cache.powered_ways)
-                        timeline_kernel.append(kernel.cache.powered_ways)
+                # the first chunk at or after each chunk that holds a row
+                occupied = np.zeros(n_chunks, dtype=bool)
+                occupied[epoch_idx] = True
+                occupied = np.flatnonzero(occupied)
+                next_rows = occupied[np.searchsorted(occupied, np.arange(n_chunks))].tolist()
+                k = 0
+                while True:
                     for seg in segments:
                         seg.replay_chunk(k)
+                    k += 1
+                    if k == n_chunks:
+                        break
+                    boundary = k * cfg.epoch_ticks
+                    for seg in segments:
+                        self._controller_step(seg, boundary)
+                    timeline_ticks.append(boundary)
+                    timeline_user.append(user.cache.powered_ways)
+                    timeline_kernel.append(kernel.cache.powered_ways)
+                    skip = next_rows[k] - k
+                    if skip and cfg.idle_accesses > 0 and (
+                            user.cache.powered_ways == kernel.cache.powered_ways == cfg.min_ways):
+                        timeline_ticks.extend(range(boundary + cfg.epoch_ticks,
+                                                    next_rows[k] * cfg.epoch_ticks + 1,
+                                                    cfg.epoch_ticks))
+                        timeline_user.extend((cfg.min_ways,) * skip)
+                        timeline_kernel.extend((cfg.min_ways,) * skip)
+                        k += skip
 
         final_tick = stream.duration_ticks
         for seg in segments:

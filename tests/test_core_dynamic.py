@@ -198,9 +198,10 @@ class TestChunkDriver:
     cannot catch a fault in its boundaries or wakes; a per-access
     restatement of the schedule can."""
 
-    @pytest.mark.parametrize("variant", ["stt", "sram", "non-monotonic"])
-    def test_matches_per_access_oracle(self, variant):
-        rows = _bursty_rows()
+    @pytest.mark.parametrize("variant",
+                             ["stt", "sram", "non-monotonic", "idle-zero", "long-idle"])
+    def test_matches_per_access_oracle(self, variant, monkeypatch):
+        rows = _bursty_rows(idle=450_000 if variant == "long-idle" else 120_000)
         if variant == "non-monotonic":
             # one access in 14 arrives two epochs late: its tick lies
             # below the running maximum, which alone decides the
@@ -209,9 +210,28 @@ class TestChunkDriver:
                     for i, (tick, *rest) in enumerate(rows)]
         stream = synthetic_stream(rows)
         cfg = DynamicControllerConfig(epoch_ticks=10_000)
+        if variant == "idle-zero":
+            # never gates an idle segment: an epoch without rows holds
+            # ``busy_ways``, and only decisions (growing from two ways)
+            # resize
+            cfg = DynamicControllerConfig(epoch_ticks=10_000, idle_accesses=0,
+                                          start_user_ways=2, start_kernel_ways=2)
         techs = {"user_tech": sram(), "kernel_tech": sram()} if variant == "sram" else {}
         design = DynamicPartitionDesign(cfg, **techs)
+        steps = []
+        step = DynamicPartitionDesign._controller_step
+
+        def counted_step(self, seg, tick):
+            steps.append(tick)
+            step(self, seg, tick)
+
+        monkeypatch.setattr(DynamicPartitionDesign, "_controller_step", counted_step)
         result = design.run(stream, DEFAULT_PLATFORM, engine="reference")
+        monkeypatch.undo()
+        if variant == "long-idle":
+            # tens of epochs without rows between the bursts: at rest at
+            # ``min_ways``, the chunk loop records them without a step
+            assert len(steps) < len(result.extras["timeline_ticks"])
         user, kernel, timeline = per_access_epoch_replay(design, stream, DEFAULT_PLATFORM)
         extras = result.extras
         assert list(zip(extras["timeline_ticks"], extras["timeline_user_ways"],

@@ -500,7 +500,7 @@ def test_gating_scan_matches_reference(retains, window):
     n = len(ticks)
     chunk_ids = np.r_[np.zeros(len(warm), dtype=np.int64), np.arange(1, len(follow) + 1)]
     seg.load(ticks, addrs, np.zeros(n, dtype=np.uint8), writes, np.ones(n, dtype=bool),
-             chunk_ids, len(follow) + 1)
+             chunk_ids, len(follow) + 1, 600)
     for tick, addr, isw in warm:
         ref.access(addr, isw, 0, tick)
     seg.replay_chunk(0)
@@ -533,17 +533,53 @@ def test_segment_decay_bound_is_exact(past):
     seg = fastsim.EpochReplaySegment(geometry, retention_ticks=window, refresh_mode="invalidate")
     addrs = np.array([0, 128], dtype=np.uint64)  # ways 0 and 1 of set 0
     ones = np.ones(2, dtype=bool)
+    bound = first + window + past
     seg.load(np.full(2, first), addrs, np.zeros(2, dtype=np.uint8), ones, ones,
-             np.zeros(2, dtype=np.int64), 1)
+             np.zeros(2, dtype=np.int64), 1, bound)
     seg.replay_chunk(0)
     for addr in addrs.tolist():
         ref.access(addr, True, 0, first)
-    bound = first + window + past
     assert seg.set_powered_ways(1, bound) == ref.set_powered_ways(1, bound)
     seg.finalize(bound)
     ref.finalize(bound)
     assert seg.stats.to_dict() == ref.stats.to_dict()
     assert ref.stats.expiry_writebacks == 2 * past
+
+
+@pytest.mark.parametrize("retains", [True, False], ids=["retains", "volatile"])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-horizon", "past-horizon"])
+def test_segment_horizon_bound_is_exact(retains, past):
+    """A segment whose window covers every tick from its first row to its
+    horizon (the finalize tick) replays retention-free; one tick more
+    and a dirty block stored at the first tick decays at finalize.  Both
+    sides of the bound, with a gate between two chunks under either
+    gating semantics, must match the reference."""
+    window, first = 50, 5
+    horizon = first + window + past
+    geometry = CacheGeometry(2 * 2 * 64, 2, 64)
+    ref = SetAssociativeCache(geometry, "lru", retention_ticks=window, refresh_mode="invalidate",
+                              retains_when_gated=retains)
+    seg = fastsim.EpochReplaySegment(geometry, retention_ticks=window, refresh_mode="invalidate",
+                                     retains_when_gated=retains)
+    # stores to ways 0 and 1 of set 0, a gate to one way, then a load in set 1
+    rows = [(first, 0, True), (first, 128, True), (first + 30, 64, False)]
+    ticks, addrs, writes = (np.array(col) for col in zip(*rows))
+    elided = _counted("fastsim.retention.elided", lambda: seg.load(
+        ticks, addrs.astype(np.uint64), np.zeros(3, dtype=np.uint8), writes,
+        np.ones(3, dtype=bool), np.array([0, 0, 1]), 2, horizon))
+    assert elided == (past == 0)
+    seg.replay_chunk(0)
+    for tick, addr, isw in rows[:2]:
+        ref.access(addr, isw, 0, tick)
+    assert seg.set_powered_ways(1, first + 20) == ref.set_powered_ways(1, first + 20)
+    seg.replay_chunk(1)
+    ref.access(rows[2][1], rows[2][2], 0, rows[2][0])
+    with pytest.raises(ValueError, match="horizon"):
+        seg.finalize(horizon + 1)
+    seg.finalize(horizon)
+    ref.finalize(horizon)
+    assert seg.stats.to_dict() == ref.stats.to_dict()
+    assert ref.stats.expiry_writebacks == past
 
 
 # ----------------------------------------------------------------------
@@ -600,6 +636,12 @@ def test_dynamic_seeds_mix_elided_and_full_chunks(monkeypatch):
     assert any(mixes(seg) for seed in DYNAMIC_SEEDS for seg in segments(seed))
 
 
+def _looped_rows(seg):
+    """Which rows of an epoch replay segment the loop replayed: those
+    from each set's hand-over row on."""
+    return seg._handed[seg._set] <= np.arange(len(seg._set))
+
+
 def test_dynamic_seeds_mix_clean_and_looped_rows(monkeypatch):
     """Some dynamic differential case resolves part of a segment's rows
     in NumPy (its clean sets) and replays the rest in the per-access
@@ -608,7 +650,7 @@ def test_dynamic_seeds_mix_clean_and_looped_rows(monkeypatch):
     segments = _dynamic_segments(monkeypatch)
 
     def mixes(seg):
-        looped = seg._reach < 0  # the loop's rows are marked -1
+        looped = _looped_rows(seg)
         return looped.any() and not looped.all()
 
     assert any(mixes(seg) for seed in DYNAMIC_SEEDS for seg in segments(seed))
@@ -706,10 +748,11 @@ def test_drowsy_matches_reference_on_suite(suite_streams_240k):
 
 
 def test_retention_elision_counters(browser_stream_240k):
-    """At the benchmark's trace length both static-stt windows outlast
-    the stream and the dynamic design's chunks skip the decay test; a
-    10x slower clock shrinks the windows below the stream's span, and
-    the fast engine's expiring replay then matches the reference."""
+    """At the benchmark's trace length every static-stt and dynamic-stt
+    window outlasts its segment's stream, so each segment replays
+    retention-free; a 10x slower clock shrinks the windows below the
+    stream's span, so none does, and the fast engine's expiring replay
+    then matches the reference."""
     from repro.core.designs import make_design
 
     stream = browser_stream_240k
@@ -718,9 +761,10 @@ def test_retention_elision_counters(browser_stream_240k):
         return lambda: make_design(design).run(stream, platform)
 
     assert _counted("fastsim.retention.elided", run("static-stt")) == 2
-    assert _counted("fastsim.retention.elided_chunks", run("dynamic-stt")) > 0
+    assert _counted("fastsim.retention.elided", run("dynamic-stt")) == 2
     slow = dataclasses.replace(DEFAULT_PLATFORM, clock_hz=DEFAULT_PLATFORM.clock_hz / 10)
     assert _counted("fastsim.retention.elided", run("static-stt", slow)) == 0
+    assert _counted("fastsim.retention.elided", run("dynamic-stt", slow)) == 0
 
     fast, ref = (
         make_design("static-stt").run(stream, slow, engine=engine).to_dict()
@@ -916,7 +960,8 @@ def test_epoch_runs_counter(browser_stream_240k, monkeypatch):
     """At the benchmark's trace length dynamic-stt resolves its clean
     sets once per run of constant ways, far fewer times than it replays a
     non-empty chunk.  Each segment books every row once, on the prefix or
-    the loop route, and its loop rows are the rows marked for the loop."""
+    the loop route, and its loop rows are its rows from each set's
+    hand-over on."""
     from repro.core.designs import make_design
 
     booked, replays = {}, []
@@ -942,7 +987,7 @@ def test_epoch_runs_counter(browser_stream_240k, monkeypatch):
     for seg, rows in booked.items():
         assert rows["prefix"] + rows["loop"] == seg._chunk_starts[-1], seg.name
         assert rows["scan"] == 0
-        assert rows["loop"] == np.count_nonzero(seg._reach < 0), seg.name
+        assert rows["loop"] == np.count_nonzero(_looped_rows(seg)), seg.name
 
 
 def test_fast_fixed_replay_leaves_reference_state_unbuilt(browser_stream_small, monkeypatch):
