@@ -8,29 +8,30 @@ check the conclusions are not an artifact of that simplification.
 import numpy as np
 
 from conftest import run_once
-from repro.core.baseline import BaselineDesign
-from repro.core.multi_retention import multi_retention_design
-from repro.config import DEFAULT_PLATFORM
-from repro.dram import DRAMModel
-from repro.engine.streamcache import load_stream
-from repro.experiments import format_table
+from repro.dram import DRAMConfig, DRAMStats
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("browser", "social", "game")
 
 
 def _sweep(length):
+    models = (("flat-140", {}), ("banked", {"dram": DRAMConfig()}))
+    results = run_specs({
+        (label, design, app): JobSpec(design, app, length, design_kwargs=kwargs)
+        for label, kwargs in models
+        for design in ("baseline", "static-stt")
+        for app in APPS
+    })
     rows = []
-    for label, dram_factory in (("flat-140", lambda: None), ("banked", DRAMModel)):
+    for label, kwargs in models:
         base_loss, hit_rates = [], []
         for app in APPS:
-            stream = load_stream(app, length)
-            dram_b = dram_factory()
-            base = BaselineDesign().run(stream, DEFAULT_PLATFORM, dram_model=dram_b)
-            dram_s = dram_factory()
-            stt = multi_retention_design().run(stream, DEFAULT_PLATFORM, dram_model=dram_s)
+            base = results[label, "baseline", app]
+            stt = results[label, "static-stt", app]
             base_loss.append(stt.timing.perf_loss_vs(base.timing))
-            if dram_b is not None:
-                hit_rates.append(dram_b.stats.row_hit_rate)
+            if kwargs:
+                hit_rates.append(DRAMStats(**base.extras["dram_stats"]).row_hit_rate)
         rows.append((
             label,
             float(np.mean(base_loss)),

@@ -9,31 +9,34 @@ user/kernel isolation guarantee survives.
 import numpy as np
 
 from conftest import run_once
-from repro.cache.prefetch import make_prefetcher
-from repro.core.baseline import BaselineDesign
-from repro.core.static_partition import StaticPartitionDesign
-from repro.config import DEFAULT_PLATFORM
-from repro.engine.streamcache import load_stream
-from repro.experiments import format_table
+from repro.engine import JobSpec
+from repro.experiments import format_table, run_specs
 
 APPS = ("video", "music", "browser")  # streaming-heavy apps
 
+#: (row label, design, prefetcher): ``static-sram`` is the shrunk SRAM
+#: partition with the default 8 user + 4 kernel ways.
+CONFIGS = (
+    ("baseline", "baseline", None),
+    ("baseline+nextline", "baseline", "nextline"),
+    ("baseline+stride", "baseline", "stride"),
+    ("static+nextline", "static-sram", "nextline"),
+    ("static", "static-sram", None),
+)
+
 
 def _sweep(length):
+    results = run_specs({
+        (label, app): JobSpec(design, app, length,
+                              design_kwargs={"prefetch": pf} if pf else {})
+        for label, design, pf in CONFIGS
+        for app in APPS
+    })
     rows = []
-    configs = [
-        ("baseline", BaselineDesign, None),
-        ("baseline+nextline", BaselineDesign, "nextline"),
-        ("baseline+stride", BaselineDesign, "stride"),
-        ("static+nextline", StaticPartitionDesign, "nextline"),
-        ("static", StaticPartitionDesign, None),
-    ]
-    for label, design_cls, pf_name in configs:
+    for label, _, pf in CONFIGS:
         rates, useful = [], []
         for app in APPS:
-            stream = load_stream(app, length)
-            pf = make_prefetcher(pf_name) if pf_name else None
-            r = design_cls().run(stream, DEFAULT_PLATFORM, prefetcher=pf)
+            r = results[label, app]
             rates.append(r.l2_stats.demand_miss_rate)
             if pf is not None and r.extras.get("prefetch_issued"):
                 useful.append(r.extras["prefetch_useful"] / r.extras["prefetch_issued"])

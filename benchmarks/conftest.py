@@ -9,12 +9,14 @@ within and *across* sessions — a spec any bench or figure already ran
 is read from disk instead of re-simulated.  Technology and controller
 variants are specs too: a design kwarg may be any frozen dataclass of
 JSON scalars (``user_tech=sram()``,
-``config=DynamicControllerConfig(epoch_ticks=...)``).  Only the DRAM,
-prefetch, multicore and app-switching benches run designs on streams
-from :func:`~repro.engine.streamcache.load_stream` directly, because
-they use run-time models (a DRAM model, a prefetcher) or streams outside
-the suite; the throughput bench does too, as replay speed is what it
-measures.  The stream cache shares those front ends the same way.
+``config=DynamicControllerConfig(epoch_ticks=...)``), and so are the
+banked DRAM model and prefetchers (``dram=DRAMConfig()``,
+``prefetch="nextline"``).  Only the multicore and app-switching benches
+run designs on streams from
+:func:`~repro.engine.streamcache.load_stream` directly, because their
+streams are not suite streams; the throughput bench does too, as replay
+speed is what it measures.  The stream cache shares those front ends
+the same way.
 
 Set ``REPRO_BENCH_LENGTH`` to shrink the per-app trace length for a
 faster (less converged) pass.  Set ``REPRO_BENCH_COLD=1`` to disable

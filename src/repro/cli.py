@@ -3,7 +3,10 @@
 Commands:
 
 * ``list`` — available apps, designs, policies and retention classes.
-* ``run`` — one design on one app, with optional prefetcher/DRAM model.
+* ``run`` — one design on one app, store-backed like every other
+  simulation; ``--prefetcher`` and ``--banked-dram`` set the fixed
+  designs' ``prefetch`` and ``dram`` fields, and a design without those
+  fields rejects them (exit 2).
 * ``figure N`` / ``table N`` — regenerate one artifact of the paper.
 * ``trace`` — generate a workload trace and save it as ``.npz``.
 * ``search`` — the static-partition design-space search.
@@ -27,7 +30,6 @@ stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -35,10 +37,11 @@ from repro import obs
 from repro.cache.replacement import POLICY_NAMES
 from repro.config import DEFAULT_PLATFORM, platform_preset
 from repro.core.designs import DESIGN_NAMES, REGISTERED_DESIGNS, make_design
+from repro.core.pipeline import PREFETCHERS
 from repro.energy.technology import RETENTION_CLASSES
-from repro.engine.spec import EXPERIMENT_TRACE_LENGTH
+from repro.engine.spec import EXPERIMENT_TRACE_LENGTH, JobSpec
 from repro.engine.store import ResultStore, default_store
-from repro.engine.streamcache import StreamCache, default_stream_cache, load_stream
+from repro.engine.streamcache import StreamCache, default_stream_cache
 from repro.report import format_percent, format_table
 from repro.trace.workloads import APP_NAMES, app_profile
 
@@ -46,7 +49,7 @@ __all__ = ["main", "build_parser"]
 
 
 # Each command imports the layers only it runs (the experiment layer,
-# the sweep grid, prefetchers, DRAM, the partition search, the trace
+# the sweep grid, the DRAM model, the partition search, the trace
 # generator), so a process pays only for the command it was given.
 def _experiments():
     import repro.experiments
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--design", choices=REGISTERED_DESIGNS, default="static-stt")
     run_p.add_argument("--length", type=int, default=240_000)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--prefetcher", choices=("nextline", "stride"))
+    run_p.add_argument("--prefetcher", choices=PREFETCHERS)
     run_p.add_argument("--banked-dram", action="store_true",
                        help="use the bank/row-buffer DRAM model")
     run_p.add_argument("--trace", metavar="PATH",
@@ -174,25 +177,26 @@ def _cmd_list(out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    stream = load_stream(args.app, args.length, args.seed)
-    design = make_design(args.design)
-    kwargs = {}
+    from repro.engine.executor import run_jobs
+
+    kwargs, flags = {}, []
     if args.prefetcher:
-        from repro.cache.prefetch import make_prefetcher
-
-        kwargs["prefetcher"] = make_prefetcher(args.prefetcher)
+        kwargs["prefetch"] = args.prefetcher
+        flags.append("--prefetcher")
     if args.banked_dram:
-        from repro.dram import DRAMModel
+        from repro.dram.model import DRAMConfig
 
-        kwargs["dram_model"] = DRAMModel()
-    accepted = inspect.signature(design.run).parameters
-    flags = {"prefetcher": "--prefetcher", "dram_model": "--banked-dram"}
-    unsupported = [flags[key] for key in kwargs if key not in accepted]
-    if unsupported:
+        kwargs["dram"] = DRAMConfig()
+        flags.append("--banked-dram")
+    try:
+        make_design(args.design, **kwargs)
+    except TypeError:
         print(f"error: the {args.design} design does not support "
-              f"{' or '.join(unsupported)}", file=sys.stderr)
+              f"{' or '.join(flags)}", file=sys.stderr)
         return 2
-    result = design.run(stream, DEFAULT_PLATFORM, **kwargs)
+    spec = JobSpec(args.design, args.app, args.length, args.seed, DEFAULT_PLATFORM, kwargs)
+    [outcome] = run_jobs([spec], store=default_store())
+    result = outcome.result
     stats = result.l2_stats
     energy = result.l2_energy
     rows = [
@@ -206,6 +210,15 @@ def _cmd_run(args, out) -> int:
         ["busy cycles", f"{result.timing.busy_cycles:,.0f}"],
         ["IPC", f"{result.timing.ipc:.3f}"],
     ]
+    if "dram_stats" in result.extras:
+        from repro.dram.model import DRAMStats
+
+        dram = DRAMStats(**result.extras["dram_stats"])
+        rows.append(["DRAM row-hit rate", format_percent(dram.row_hit_rate, 1)])
+    if "prefetch_issued" in result.extras:
+        issued = result.extras["prefetch_issued"]
+        accuracy = result.extras["prefetch_useful"] / issued if issued else 0.0
+        rows.append(["prefetch accuracy", format_percent(accuracy, 1)])
     print(format_table(f"{args.design} on {args.app} ({args.length:,} accesses)",
                        ["metric", "value"], rows, align_left_cols=2), file=out)
     return 0

@@ -8,13 +8,17 @@ freely.  Every other design is evaluated relative to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
-from repro.core.pipeline import FixedSegment, run_fixed_design
+from repro.core.pipeline import FixedSegment, check_prefetch, memory_models, run_fixed_design
 from repro.core.result import DesignResult
 from repro.energy.technology import MemoryTechnology, sram
+
+if TYPE_CHECKING:
+    from repro.dram.model import DRAMConfig
 
 __all__ = ["BaselineDesign"]
 
@@ -28,6 +32,11 @@ class BaselineDesign:
             with it); defaults to the platform L2 itself.
         tech: Array technology (SRAM unless an ablation says otherwise).
         policy: Replacement policy name.
+        dram: Bank/row-buffer DRAM device the misses and write-backs
+            go through (see :mod:`repro.dram`); ``None`` charges the
+            platform's flat DRAM latency and energy.
+        prefetch: L2 prefetcher name (``"nextline"`` or ``"stride"``,
+            see :mod:`repro.cache.prefetch`), or ``None``.
     """
 
     ways: int | None = None
@@ -35,9 +44,12 @@ class BaselineDesign:
     # patched ``sram`` is what a new design (and its key) sees
     tech: MemoryTechnology = field(default_factory=lambda: sram())
     policy: str = "lru"
+    dram: DRAMConfig | None = None
+    prefetch: str | None = None
     name: str = "baseline"
 
     def __post_init__(self) -> None:
+        check_prefetch(self.prefetch)
         if self.tech.retention is not None:
             raise ValueError(
                 "BaselineDesign models retention-free storage; use a design "
@@ -45,14 +57,10 @@ class BaselineDesign:
             )
 
     def run(
-        self, stream: L2Stream, platform: PlatformConfig, dram_model=None, prefetcher=None,
-        engine: str = "auto",
+        self, stream: L2Stream, platform: PlatformConfig, engine: str = "auto"
     ) -> DesignResult:
         """Replay ``stream`` through the shared L2.
 
-        ``dram_model`` optionally routes misses through a bank-level
-        DRAM model (see :mod:`repro.dram`); ``prefetcher`` optionally
-        adds an L2 prefetcher (see :mod:`repro.cache.prefetch`).
         ``engine`` picks the replay path (``"auto"``/``"fast"``/
         ``"reference"``, see :func:`~repro.core.pipeline.run_fixed_design`).
         """
@@ -60,4 +68,4 @@ class BaselineDesign:
         cache = SetAssociativeCache(geometry, self.policy, name="l2-shared")
         segment = FixedSegment("shared", cache, self.tech)
         return run_fixed_design(self.name, stream, platform, [segment], lambda priv: cache,
-                                dram_model, prefetcher, engine)
+                                *memory_models(self.dram, self.prefetch), engine)

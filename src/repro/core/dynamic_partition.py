@@ -77,6 +77,11 @@ class DynamicControllerConfig:
             )
         if self.grow_step < 1:
             raise ValueError("grow_step must be >= 1")
+        if self.idle_accesses < 0:
+            raise ValueError("idle_accesses must be >= 0")
+        if self.decision_accesses < 1:
+            # the miss rate divides by the epoch's accesses
+            raise ValueError("decision_accesses must be >= 1")
 
 
 class _Segment:

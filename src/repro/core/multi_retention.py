@@ -22,12 +22,17 @@ well inside their windows).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.static_partition import (
     DEFAULT_KERNEL_WAYS,
     DEFAULT_USER_WAYS,
     StaticPartitionDesign,
 )
 from repro.energy.technology import stt_ram
+
+if TYPE_CHECKING:
+    from repro.dram.model import DRAMConfig
 
 __all__ = [
     "multi_retention_design",
@@ -49,12 +54,15 @@ def multi_retention_design(
     kernel_retention: str = KERNEL_RETENTION_CLASS,
     refresh_mode: str = "invalidate",
     retention_distribution: str = "fixed",
+    dram: DRAMConfig | None = None,
+    prefetch: str | None = None,
     name: str = "static-stt",
 ) -> StaticPartitionDesign:
     """The paper's static technique: partition + multi-retention STT-RAM.
 
     Returns a :class:`StaticPartitionDesign` whose segments use STT-RAM
-    at the given retention classes.
+    at the given retention classes (``dram`` and ``prefetch`` pass
+    through to it).
     """
     return StaticPartitionDesign(
         user_ways=user_ways,
@@ -63,5 +71,7 @@ def multi_retention_design(
         kernel_tech=stt_ram(kernel_retention),
         refresh_mode=refresh_mode,
         retention_distribution=retention_distribution,
+        dram=dram,
+        prefetch=prefetch,
         name=name,
     )

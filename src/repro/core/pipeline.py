@@ -17,6 +17,9 @@ drowsy and hybrid designs — executes through this module:
   charge and the ``extras`` conventions.
 * :func:`dram_pass` is the one place a banked DRAM model runs: a pass
   over either engine's replay events, after replay.
+* :func:`memory_models` builds the run-time DRAM model and prefetcher a
+  fixed design's ``dram`` and ``prefetch`` fields describe, fresh for
+  each run.
 
 ``compute_timing`` / ``segment_energy`` / ``dram_energy_j`` are invoked
 from exactly this module under ``repro.core`` — adding a design means
@@ -28,7 +31,7 @@ awake/drowsy leakage split) instead of assembling results by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -46,17 +49,24 @@ from repro.timing.cpu import TimingResult, compute_timing
 
 if TYPE_CHECKING:
     from repro.cache.prefetch import Prefetcher
-    from repro.dram.model import DRAMModel
+    from repro.dram.model import DRAMConfig, DRAMModel
 
 __all__ = [
     "ENGINES",
+    "PREFETCHERS",
     "FixedSegment",
     "ReplaySession",
     "ResultAssembler",
     "SegmentOutcome",
+    "check_prefetch",
     "dram_pass",
+    "memory_models",
     "run_fixed_design",
 ]
+
+#: Names a fixed design's ``prefetch`` field takes (each one a
+#: :func:`repro.cache.prefetch.make_prefetcher` name).
+PREFETCHERS = ("nextline", "stride")
 
 #: The replay-engine contract every design's ``run`` accepts.
 ENGINES = ("auto", "fast", "reference")
@@ -394,7 +404,7 @@ class ResultAssembler:
         all_extras = dict(extras) if extras else {}
         if dram_model is not None:
             dram_j = dram_model.energy_j(self.platform.seconds(self.timing.busy_cycles))
-            all_extras["dram_stats"] = dram_model.stats
+            all_extras["dram_stats"] = asdict(dram_model.stats)
         else:
             dram_writes = sum(oc.stats.writebacks + oc.stats.expiry_writebacks for oc in outcomes)
             dram_j = dram_energy_j(self._demand_misses, dram_writes)
@@ -407,6 +417,34 @@ class ResultAssembler:
             dram_j=dram_j,
             extras=all_extras,
         )
+
+
+def check_prefetch(prefetch: str | None) -> None:
+    """Reject a ``prefetch`` field that names no prefetcher, so a bad
+    name fails when the design is built, not when it runs."""
+    if prefetch is not None and prefetch not in PREFETCHERS:
+        raise ValueError(f"unknown prefetcher {prefetch!r}; choose from {PREFETCHERS}")
+
+
+def memory_models(
+    dram: DRAMConfig | None, prefetch: str | None
+) -> tuple[DRAMModel | None, Prefetcher | None]:
+    """Fresh run-time models for a fixed design's ``dram`` and
+    ``prefetch`` fields, as :func:`run_fixed_design` takes them.
+
+    Their modules load here, on first use, so a run that sets neither
+    field never imports them.
+    """
+    dram_model = prefetcher = None
+    if dram is not None:
+        from repro.dram.model import DRAMModel
+
+        dram_model = DRAMModel(dram)
+    if prefetch is not None:
+        from repro.cache.prefetch import make_prefetcher
+
+        prefetcher = make_prefetcher(prefetch)
+    return dram_model, prefetcher
 
 
 def run_fixed_design(

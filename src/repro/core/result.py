@@ -93,10 +93,9 @@ class DesignResult:
     def to_dict(self) -> dict:
         """Plain-data form for the result store.
 
-        ``extras`` must already be JSON-shaped (scalars, lists, dicts) —
-        true for every canonical design.  Results carrying live objects
-        (e.g. the banked DRAM model's stats) raise :class:`TypeError`
-        and are simply not persistable.
+        ``extras`` are JSON-shaped (scalars, lists, dicts) for every
+        design, the banked DRAM model's ``dram_stats`` included; a live
+        object there raises :class:`TypeError`.
         """
         import json
 

@@ -15,14 +15,18 @@ See :mod:`repro.core.multi_retention` for the canonical configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import PlatformConfig
-from repro.core.pipeline import FixedSegment, run_fixed_design
+from repro.core.pipeline import FixedSegment, check_prefetch, memory_models, run_fixed_design
 from repro.core.result import DesignResult
 from repro.energy.technology import MemoryTechnology, sram
 from repro.types import Privilege
+
+if TYPE_CHECKING:
+    from repro.dram.model import DRAMConfig
 
 __all__ = ["StaticPartitionDesign", "DEFAULT_USER_WAYS", "DEFAULT_KERNEL_WAYS"]
 
@@ -53,6 +57,12 @@ class StaticPartitionDesign:
         retention_distribution: ``"fixed"`` (hard window at the spec
             value) or ``"exponential"`` (thermally realistic lifetimes
             with the spec value as mean).
+        dram: Bank/row-buffer DRAM device the misses and write-backs
+            go through (see :mod:`repro.dram`); ``None`` charges the
+            platform's flat DRAM latency and energy.
+        prefetch: L2 prefetcher name (``"nextline"`` or ``"stride"``,
+            see :mod:`repro.cache.prefetch`), or ``None``.  Prefetches
+            fill the missing access's own segment.
         name: Design label in results.
     """
 
@@ -62,9 +72,12 @@ class StaticPartitionDesign:
     kernel_tech: MemoryTechnology = field(default_factory=lambda: sram())
     refresh_mode: str = "invalidate"
     retention_distribution: str = "fixed"
+    dram: DRAMConfig | None = None
+    prefetch: str | None = None
     name: str = "static"
 
     def __post_init__(self) -> None:
+        check_prefetch(self.prefetch)
         if self.user_ways <= 0 or self.kernel_ways <= 0:
             raise ValueError("both segments need at least one way")
 
@@ -83,14 +96,10 @@ class StaticPartitionDesign:
         )
 
     def run(
-        self, stream: L2Stream, platform: PlatformConfig, dram_model=None, prefetcher=None,
-        engine: str = "auto",
+        self, stream: L2Stream, platform: PlatformConfig, engine: str = "auto"
     ) -> DesignResult:
         """Replay ``stream`` through the two privilege segments.
 
-        ``dram_model`` optionally routes misses through a bank-level
-        DRAM model (see :mod:`repro.dram`); ``prefetcher`` optionally
-        adds an L2 prefetcher (see :mod:`repro.cache.prefetch`).
         ``engine`` picks the replay path (``"auto"``/``"fast"``/
         ``"reference"``, see :func:`~repro.core.pipeline.run_fixed_design`).
         """
@@ -103,4 +112,4 @@ class StaticPartitionDesign:
         kernel_priv = int(Privilege.KERNEL)
         return run_fixed_design(self.name, stream, platform, segments,
                                 lambda priv: kernel if priv == kernel_priv else user,
-                                dram_model, prefetcher, engine)
+                                *memory_models(self.dram, self.prefetch), engine)

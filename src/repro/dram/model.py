@@ -9,11 +9,14 @@ bank** and also waits.  Energy distinguishes activate/precharge from
 column transfers.
 
 It is used by the DRAM-sensitivity ablation
-(``benchmarks/bench_ablation_dram.py``) and can be plugged into any
-fixed design via :class:`repro.core.pipeline.run_fixed_design`'s
-``dram_model`` argument to replace the flat-latency assumption.  The
-model feeds nothing back into replay, so it runs after it, as one pass
-over either engine's events (:func:`repro.core.pipeline.dram_pass`).
+(``benchmarks/bench_ablation_dram.py``) and replaces the flat-latency
+assumption in any fixed design whose ``dram`` field holds a
+:class:`DRAMConfig` (``BaselineDesign(dram=DRAMConfig())``, or
+``design_kwargs={"dram": DRAMConfig()}`` in a job spec); each run builds
+a fresh :class:`DRAMModel` and reports its counters as a plain dict in
+``extras["dram_stats"]``.  The model feeds nothing back into replay, so
+it runs after it, as one pass over either engine's events
+(:func:`repro.core.pipeline.dram_pass`).
 It never sees expiry write-backs (dirty STT-RAM blocks that decay and
 drain), which the flat model charges; ``docs/modeling.md`` §6 counts
 them.

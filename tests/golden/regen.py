@@ -13,9 +13,9 @@
   platform, keyed ``<label>@slow-clock``: there the STT-RAM retention
   windows fall inside the streams' tick spans, so the fixed designs'
   expiring replay and the dynamic design's decay test are pinned too;
-* the ``DRAM_DESIGNS`` per suite app with a fresh banked DRAM model,
-  keyed ``<label>+dram`` (and static-stt's also ``@slow-clock``), with
-  ``dram_stats`` hashed as its dataclass fields.
+* the ``DRAM_DESIGNS`` per suite app with the banked DRAM model
+  (``dram=DRAMConfig()``), keyed ``<label>+dram`` (and static-stt's also
+  ``@slow-clock``).
 
 It also stores ``MODEL_VERSION`` and the NumPy version it was generated
 with.  ``tests/test_golden.py`` recomputes everything and compares.  After
@@ -42,11 +42,10 @@ import numpy as np
 
 from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM
-from repro.core.designs import REGISTERED_DESIGNS, make_design
-from repro.dram import DRAMModel
+from repro.core.designs import REGISTERED_DESIGNS
+from repro.dram import DRAMConfig
 from repro.engine.executor import run_jobs
 from repro.engine.spec import MODEL_VERSION, JobSpec, canonical_json
-from repro.engine.streamcache import load_stream
 from repro.trace.generator import generate_trace
 from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
@@ -131,25 +130,23 @@ def job_records(designs=REGISTERED_DESIGNS, platform=DEFAULT_PLATFORM,
 
 def dram_records(designs=DRAM_DESIGNS, platform=DEFAULT_PLATFORM,
                  tag: str = "") -> dict[str, dict]:
-    """One record per design × suite app replayed with a fresh banked
-    DRAM model on ``platform``, keyed by label, ``+dram`` and ``tag``."""
-    out = {}
-    for design in designs:
-        for app in APP_NAMES:
-            spec = JobSpec(design, app, GRID_LENGTH, GRID_SEED, platform)
-            stream = load_stream(app, GRID_LENGTH, GRID_SEED, platform)
-            result = make_design(design).run(stream, platform, dram_model=DRAMModel())
-            out[spec.label() + "+dram" + tag] = _record(result)
-    return out
+    """One record per design × suite app with the banked DRAM model on
+    ``platform``, keyed by design, app, ``+dram`` and ``tag``."""
+    specs = [
+        JobSpec(design, app, GRID_LENGTH, GRID_SEED, platform, {"dram": DRAMConfig()})
+        for design in designs
+        for app in APP_NAMES
+    ]
+    return {
+        f"{outcome.spec.design}:{outcome.spec.app}+dram{tag}": _record(outcome.result)
+        for outcome in run_jobs(specs, store=None)
+    }
 
 
 def _record(result) -> dict:
-    """A result's digest (``sim_engine`` left out, ``dram_stats`` as
-    its fields) and its headline numbers."""
+    """A result's digest (``sim_engine`` left out) and its headline numbers."""
     extras = dict(result.extras)
     extras.pop("sim_engine", None)
-    if "dram_stats" in extras:
-        extras["dram_stats"] = dataclasses.asdict(extras["dram_stats"])
     payload = dataclasses.replace(result, extras=extras).to_dict()
     return {
         "sha256": _sha256(canonical_json(payload).encode()),

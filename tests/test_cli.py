@@ -56,16 +56,19 @@ class TestRun:
         assert code == 0
         assert "demand miss rate" in out
         assert "L2 energy" in out
+        assert "DRAM row-hit rate" not in out and "prefetch accuracy" not in out
 
     def test_run_with_prefetcher(self):
         code, out = run_cli("run", "--app", "game", "--design", "baseline",
                             "--length", "30000", "--prefetcher", "nextline")
         assert code == 0
+        assert "prefetch accuracy" in out
 
     def test_run_with_banked_dram(self):
         code, out = run_cli("run", "--app", "game", "--design", "static-sram",
                             "--length", "30000", "--banked-dram")
         assert code == 0
+        assert "DRAM row-hit rate" in out
 
     def test_prefetcher_rejected_for_dynamic(self):
         code, _ = run_cli("run", "--app", "game", "--design", "dynamic-stt",
@@ -83,6 +86,12 @@ class TestRun:
                           "--length", "20000", "--banked-dram")
         assert code == 2
         assert "--banked-dram" in capsys.readouterr().err
+
+    def test_prefetcher_rejected_for_hybrid(self, capsys):
+        code, _ = run_cli("run", "--app", "game", "--design", "hybrid",
+                          "--length", "20000", "--prefetcher", "nextline")
+        assert code == 2
+        assert "--prefetcher" in capsys.readouterr().err
 
 
 class TestArtifacts:

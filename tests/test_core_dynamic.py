@@ -51,6 +51,16 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match="grow_step"):
             DynamicControllerConfig(grow_step=0)
 
+    def test_rejects_a_decision_on_no_samples(self):
+        # with no idle threshold, an empty epoch would reach the miss-rate
+        # division (0 misses / 0 accesses) instead of being held or gated
+        with pytest.raises(ValueError, match="decision_accesses"):
+            DynamicControllerConfig(idle_accesses=0, decision_accesses=0)
+
+    def test_rejects_negative_idle_threshold(self):
+        with pytest.raises(ValueError, match="idle_accesses"):
+            DynamicControllerConfig(idle_accesses=-1)
+
 
 class TestIdleGating:
     def test_idle_epochs_gate_to_min(self):

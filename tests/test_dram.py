@@ -16,7 +16,7 @@ from repro.config import DEFAULT_PLATFORM, CacheGeometry
 from repro.core import BaselineDesign
 from repro.core.multi_retention import multi_retention_design
 from repro.core.pipeline import FixedSegment, run_fixed_design
-from repro.dram import DRAMConfig, DRAMModel
+from repro.dram import DRAMConfig, DRAMModel, DRAMStats
 from repro.energy.technology import sram
 from repro.types import Privilege
 
@@ -122,16 +122,14 @@ class TestReset:
 
 class TestDesignIntegration:
     def test_streaming_misses_earn_row_hits(self, browser_stream_small):
-        dram = DRAMModel()
-        r = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM, dram_model=dram)
-        assert dram.stats.accesses > 0
-        assert 0.0 < dram.stats.row_hit_rate < 1.0
-        assert r.extras["dram_stats"] is dram.stats
+        r = BaselineDesign(dram=DRAMConfig()).run(browser_stream_small, DEFAULT_PLATFORM)
+        stats = DRAMStats(**r.extras["dram_stats"])
+        assert stats.accesses > 0
+        assert 0.0 < stats.row_hit_rate < 1.0
 
     def test_banked_timing_differs_from_flat(self, browser_stream_small):
         flat = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM)
-        banked = BaselineDesign().run(
-            browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel())
+        banked = BaselineDesign(dram=DRAMConfig()).run(browser_stream_small, DEFAULT_PLATFORM)
         assert banked.timing.dram_stall_cycles != flat.timing.dram_stall_cycles
         # miss counts are identical — DRAM only changes latency/energy
         assert banked.l2_stats.demand_misses == flat.l2_stats.demand_misses
@@ -160,9 +158,9 @@ def _oracle(design, stream, platform, prefetcher=None):
     return stall, dram.stats
 
 
-def _assert_matches_oracle(result, dram, stall, stats):
-    assert result.extras["dram_stats"] is dram.stats
-    assert dram.stats == stats
+def _assert_matches_oracle(result, stall, stats):
+    """Every ``DRAMStats`` field and the stall equal the oracle's."""
+    assert result.extras["dram_stats"] == dataclasses.asdict(stats)
     assert result.timing.dram_stall_cycles == float(stall)
 
 
@@ -179,11 +177,11 @@ class TestPostPass:
     def test_designs_match_interleaving(self, factory, platform, engine, browser_stream_small):
         stream = browser_stream_small
         expiring = obs.REGISTRY.counters.get("fastsim.retention.expiring", 0)
-        dram = DRAMModel()
-        result = factory().run(stream, platform, dram_model=dram, engine=engine)
+        result = factory(dram=DRAMConfig()).run(stream, platform, engine=engine)
         assert result.extras["sim_engine"] == ("fastsim" if engine == "fast" else "reference")
-        _assert_matches_oracle(result, dram, *_oracle(factory(), stream, platform))
-        assert dram.stats.writes > 0 and dram.stats.busy_stalls > 0
+        _assert_matches_oracle(result, *_oracle(factory(), stream, platform))
+        stats = result.extras["dram_stats"]
+        assert stats["writes"] > 0 and stats["busy_stalls"] > 0
         if platform is SLOW_CLOCK:
             assert result.segment("kernel").stats.expiry_invalidations > 0
             if engine == "fast":
@@ -192,14 +190,13 @@ class TestPostPass:
     def test_prefetch_traffic_matches_interleaving(self, browser_stream_small):
         """A prefetcher keeps the job on the reference engine; its fills
         and their victims reach the post-pass in issue order."""
-        dram = DRAMModel()
-        result = BaselineDesign().run(browser_stream_small, SMALL_L2, dram_model=dram,
-                                      prefetcher=make_prefetcher("nextline"))
+        design = BaselineDesign(dram=DRAMConfig(), prefetch="nextline")
+        result = design.run(browser_stream_small, SMALL_L2)
         assert result.extras["sim_engine"] == "reference"
         stall, stats = _oracle(BaselineDesign(), browser_stream_small, SMALL_L2,
                                make_prefetcher("nextline"))
-        _assert_matches_oracle(result, dram, stall, stats)
-        assert result.extras["prefetch_issued"] > 0 and dram.stats.writes > 0
+        _assert_matches_oracle(result, stall, stats)
+        assert result.extras["prefetch_issued"] > 0 and stats.writes > 0
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize("seed", range(STRESS_CASES_FROM,
@@ -219,5 +216,6 @@ class TestPostPass:
         oracle_dram = DRAMModel(DRAMConfig(row_bytes=256))
         oracle_cache = SetAssociativeCache(case.geometry, "lru")
         stall = interleaved_dram(stream, lambda priv: oracle_cache, oracle_dram)
-        _assert_matches_oracle(result, dram, stall, oracle_dram.stats)
+        assert result.extras["dram_stats"] == dataclasses.asdict(dram.stats)
+        _assert_matches_oracle(result, stall, oracle_dram.stats)
         assert dram.stats.row_hits > 0 and dram.stats.busy_stalls > 0

@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.designs import DESIGN_NAMES
 from repro.core.result import DesignResult
+from repro.dram import DRAMConfig
 from repro.engine.executor import execute_spec, run_jobs
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore, default_store
+from repro.experiments import run_specs
 
 #: Short but non-trivial: long enough that every design touches refresh,
 #: eviction and privilege-split counters.
@@ -100,6 +103,34 @@ class TestResultStore:
         store.put(JobSpec("baseline", "browser", length=LENGTH),
                   canonical_results["baseline"])
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+#: Jobs whose designs set the memory-side fields (the banked DRAM model,
+#: an L2 prefetcher), keyed by the extra each one's result reports.
+MEMORY_SPECS = {
+    "dram_stats": JobSpec("baseline", "browser", length=LENGTH,
+                          design_kwargs={"dram": DRAMConfig()}),
+    "prefetch_issued": JobSpec("static-sram", "browser", length=LENGTH,
+                               design_kwargs={"prefetch": "nextline"}),
+}
+
+
+class TestMemorySideFields:
+    """Banked DRAM and prefetch results are stored like any other."""
+
+    @pytest.mark.parametrize("extra", MEMORY_SPECS)
+    def test_exact_round_trip(self, extra):
+        result = execute_spec(MEMORY_SPECS[extra])
+        assert result.extras[extra]
+        assert DesignResult.from_dict(result.to_dict()) == result
+
+    def test_rerun_simulates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        first = run_specs(MEMORY_SPECS)
+        fresh = obs.REGISTRY.counters.get("engine.job.fresh", 0)
+        assert run_specs(MEMORY_SPECS) == first
+        assert obs.REGISTRY.counters.get("engine.job.fresh", 0) == fresh
+        assert ResultStore(tmp_path).stats().writes == len(MEMORY_SPECS)
 
 
 class TestStaleModelInputs:

@@ -326,22 +326,15 @@ def test_auto_engine_uses_fast_kernel(browser_stream_small):
 
 
 def test_auto_falls_back_for_prefetcher(browser_stream_small):
-    from repro.cache.prefetch import make_prefetcher
-
-    result = BaselineDesign().run(
-        browser_stream_small, DEFAULT_PLATFORM,
-        prefetcher=make_prefetcher("nextline"),
-    )
+    result = BaselineDesign(prefetch="nextline").run(browser_stream_small, DEFAULT_PLATFORM)
     assert result.extras["sim_engine"] == "reference"
 
 
 def test_auto_engine_uses_fast_kernel_with_dram_model(browser_stream_small):
-    from repro.dram import DRAMModel
+    from repro.dram import DRAMConfig
 
     before = obs.REGISTRY.counters.get("pipeline.dispatch.fastsim", 0)
-    result = BaselineDesign().run(
-        browser_stream_small, DEFAULT_PLATFORM, dram_model=DRAMModel()
-    )
+    result = BaselineDesign(dram=DRAMConfig()).run(browser_stream_small, DEFAULT_PLATFORM)
     assert result.extras["sim_engine"] == "fastsim"
     assert obs.REGISTRY.counters["pipeline.dispatch.fastsim"] == before + 1
 
@@ -352,12 +345,9 @@ def test_auto_falls_back_for_non_lru_policy(browser_stream_small):
 
 
 def test_fast_engine_raises_when_disqualified(browser_stream_small):
-    from repro.cache.prefetch import make_prefetcher
-
     with pytest.raises(ValueError, match="fast"):
-        BaselineDesign().run(
-            browser_stream_small, DEFAULT_PLATFORM,
-            prefetcher=make_prefetcher("nextline"), engine="fast",
+        BaselineDesign(prefetch="nextline").run(
+            browser_stream_small, DEFAULT_PLATFORM, engine="fast"
         )
     with pytest.raises(ValueError, match="fast"):
         BaselineDesign(policy="plru").run(

@@ -453,7 +453,9 @@ class TestObsCli:
         assert "50.0%" in out
         assert "corrupt evictions" in out
 
-    def test_run_with_trace_writes_valid_log(self, tmp_path):
+    def test_run_with_trace_writes_valid_log(self, tmp_path, monkeypatch):
+        # ``repro run`` is store-backed: an empty cache makes it replay
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         log = tmp_path / "run.jsonl"
         code, _ = self.run_cli("run", "--app", "game", "--design", "baseline",
                                "--length", "12000", "--trace", str(log))

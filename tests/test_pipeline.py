@@ -8,6 +8,7 @@ rejection rules, prefetch bookkeeping, and the one-call-site rule for
 the accounting helpers.
 """
 
+import inspect
 import pathlib
 
 import numpy as np
@@ -30,7 +31,10 @@ from repro.core import (
     StaticPartitionDesign,
     run_fixed_design,
 )
+from repro.core.designs import REGISTERED_DESIGNS, make_design
 from repro.core.multi_retention import multi_retention_design
+from repro.core.pipeline import PREFETCHERS
+from repro.dram import DRAMConfig
 from repro.energy.technology import sram
 
 ALL_DESIGNS = [
@@ -83,6 +87,38 @@ def test_per_access_designs_reject_fast(factory, browser_stream_small):
     """Designs without a vectorized path refuse engine="fast" loudly."""
     with pytest.raises(ValueError, match="fast kernel"):
         factory().run(browser_stream_small, DEFAULT_PLATFORM, engine="fast")
+
+
+# ----------------------------------------------------------------------
+# one run signature; memory-side models are design fields
+
+
+@pytest.mark.parametrize("name", REGISTERED_DESIGNS)
+def test_every_design_runs_with_one_signature(name):
+    params = inspect.signature(make_design(name).run).parameters
+    assert list(params) == ["stream", "platform", "engine"]
+    assert params["engine"].default == "auto"
+
+
+def test_prefetch_names_build_prefetchers():
+    for name in PREFETCHERS:
+        assert make_prefetcher(name).name == name
+
+
+@pytest.mark.parametrize("name", ["baseline", "static-sram", "static-stt"])
+def test_fixed_designs_take_memory_fields(name):
+    design = make_design(name, dram=DRAMConfig(banks=4), prefetch="stride")
+    assert design.dram == DRAMConfig(banks=4) and design.prefetch == "stride"
+    with pytest.raises(ValueError, match="unknown prefetcher"):
+        make_design(name, prefetch="oracle")
+
+
+@pytest.mark.parametrize("name", ["dynamic-stt", "drowsy-sram", "hybrid"])
+def test_other_designs_reject_memory_fields(name):
+    with pytest.raises(TypeError):
+        make_design(name, dram=DRAMConfig())
+    with pytest.raises(TypeError):
+        make_design(name, prefetch="nextline")
 
 
 # ----------------------------------------------------------------------

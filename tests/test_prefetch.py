@@ -97,9 +97,7 @@ class TestDesignIntegration:
         from repro.core import BaselineDesign
 
         plain = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM)
-        pf = BaselineDesign().run(
-            browser_stream_small, DEFAULT_PLATFORM,
-            prefetcher=SequentialPrefetcher())
+        pf = BaselineDesign(prefetch="nextline").run(browser_stream_small, DEFAULT_PLATFORM)
         assert pf.l2_stats.demand_miss_rate < plain.l2_stats.demand_miss_rate
         assert pf.extras["prefetch_issued"] > 0
         assert 0 <= pf.extras["prefetch_useful"] <= pf.extras["prefetch_issued"]
@@ -108,8 +106,7 @@ class TestDesignIntegration:
         from repro.config import DEFAULT_PLATFORM
         from repro.core import StaticPartitionDesign
 
-        r = StaticPartitionDesign().run(
-            browser_stream_small, DEFAULT_PLATFORM,
-            prefetcher=SequentialPrefetcher())
+        r = StaticPartitionDesign(prefetch="nextline").run(browser_stream_small,
+                                                           DEFAULT_PLATFORM)
         assert r.l2_stats.cross_privilege_evictions == 0
         r.l2_stats.check_invariants()
