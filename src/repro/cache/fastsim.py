@@ -1279,14 +1279,13 @@ def fast_l1_filter(trace, platform: PlatformConfig):
     from repro.cache.hierarchy import L2Stream
 
     # Each L1's rows in program order.  The kernel reads addresses,
-    # privileges and store flags only, gathered from contiguous copies
-    # of the trace's interleaved record columns.
-    is_data = trace.kinds != np.uint8(AccessKind.IFETCH)
-    addrs = np.ascontiguousarray(trace.addrs)
-    privs = np.ascontiguousarray(trace.privs)
+    # privileges and store flags only, gathered from the trace's
+    # contiguous columns.
+    addrs, kinds, privs = trace.addrs, trace.kinds, trace.privs
+    is_data = kinds != np.uint8(AccessKind.IFETCH)
     (i_stats, i_ev), (d_stats, d_ev) = (
         simulate_trace(geometry, None, addrs[rows], privs[rows],
-                       trace.kinds[rows] == np.uint8(AccessKind.STORE),
+                       kinds[rows] == np.uint8(AccessKind.STORE),
                        record_events=True, orig_indices=rows)
         for geometry, rows in ((platform.l1i, np.flatnonzero(~is_data)),
                                (platform.l1d, np.flatnonzero(is_data)))
@@ -1314,7 +1313,8 @@ def fast_l1_filter(trace, platform: PlatformConfig):
 
     return L2Stream(
         name=trace.name,
-        ticks=trace.ticks[row_idx].astype(np.int64),
+        # the int64 view holds what astype(np.int64) would copy out
+        ticks=trace.ticks.view(np.int64)[row_idx],
         addrs=addrs,
         privs=privs,
         writes=writes,

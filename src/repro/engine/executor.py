@@ -39,7 +39,7 @@ from repro.core.designs import make_design
 from repro.core.result import DesignResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
-from repro.engine.streamcache import default_stream_cache, load_stream
+from repro.engine.streamcache import default_stream_cache, load_stream, release_stream
 
 __all__ = ["JobOutcome", "BatchProgress", "run_jobs", "execute_spec"]
 
@@ -243,12 +243,15 @@ def _run_batch(
         remaining = pending
         # Stream-major order: consecutive jobs share a stream, so the
         # in-process memo (`load_stream`) stays hot even when the
-        # batch spans more unique streams than the memo holds.
-        for key, indices in sorted(fresh.items(),
-                                   key=lambda kv: specs[kv[1][0]].stream_key):
-            result, wall_s, cpu_s, attempts = _run_with_retry(
-                _timed_execute, specs[indices[0]], retries
-            )
+        # batch spans more unique streams than the memo holds, and each
+        # stream is released once the batch's last job on it is done.
+        ordered = sorted(fresh.items(), key=lambda kv: specs[kv[1][0]].stream_key)
+        last_job = {specs[indices[0]].stream_key: key for key, indices in ordered}
+        for key, indices in ordered:
+            spec = specs[indices[0]]
+            result, wall_s, cpu_s, attempts = _run_with_retry(_timed_execute, spec, retries)
+            if last_job[spec.stream_key] == key:
+                release_stream(spec.stream_key)
             finish(indices, result, wall_s, cpu_s, attempts)
             remaining -= 1
             if progress is not None:

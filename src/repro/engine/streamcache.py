@@ -38,6 +38,8 @@ cache's lifetime hit rate.
 :func:`load_stream` is the one way the rest of the package obtains a
 suite stream: a per-process memo over :func:`default_stream_cache`,
 used by the executor, the experiments, the CLI and the benches alike.
+:func:`release_stream` drops one stream from the memo, which the
+executor does once a serial batch has run its last job on it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import json
 import os
 import shutil
 import tempfile
-from functools import lru_cache
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +66,7 @@ from repro.engine.store import (
 )
 from repro.trace.workloads import suite_trace
 
-__all__ = ["StreamCache", "default_stream_cache", "load_stream"]
+__all__ = ["StreamCache", "default_stream_cache", "load_stream", "release_stream"]
 
 
 class StreamCache:
@@ -276,6 +278,12 @@ def default_stream_cache() -> StreamCache | None:
     return StreamCache(default_cache_dir())
 
 
+#: The per-process stream memo: stream key -> stream, least recently
+#: used first, holding at most ``_MEMO_SIZE`` streams.
+_MEMO: OrderedDict[str, L2Stream] = OrderedDict()
+_MEMO_SIZE = 16
+
+
 def load_stream(
     app: str, length: int, seed: int = 0, platform: PlatformConfig = DEFAULT_PLATFORM
 ) -> L2Stream:
@@ -291,21 +299,35 @@ def load_stream(
     behaviour.  The memo is keyed on the stream key, so an edited app
     profile misses it just as it misses the persistent cache.
     """
-    return _memoised_stream(stream_key(app, length, seed, platform), app, length, seed, platform)
-
-
-@lru_cache(maxsize=16)
-def _memoised_stream(
-    key: str, app: str, length: int, seed: int, platform: PlatformConfig
-) -> L2Stream:
+    key = stream_key(app, length, seed, platform)
+    stream = _MEMO.get(key)
+    if stream is not None:
+        _MEMO.move_to_end(key)
+        return stream
     cache = default_stream_cache()
     if cache is None:
-        return l1_filter(suite_trace(app, length, seed), platform)
-    stream = cache.get_or_build(app, length, seed, platform)
-    # one flush per unique stream per process (memoised afterwards)
-    cache.flush_counters()
+        stream = l1_filter(suite_trace(app, length, seed), platform)
+    else:
+        stream = cache.get_or_build(app, length, seed, platform)
+        # one flush per unique stream per process (memoised afterwards)
+        cache.flush_counters()
+    _MEMO[key] = stream
+    if len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
     return stream
 
 
+def release_stream(key: str) -> None:
+    """Drop the stream with stream key ``key`` from the memo, if held.
+
+    Its column maps close once no caller holds the stream, so their
+    resident pages stop counting against the process.  With caching
+    disabled the memo holds the only built copy, and releasing it would
+    make the next :func:`load_stream` rebuild it, so the stream stays.
+    """
+    if default_stream_cache() is not None:
+        _MEMO.pop(key, None)
+
+
 #: Empty the memo (for callers that repoint ``REPRO_CACHE_DIR``).
-load_stream.cache_clear = _memoised_stream.cache_clear
+load_stream.cache_clear = _MEMO.clear

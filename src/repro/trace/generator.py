@@ -4,9 +4,10 @@ The generator replaces the Android/gem5 full-system traces of the paper
 (see the substitution table in ``DESIGN.md``).  It is deterministic for a
 given ``(profile, length, seed)`` triple.  A per-dwell loop makes only the
 random-number calls, in the order that defines the trace; one batched pass
-per trace then turns the stored draws into addresses, kinds and ticks
-(``docs/performance.md``, "Trace generation: draws per dwell, the rest
-once per trace").
+per trace then turns the stored draws into the trace's contiguous tick,
+address, kind and privilege columns (``docs/performance.md``, "Trace
+generation: draws per dwell, the rest once per trace" and "Columnar
+traces").
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from repro import obs
 from repro.trace.access import Trace
 from repro.trace.phases import AppProfile, Region
-from repro.types import CACHE_BLOCK_SIZE, TRACE_DTYPE, KERNEL_SPACE_START, Privilege
+from repro.types import CACHE_BLOCK_SIZE, KERNEL_SPACE_START, Privilege
 
 __all__ = ["generate_trace"]
 
@@ -68,45 +69,49 @@ _HOT_STRIDE = 97
 class _RegionDraws:
     """The random draws of one region over a whole trace, in draw order.
 
-    :meth:`draw` makes one dwell's RNG calls; :meth:`addresses` and
-    :meth:`kinds` transform all of them at once, with the scalar operands
-    a per-dwell transform would use, so every value is identical.
+    :meth:`draw` makes one dwell's RNG calls on ``rng``; :meth:`addresses`
+    and :meth:`kinds` transform all of them at once, with the scalar
+    operands a per-dwell transform would use, so every value is identical.
     """
 
-    def __init__(self, region: Region) -> None:
+    def __init__(self, region: Region, rng: np.random.Generator) -> None:
         self.region = region
         self.nblocks = _region_blocks(region)
         self.sub = max(1, self.nblocks // region.subsets)  # rotating subset size
         self.dwells = 0
+        # bound once: the RNG methods and the block-draw bound
+        self._random, self._integers, self._geometric = rng.random, rng.integers, rng.geometric
+        self._high = self.nblocks if region.pattern == "uniform" else self.sub
         # per block-draw call: the draws (hot uniforms or block integers),
         # their number, the dwells the region saw before, the run lengths
         # and the accesses those runs keep; per dwell: the kind uniforms
         self.blocks, self.calls, self.call_dwells, self.runs, self.keeps, self.kind_u = (
             [], [], [], [], [], [])
 
-    def draw(self, rng: np.random.Generator, n: int) -> None:
+    def draw(self, n: int) -> None:
         """Draw one dwell's ``n`` accesses: blocks, expanded into geometric
         runs of same-block accesses (word-level spatial locality within a
         line) until the runs cover ``n``, then the kinds."""
         pattern, run_mean = self.region.pattern, self.region.run_mean
+        random, blocks, calls = self._random, self.blocks, self.calls
         remaining = n
         while remaining > 0:
             draws = n if run_mean <= 1.0 else int(remaining / run_mean) + 1
             if pattern == "hot":
-                self.blocks.append(rng.random(draws))
+                blocks.append(random(draws))
             elif pattern != "stream":  # a stream walks on, drawing nothing
-                high = self.nblocks if pattern == "uniform" else self.sub
-                self.blocks.append(rng.integers(0, high, size=draws))
-            self.calls.append(draws)
+                blocks.append(self._integers(0, self._high, size=draws))
+            calls.append(draws)
             self.call_dwells.append(self.dwells)
             if run_mean <= 1.0:
                 break
-            runs = rng.geometric(1.0 / run_mean, size=draws)
+            runs = self._geometric(1.0 / run_mean, size=draws)
             self.runs.append(runs)
-            self.keeps.append(min(remaining, sum(runs.tolist())))
-            remaining -= self.keeps[-1]
+            keep = min(remaining, sum(runs.tolist()))
+            self.keeps.append(keep)
+            remaining -= keep
         self.dwells += 1
-        self.kind_u.append(rng.random(n))
+        self.kind_u.append(random(n))
 
     def addresses(self) -> np.ndarray:
         """Address of every access drawn, in draw order."""
@@ -200,28 +205,33 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
     # (stream position, rotating subset), so phases share it.
     regions: dict[str, _RegionDraws] = {}
     phase_draws = [
-        [regions.setdefault(r.name, _RegionDraws(r)) for r in phase.regions]
+        [regions.setdefault(r.name, _RegionDraws(r, rng)) for r in phase.regions]
         for phase in profile.phases
     ]
     ids = {name: i for i, name in enumerate(regions)}
     key_dtype = np.min_scalar_type(len(regions) - 1)
-    phase_keys = [
-        np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
-        for phase in profile.phases
-    ]
+    phase_keys = [np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
+                  for phase in profile.phases]
 
-    # Per phase, once per trace: the region CDF, the transition CDF (a
-    # list, for a scalar bisect), the dwell draw's p and the mean gap.
-    region_cdfs = [_cdf(tuple(phase.weights)) for phase in profile.phases]
-    transition_cdfs = [_cdf(tuple(row)).tolist() for row in profile.transitions]
-    dwell_p = [1.0 / phase.mean_accesses for phase in profile.phases]
-    mean_gaps = [phase.mean_gap for phase in profile.phases]
+    # Per phase, once per trace: the region CDF, the region keys and draw
+    # stores, the dwell draw's p, the mean gap and the transition CDF (a
+    # list, for a scalar bisect); the RNG methods are bound once too.
+    phases = [
+        (_cdf(tuple(phase.weights)), keys, draws, len(draws), 1.0 / phase.mean_accesses,
+         phase.mean_gap, _cdf(tuple(row)).tolist())
+        for phase, keys, draws, row in zip(profile.phases, phase_keys, phase_draws,
+                                           profile.transitions)
+    ]
+    geometric, random, poisson = rng.geometric, rng.random, rng.poisson
+    bincount, bisect_right = np.bincount, bisect.bisect_right
+    idle_mean, idle_prob, wake_phase = (profile.idle_mean_ticks, profile.idle_prob,
+                                        profile.wake_phase)
 
     # The dwell loop makes every RNG call, in the order that defines the
     # trace; everything else happens once per trace below.
     key_parts: list[np.ndarray] = []
     gap_parts: list[np.ndarray] = []
-    dwell_privs: list[int] = []
+    dwell_phases: list[int] = []
     dwells: list[int] = []
     idle_at: list[int] = []
     idle_ticks: list[int] = []
@@ -229,58 +239,62 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
     phase_i = profile.start_phase
     pending_idle = 0
     while produced < length:
-        phase = profile.phases[phase_i]
-        dwell = int(rng.geometric(dwell_p[phase_i]))
-        dwell = min(max(dwell, 1), length - produced)
-        region_idx = region_cdfs[phase_i].searchsorted(rng.random(dwell), side="right")
-        key_parts.append(phase_keys[phase_i][region_idx])
-        counts = np.bincount(region_idx, minlength=len(phase.regions)).tolist()
-        for draws, cnt in zip(phase_draws[phase_i], counts):
+        region_cdf, keys_of, draws_of, nregions, dwell_p, mean_gap, transition_cdf = phases[phase_i]
+        dwell = min(max(int(geometric(dwell_p)), 1), length - produced)
+        region_idx = region_cdf.searchsorted(random(dwell), side="right")
+        key_parts.append(keys_of[region_idx])
+        for draws, cnt in zip(draws_of, bincount(region_idx, minlength=nregions).tolist()):
             if cnt:
-                draws.draw(rng, cnt)
-        gap_parts.append(rng.poisson(mean_gaps[phase_i], size=dwell))
+                draws.draw(cnt)
+        gap_parts.append(poisson(mean_gap, size=dwell))
         if pending_idle:
             idle_at.append(produced)
             idle_ticks.append(pending_idle)
             pending_idle = 0
-        dwell_privs.append(int(phase.privilege))
+        dwell_phases.append(phase_i)
         dwells.append(dwell)
         produced += dwell
-        phase_i = bisect.bisect_right(transition_cdfs[phase_i], rng.random())
+        phase_i = bisect_right(transition_cdf, random())
         # Interactive apps sleep between events; an idle period advances
         # the clock (leakage keeps burning, STT-RAM cells keep decaying)
         # without retiring instructions.
-        if profile.idle_mean_ticks and rng.random() < profile.idle_prob:
-            pending_idle = int(rng.exponential(profile.idle_mean_ticks))
-            if profile.wake_phase is not None:
-                phase_i = profile.wake_phase  # the wake interrupt handler
-    del phase_draws  # so that popping a region below frees its draws
+        if idle_mean and random() < idle_prob:
+            pending_idle = int(rng.exponential(idle_mean))
+            if wake_phase is not None:
+                phase_i = wake_phase  # the wake interrupt handler
+    del phase_draws, phases, draws_of  # so that popping a region below frees its draws
 
-    records = np.zeros(produced, dtype=TRACE_DTYPE)
-    records["priv"] = np.repeat(np.asarray(dwell_privs, dtype=np.uint8), dwells)
-    gaps = np.concatenate(gap_parts)
+    phase_privs = np.array([int(phase.privilege) for phase in profile.phases], dtype=np.uint8)
+    privs = np.repeat(phase_privs[dwell_phases], dwells)
+    # the gaps, floored at 1 and lengthened by the idle periods, summed in
+    # place into the tick column (every value is >= 0, so the int64 sums
+    # are the uint64 ticks bit for bit)
+    ticks = np.concatenate(gap_parts)
     del gap_parts
-    np.maximum(gaps, 1, out=gaps)
-    gaps[idle_at] += np.asarray(idle_ticks, dtype=np.int64)
-    ticks = np.cumsum(gaps, out=gaps)
-    records["tick"] = ticks - ticks[0]
-    del gaps, ticks
+    np.maximum(ticks, 1, out=ticks)
+    ticks[idle_at] += np.asarray(idle_ticks, dtype=np.int64)
+    np.cumsum(ticks, out=ticks)
+    ticks -= ticks[0]
+    ticks = ticks.view(np.uint64)
 
     # Each region's accesses, generated region-major, land at the stream
-    # positions its key marks, in order (a stable sort keeps dwell order).
+    # positions its key marks, in order (a stable sort keeps dwell order),
+    # in contiguous columns.
     keys = np.concatenate(key_parts)
     del key_parts
     order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=len(regions))).tolist()
+    ends = np.cumsum(bincount(keys, minlength=len(regions))).tolist()
     del keys
-    addr_col, kind_col = records["addr"], records["kind"]
+    addrs = np.empty(produced, dtype=np.uint64)
+    kinds = np.empty(produced, dtype=np.uint8)
     start = 0
     for name, end in zip(list(regions), ends):
         draws = regions.pop(name)  # drop each region's draws once placed
         if end > start:
             at = order[start:end]
-            addr_col[at] = draws.addresses()
-            kind_col[at] = draws.kinds()
+            addrs[at] = draws.addresses()
+            kinds[at] = draws.kinds()
         start = end
-    instructions = int(records["tick"][-1]) + 1 - sum(idle_ticks)
-    return Trace(profile.name, records, max(instructions, length)), len(dwells)
+    instructions = int(ticks[-1]) + 1 - sum(idle_ticks)
+    return (Trace(profile.name, ticks, addrs, kinds, privs, max(instructions, length)),
+            len(dwells))

@@ -63,11 +63,10 @@ def load_csv_trace(path: str | os.PathLike, name: str | None = None) -> Trace:
     if not records:
         raise ValueError(f"{path}: no trace records found")
     arr = np.array(records, dtype=TRACE_DTYPE)
-    order = np.argsort(arr["tick"], kind="stable")
-    arr = arr[order]
+    arr = arr[np.argsort(arr["tick"], kind="stable")]
     trace_name = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     instructions = max(len(arr), int(arr["tick"][-1]) + 1)
-    return Trace(trace_name, arr, instructions)
+    return Trace.from_records(trace_name, arr, instructions)
 
 
 def load_din_trace(
@@ -106,4 +105,4 @@ def load_din_trace(
         raise ValueError(f"{path}: no trace records found")
     arr = np.array(records, dtype=TRACE_DTYPE)
     trace_name = name if name is not None else os.path.splitext(os.path.basename(path))[0]
-    return Trace(trace_name, arr, max(len(arr), int(arr["tick"][-1]) + 1))
+    return Trace.from_records(trace_name, arr, max(len(arr), int(arr["tick"][-1]) + 1))

@@ -2,7 +2,9 @@
 
 Traces round-trip through ``.npz`` files so expensive generations (or
 externally collected traces converted to :data:`repro.types.TRACE_DTYPE`)
-can be reused across processes.
+can be reused across processes.  A file stores the trace's columns packed
+as one ``TRACE_DTYPE`` record array (:attr:`Trace.records`), and loading
+unpacks them again (:meth:`Trace.from_records`).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def load_trace(path: str | os.PathLike) -> Trace:
         version = int(data["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
-        records = np.ascontiguousarray(data["records"])
+        records = data["records"]
         if records.dtype != TRACE_DTYPE:
             raise ValueError(f"trace file has dtype {records.dtype}, expected {TRACE_DTYPE}")
         name = bytes(data["name"]).decode("utf-8")
-        return Trace(name, records, int(data["instructions"]))
+        return Trace.from_records(name, records, int(data["instructions"]))

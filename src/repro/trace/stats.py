@@ -35,13 +35,12 @@ def kernel_access_share(trace: Trace) -> float:
 
 def unique_blocks(trace: Trace, privilege: Privilege | None = None) -> int:
     """Number of distinct cache blocks touched (optionally one privilege)."""
-    recs = trace.records
+    addrs = trace.addrs
     if privilege is not None:
-        recs = recs[recs["priv"] == np.uint8(privilege)]
-    if not len(recs):
+        addrs = addrs[trace.privilege_mask(privilege)]
+    if not len(addrs):
         return 0
-    blocks = recs["addr"] // np.uint64(CACHE_BLOCK_SIZE)
-    return int(np.unique(blocks).size)
+    return int(np.unique(addrs // np.uint64(CACHE_BLOCK_SIZE)).size)
 
 
 def footprint_bytes(trace: Trace, privilege: Privilege | None = None) -> int:
@@ -72,13 +71,14 @@ def inter_access_intervals(
     enough: a block whose next reference arrives after its segment's
     retention window has expired and must be refetched.
     """
-    recs = trace.records
+    addrs, ticks = trace.addrs, trace.ticks
     if privilege is not None:
-        recs = recs[recs["priv"] == np.uint8(privilege)]
-    if len(recs) < 2:
+        mask = trace.privilege_mask(privilege)
+        addrs, ticks = addrs[mask], ticks[mask]
+    if len(addrs) < 2:
         return np.empty(0, dtype=np.int64)
-    blocks = recs["addr"] // np.uint64(CACHE_BLOCK_SIZE)
-    ticks = recs["tick"].astype(np.int64)
+    blocks = addrs // np.uint64(CACHE_BLOCK_SIZE)
+    ticks = ticks.astype(np.int64)
     order = np.argsort(blocks, kind="stable")
     sorted_blocks = blocks[order]
     sorted_ticks = ticks[order]

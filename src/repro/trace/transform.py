@@ -7,6 +7,8 @@ importing external traces.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.trace.access import Trace
@@ -26,23 +28,21 @@ def slice_window(trace: Trace, start_tick: int, end_tick: int) -> Trace:
     if not start_tick <= end_tick:
         raise ValueError(f"need start_tick <= end_tick, got [{start_tick}, {end_tick})")
     ticks = trace.ticks.astype(np.int64)
-    mask = (ticks >= start_tick) & (ticks < end_tick)
-    records = trace.records[mask].copy()
-    if len(records):
-        records["tick"] -= np.uint64(start_tick)
+    sub = trace.select((ticks >= start_tick) & (ticks < end_tick))
+    ticks = sub.ticks
+    if len(ticks):
+        ticks = ticks - np.uint64(start_tick)
     window = end_tick - start_tick
     frac = min(1.0, window / max(1, trace.duration_ticks))
-    instructions = max(len(records), int(trace.instructions * frac))
-    return Trace(trace.name, records, instructions)
+    return replace(sub, ticks=ticks, instructions=max(len(sub), int(trace.instructions * frac)))
 
 
 def shift_ticks(trace: Trace, offset: int) -> Trace:
     """Delay every access by ``offset`` ticks (>= 0)."""
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    records = trace.records.copy()
-    records["tick"] += np.uint64(offset)
-    return Trace(trace.name, records, trace.instructions + offset)
+    return replace(trace, ticks=trace.ticks + np.uint64(offset),
+                   instructions=trace.instructions + offset)
 
 
 def concat(first: Trace, second: Trace, gap_ticks: int = 0) -> Trace:
@@ -50,12 +50,14 @@ def concat(first: Trace, second: Trace, gap_ticks: int = 0) -> Trace:
     if gap_ticks < 0:
         raise ValueError(f"gap_ticks must be >= 0, got {gap_ticks}")
     shifted = shift_ticks(second, first.duration_ticks + gap_ticks)
-    records = np.concatenate([first.records, shifted.records])
-    return Trace(
-        f"{first.name}+{second.name}",
-        records,
-        first.instructions + second.instructions,
-    )
+    return _joined(f"{first.name}+{second.name}", [first, shifted],
+                   first.instructions + second.instructions)
+
+
+def _joined(name: str, traces: list[Trace], instructions: int) -> Trace:
+    """The traces played back to back, column by column."""
+    return Trace(name, *(np.concatenate([getattr(t, attr) for t in traces])
+                         for attr in ("ticks", "addrs", "kinds", "privs")), instructions)
 
 
 def timeslice(traces: list[Trace], quantum_ticks: int, total_ticks: int | None = None) -> Trace:
@@ -87,18 +89,15 @@ def timeslice(traces: list[Trace], quantum_ticks: int, total_ticks: int | None =
         start = window // n * quantum_ticks  # per-trace progress
         piece = slice_window(trace, start, start + quantum_ticks)
         if len(piece):
-            records = piece.records.copy()
-            records["tick"] += np.uint64(out_tick)
-            pieces.append(records)
+            pieces.append(shift_ticks(piece, out_tick))
         out_tick += quantum_ticks
         window += 1
     if not pieces:
         raise ValueError("timeslice produced an empty trace; quantum too small?")
-    records = np.concatenate(pieces)
-    name = "|".join(t.name for t in traces)
-    instructions = max(len(records), int(sum(t.instructions for t in traces) * horizon
-                                         / max(1, sum(t.duration_ticks for t in traces))))
-    return Trace(name, records, instructions)
+    accesses = sum(map(len, pieces))
+    instructions = max(accesses, int(sum(t.instructions for t in traces) * horizon
+                                     / max(1, sum(t.duration_ticks for t in traces))))
+    return _joined("|".join(t.name for t in traces), pieces, instructions)
 
 
 def remap_user_space(trace: Trace, asid: int, stride: int = 1 << 34) -> Trace:
@@ -114,7 +113,6 @@ def remap_user_space(trace: Trace, asid: int, stride: int = 1 << 34) -> Trace:
         raise ValueError("stride must clear the user address range")
     if asid == 0:
         return trace
-    records = trace.records.copy()
-    user = records["addr"] < np.uint64(KERNEL_SPACE_START)
-    records["addr"][user] += np.uint64(asid * stride)
-    return Trace(trace.name, records, trace.instructions)
+    addrs = trace.addrs.copy()
+    addrs[addrs < np.uint64(KERNEL_SPACE_START)] += np.uint64(asid * stride)
+    return replace(trace, addrs=addrs)

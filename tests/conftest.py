@@ -43,7 +43,7 @@ def make_trace(entries, name="t", instructions=None) -> Trace:
         records[i] = (tick, addr, int(kind), int(priv))
     if instructions is None:
         instructions = max(len(entries), int(records["tick"][-1]) + 1 if len(entries) else 0)
-    return Trace(name, records, instructions)
+    return Trace.from_records(name, records, instructions)
 
 
 @pytest.fixture

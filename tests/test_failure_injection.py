@@ -108,7 +108,7 @@ class TestEngineMisuse:
     def test_trace_with_wrong_shape_records(self):
         records = np.zeros((2, 2), dtype=TRACE_DTYPE)
         with pytest.raises(Exception):
-            Trace("x", records, 10).duration_ticks  # multi-dim records are invalid
+            Trace.from_records("x", records, 10)  # multi-dim records are invalid
 
 
 class TestEmptyTraceThroughHierarchy:

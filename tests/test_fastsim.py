@@ -219,6 +219,9 @@ def _assert_streams_identical(ref, fast):
 
 
 def test_fast_l1_filter_matches_reference(browser_trace_small):
+    # the generator's contiguous columns go straight into the fast filter
+    for col in ("ticks", "addrs", "kinds", "privs"):
+        assert getattr(browser_trace_small, col).flags.c_contiguous, col
     ref = l1_filter(browser_trace_small, DEFAULT_PLATFORM, engine="reference")
     fast = l1_filter(browser_trace_small, DEFAULT_PLATFORM, engine="fast")
     _assert_streams_identical(ref, fast)
@@ -259,7 +262,7 @@ def test_fast_l1_filter_split_and_merge(tiny_platform, kind_weights, expect_writ
     records["addr"] = rng.integers(0, 96, size=n).astype(np.uint64) * np.uint64(64)
     records["kind"] = rng.choice(3, size=n, p=kind_weights)
     records["priv"] = rng.integers(0, 2, size=n)
-    trace = Trace("split-merge", records, n)
+    trace = Trace.from_records("split-merge", records, n)
     ref = l1_filter(trace, tiny_platform, engine="reference")
     fast = l1_filter(trace, tiny_platform, engine="fast")
     _assert_streams_identical(ref, fast)
@@ -267,7 +270,7 @@ def test_fast_l1_filter_split_and_merge(tiny_platform, kind_weights, expect_writ
 
 
 def test_fast_l1_filter_empty_trace(tiny_platform):
-    trace = Trace("empty", np.zeros(0, dtype=TRACE_DTYPE), 0)
+    trace = Trace.from_records("empty", np.zeros(0, dtype=TRACE_DTYPE), 0)
     ref = l1_filter(trace, tiny_platform, engine="reference")
     fast = l1_filter(trace, tiny_platform, engine="fast")
     _assert_streams_identical(ref, fast)

@@ -22,6 +22,7 @@ from repro.config import DEFAULT_PLATFORM, CacheGeometry, LatencyConfig, platfor
 from repro.core.designs import make_design
 from repro.engine import JobSpec, StreamCache, run_jobs
 from repro.engine.spec import SCHEMA_VERSION, stream_key
+from repro.engine import streamcache
 from repro.engine.streamcache import default_stream_cache, load_stream
 from repro.obs.metrics import REGISTRY
 from repro.trace.workloads import APP_NAMES, suite_trace
@@ -265,6 +266,26 @@ class TestExecutorIntegration:
         stream = load_stream("browser", SHORT)
         assert not isinstance(stream.ticks, np.memmap)
         load_stream.cache_clear()
+
+    def test_serial_batch_releases_each_stream_after_its_last_job(self, fresh_cache_env):
+        outcomes = run_jobs(self._specs(), jobs=1, store=None)
+        assert not streamcache._MEMO
+        for outcome, (design, app) in zip(outcomes, self.GRID):
+            fresh = make_design(design).run(build_stream(app), DEFAULT_PLATFORM)
+            assert outcome.result.to_dict() == fresh.to_dict()
+        hits, builds = (REGISTRY.counters.get(name, 0)
+                        for name in ("streamcache.hit", "streamcache.build"))
+        stream = load_stream("game", SHORT)  # reopens the bundle
+        assert isinstance(stream.ticks, np.memmap)
+        assert REGISTRY.counters.get("streamcache.hit", 0) == hits + 1
+        assert REGISTRY.counters.get("streamcache.build", 0) == builds
+        assert load_stream("game", SHORT) is stream
+
+    def test_disabled_cache_keeps_batch_streams(self, fresh_cache_env, monkeypatch):
+        # the memo holds the only built copy, so releasing it would rebuild
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        run_jobs(self._specs(), jobs=1, store=None)
+        assert len(streamcache._MEMO) == 2
 
 
 class TestRunnerIntegration:

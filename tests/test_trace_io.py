@@ -7,7 +7,7 @@ from conftest import make_trace
 from repro.trace.generator import generate_trace
 from repro.trace.io import load_trace, save_trace
 from repro.trace.workloads import app_profile
-from repro.types import AccessKind, Privilege
+from repro.types import TRACE_DTYPE, AccessKind, Privilege
 
 
 class TestRoundTrip:
@@ -29,6 +29,23 @@ class TestRoundTrip:
         back = load_trace(path)
         assert np.array_equal(back.records, t.records)
         assert back.instructions == t.instructions
+        for attr in ("ticks", "addrs", "kinds", "privs"):
+            assert np.array_equal(getattr(back, attr), getattr(t, attr))
+            assert getattr(back, attr).flags.c_contiguous
+
+    def test_loads_records_file_written_directly(self, tmp_path):
+        # the on-disk format is one TRACE_DTYPE record array, written here
+        # field by field the way an earlier records-backed Trace saved it
+        t = generate_trace(app_profile("game"), 3_000, seed=4)
+        records = np.zeros(len(t), dtype=TRACE_DTYPE)
+        records["tick"], records["addr"] = t.ticks, t.addrs
+        records["kind"], records["priv"] = t.kinds, t.privs
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, version=np.int64(1), name=np.bytes_(b"game"),
+                            instructions=np.int64(t.instructions), records=records)
+        back = load_trace(path)
+        assert back.records.tobytes() == records.tobytes()
+        assert (back.name, back.instructions) == ("game", t.instructions)
 
     def test_unicode_name(self, tmp_path):
         t = make_trace([(0, 0, AccessKind.LOAD, Privilege.USER)], name="café")
