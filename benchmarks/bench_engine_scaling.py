@@ -29,7 +29,7 @@ import tempfile
 import time
 
 import pytest
-from conftest import run_once
+from conftest import run_once, timed
 from repro.core.designs import DESIGN_NAMES
 from repro.engine import JobSpec, StreamCache, run_jobs
 from repro.engine.streamcache import load_stream
@@ -56,25 +56,25 @@ def _run(specs, jobs):
     return sum(o.result.l2_stats.accesses for o in outcomes)
 
 
-def _report(benchmark, specs, label):
+def _report(seconds, specs, label):
     total_accesses = specs[0].length * len(specs)
-    rate = total_accesses / benchmark.stats["mean"]
+    rate = total_accesses / seconds
     print(f"\nengine sweep throughput ({label}): "
           f"{rate / 1e6:.2f} M trace accesses/s over {len(specs)} jobs")
 
 
 def test_engine_scaling_serial(benchmark, bench_length):
     specs = _grid(bench_length)
-    accesses = run_once(benchmark, _run, specs, 1)
+    accesses, seconds = timed(benchmark, lambda: run_once(benchmark, _run, specs, 1))
     assert accesses > 0
-    _report(benchmark, specs, "1 worker")
+    _report(seconds, specs, "1 worker")
 
 
 def test_engine_scaling_parallel(benchmark, bench_length):
     specs = _grid(bench_length)
-    accesses = run_once(benchmark, _run, specs, N_WORKERS)
+    accesses, seconds = timed(benchmark, lambda: run_once(benchmark, _run, specs, N_WORKERS))
     assert accesses > 0
-    _report(benchmark, specs, f"{N_WORKERS} workers")
+    _report(seconds, specs, f"{N_WORKERS} workers")
 
 
 # --- stream cache: cold vs warm front end ---------------------------------
@@ -125,8 +125,7 @@ def test_stream_cache_cold_vs_warm(benchmark, bench_length):
         # drop the in-process memo so the warm run pays real mmap loads
         load_stream.cache_clear()
         hits_before = REGISTRY.counters.get("streamcache.hit", 0)
-        run_once(benchmark, _run, specs, 1)
-        warm_s = benchmark.stats["mean"]
+        _, warm_s = timed(benchmark, lambda: run_once(benchmark, _run, specs, 1))
         builds_warm = REGISTRY.counters.get("streamcache.build", 0) - builds_before
         assert builds_warm == unique_streams, "warm sweep must not rebuild streams"
         assert REGISTRY.counters.get("streamcache.hit", 0) - hits_before == unique_streams

@@ -27,6 +27,7 @@ real simulation instead of store reads.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -52,3 +53,17 @@ def run_once(benchmark, fn, *args, **kwargs):
     would only re-measure the memoisation cache.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def timed(benchmark, run, stat="mean"):
+    """``run()``, which calls ``benchmark``, and the seconds it measured.
+
+    The seconds are ``benchmark.stats[stat]`` over the benchmark's rounds.
+    With timing off (``--benchmark-disable``) pytest-benchmark calls the
+    function once and leaves ``stats`` unset; the seconds are then that
+    call's ``perf_counter`` time, so every assertion on them still runs.
+    """
+    start = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - start
+    return result, elapsed if benchmark.stats is None else benchmark.stats[stat]

@@ -56,9 +56,13 @@ SCHEMA_VERSION = 2
 #: given input produces.  ``tests/golden/golden.json`` records it beside
 #: the output digests it was generated with; a change that moves any of
 #: those digests must bump it and regenerate the file
-#: (``python tests/golden/regen.py``).  Both keys hash it, so a bump
-#: also turns every cached result and stream into a miss.
-MODEL_VERSION = 1
+#: (``python tests/golden/regen.py``), which pins each version's records
+#: in the append-only ``tests/golden/versions.json``.  Both keys hash it,
+#: so a bump also turns every cached result and stream into a miss.
+#:
+#: * 1: the first pinned model.
+#: * 2: the block-drawn, prefix-stable trace generator (``docs/modeling.md`` §2).
+MODEL_VERSION = 2
 
 #: Values that encode as themselves in canonical JSON.
 _SCALARS = (bool, int, float, str, type(None))

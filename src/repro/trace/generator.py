@@ -2,17 +2,22 @@
 
 The generator replaces the Android/gem5 full-system traces of the paper
 (see the substitution table in ``DESIGN.md``).  It is deterministic for a
-given ``(profile, length, seed)`` triple.  A per-dwell loop makes only the
-random-number calls, in the order that defines the trace; one batched pass
-per trace then turns the stored draws into the trace's contiguous tick,
-address, kind and privilege columns (``docs/performance.md``, "Trace
-generation: draws per dwell, the rest once per trace" and "Columnar
-traces").
+given ``(profile, seed)`` pair and *prefix-stable*: the trace of length L
+is exactly the first L accesses of every longer trace of the same pair.
+
+Every random value comes from a child stream of one
+``SeedSequence([crc32(name), seed])``, and each child is consumed in
+access order (or, for a region's block draws, in run order), so no draw
+depends on how long the trace is.  A scalar loop walks the phase chain
+from pre-drawn uniforms; everything per access is drawn in bulk, per
+phase or per region (``docs/modeling.md`` §2, ``docs/performance.md``,
+"Trace generation: block draws, prefix-stable").
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import zlib
 from functools import lru_cache
 
@@ -43,15 +48,23 @@ def _choice(rng: np.random.Generator, weights: tuple[float, ...], size: int | No
     Returns the same indices and consumes the same draws (one uniform
     double per sample) as numpy's weighted ``choice``, minus its
     per-call weight validation and CDF construction — the profile
-    dataclasses validate weights once when they are built.
-    ``_generate`` inlines both forms with each phase's CDFs looked up
-    once per trace, the scalar one as ``bisect.bisect_right`` on the CDF
-    as a list.
+    dataclasses validate weights once when they are built.  One sample
+    per uniform, in order, is what keeps a phase's region choices and a
+    region's kinds prefix-stable.
+
+    A batch counts the CDF edges at or below each uniform, which is what
+    ``searchsorted(side="right")`` returns: a few compares per sample
+    beat a binary search on these short CDFs.  The last edge is exactly
+    1.0, which no uniform reaches.
     """
     cdf = _cdf(tuple(weights))
     if size is None:
         return int(cdf.searchsorted(rng.random(), side="right"))
-    return cdf.searchsorted(rng.random(size), side="right")
+    u = rng.random(size)
+    index = np.zeros(size, dtype=np.min_scalar_type(len(cdf)))
+    for edge in cdf[:-1].tolist():
+        index += u >= edge
+    return index.astype(np.int64)
 
 
 def _region_blocks(region: Region) -> int:
@@ -65,89 +78,9 @@ def _region_blocks(region: Region) -> int:
 #: scattered).
 _HOT_STRIDE = 97
 
-
-class _RegionDraws:
-    """The random draws of one region over a whole trace, in draw order.
-
-    :meth:`draw` makes one dwell's RNG calls on ``rng``; :meth:`addresses`
-    and :meth:`kinds` transform all of them at once, with the scalar
-    operands a per-dwell transform would use, so every value is identical.
-    """
-
-    def __init__(self, region: Region, rng: np.random.Generator) -> None:
-        self.region = region
-        self.nblocks = _region_blocks(region)
-        self.sub = max(1, self.nblocks // region.subsets)  # rotating subset size
-        self.dwells = 0
-        # bound once: the RNG methods and the block-draw bound
-        self._random, self._integers, self._geometric = rng.random, rng.integers, rng.geometric
-        self._high = self.nblocks if region.pattern == "uniform" else self.sub
-        # per block-draw call: the draws (hot uniforms or block integers),
-        # their number, the dwells the region saw before, the run lengths
-        # and the accesses those runs keep; per dwell: the kind uniforms
-        self.blocks, self.calls, self.call_dwells, self.runs, self.keeps, self.kind_u = (
-            [], [], [], [], [], [])
-
-    def draw(self, n: int) -> None:
-        """Draw one dwell's ``n`` accesses: blocks, expanded into geometric
-        runs of same-block accesses (word-level spatial locality within a
-        line) until the runs cover ``n``, then the kinds."""
-        pattern, run_mean = self.region.pattern, self.region.run_mean
-        random, blocks, calls = self._random, self.blocks, self.calls
-        remaining = n
-        while remaining > 0:
-            draws = n if run_mean <= 1.0 else int(remaining / run_mean) + 1
-            if pattern == "hot":
-                blocks.append(random(draws))
-            elif pattern != "stream":  # a stream walks on, drawing nothing
-                blocks.append(self._integers(0, self._high, size=draws))
-            calls.append(draws)
-            self.call_dwells.append(self.dwells)
-            if run_mean <= 1.0:
-                break
-            runs = self._geometric(1.0 / run_mean, size=draws)
-            self.runs.append(runs)
-            keep = min(remaining, sum(runs.tolist()))
-            self.keeps.append(keep)
-            remaining -= keep
-        self.dwells += 1
-        self.kind_u.append(random(n))
-
-    def addresses(self) -> np.ndarray:
-        """Address of every access drawn, in draw order."""
-        region, nblocks = self.region, self.nblocks
-        if region.pattern == "hot":
-            u = np.concatenate(self.blocks)
-            ranks = np.floor(nblocks * u**region.hotness).astype(np.int64)
-            blocks = (ranks * _HOT_STRIDE) % nblocks
-        elif region.pattern == "uniform":
-            blocks = np.concatenate(self.blocks)
-        elif region.pattern == "rotating":
-            active = (np.asarray(self.call_dwells) // region.rotate_dwells) % region.subsets
-            blocks = np.repeat(active * self.sub, self.calls) + np.concatenate(self.blocks)
-        else:  # the stream walk wraps and continues across dwells
-            blocks = np.arange(sum(self.calls), dtype=np.int64) % nblocks
-        addrs = blocks.astype(np.uint64)
-        addrs *= np.uint64(CACHE_BLOCK_SIZE)
-        addrs += np.uint64(region.base)
-        if region.run_mean <= 1.0:
-            return addrs
-        # expand the runs, each call's expansion cut to the accesses it keeps
-        runs = np.concatenate(self.runs)
-        calls = np.asarray(self.calls)
-        starts = np.cumsum(runs) - runs
-        limits = starts[np.cumsum(calls) - calls] + np.asarray(self.keeps)
-        return np.repeat(addrs, np.clip(np.repeat(limits, calls) - starts, 0, runs))
-
-    def kinds(self) -> np.ndarray:
-        """Access kind of every access drawn, in draw order: the number of
-        kind-CDF edges at or below each uniform, which is what
-        ``searchsorted(side="right")`` returns."""
-        u = np.concatenate(self.kind_u)
-        kinds = np.zeros(len(u), dtype=np.uint8)
-        for edge in _cdf(self.region.kind_weights):
-            kinds += u >= edge
-        return kinds
+#: Dwells of the phase chain drawn per block of uniforms.  Fixed, so the
+#: chain's draws do not depend on the trace length.
+_CHAIN_BLOCK = 1024
 
 
 def _validate_profile(profile: AppProfile) -> None:
@@ -179,7 +112,9 @@ def generate_trace(profile: AppProfile, length: int, seed: int = 0) -> Trace:
     Args:
         profile: Application model to sample from.
         length: Number of memory accesses to produce (> 0).
-        seed: RNG seed; the same triple always yields the same trace.
+        seed: RNG seed.  The trace is the first ``length`` accesses of
+            every longer trace of the same ``(profile, seed)`` pair
+            (``instructions``, a total over the trace, is not a prefix).
 
     Returns:
         A :class:`~repro.trace.access.Trace` named after the profile.
@@ -193,45 +128,26 @@ def generate_trace(profile: AppProfile, length: int, seed: int = 0) -> Trace:
         return trace
 
 
-def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
-    # zlib.crc32, not hash(): str hashing is salted per process
-    # (PYTHONHASHSEED), which would make the same (profile, length, seed)
-    # triple yield a different trace in every interpreter — breaking the
-    # content-addressed result store and cross-process reproducibility.
-    name_seed = zlib.crc32(profile.name.encode("utf-8"))
-    rng = np.random.default_rng(np.random.SeedSequence([name_seed, length, seed]))
+def _chain(profile: AppProfile, length: int, rng: np.random.Generator):
+    """Walk the phase chain until its dwells cover ``length`` accesses.
 
-    # One draw store per region name: the name keys a region's walk state
-    # (stream position, rotating subset), so phases share it.
-    regions: dict[str, _RegionDraws] = {}
-    phase_draws = [
-        [regions.setdefault(r.name, _RegionDraws(r, rng)) for r in phase.regions]
-        for phase in profile.phases
-    ]
-    ids = {name: i for i, name in enumerate(regions)}
-    key_dtype = np.min_scalar_type(len(regions) - 1)
-    phase_keys = [np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
-                  for phase in profile.phases]
-
-    # Per phase, once per trace: the region CDF, the region keys and draw
-    # stores, the dwell draw's p, the mean gap and the transition CDF (a
-    # list, for a scalar bisect); the RNG methods are bound once too.
-    phases = [
-        (_cdf(tuple(phase.weights)), keys, draws, len(draws), 1.0 / phase.mean_accesses,
-         phase.mean_gap, _cdf(tuple(row)).tolist())
-        for phase, keys, draws, row in zip(profile.phases, phase_keys, phase_draws,
-                                           profile.transitions)
-    ]
-    geometric, random, poisson = rng.geometric, rng.random, rng.poisson
-    bincount, bisect_right = np.bincount, bisect.bisect_right
+    Each dwell takes one row of four uniforms: its length (a geometric
+    draw by inversion), the Markov transition, the idle coin and the idle
+    length (an exponential draw by inversion).  Both inversions use
+    scalar ``math``, so no NumPy SIMD kernel decides a dwell.  Returns
+    the phase and length of every dwell, and each idle period as the
+    access it delays and its ticks.
+    """
+    # log(1 - p) of each phase's dwell draw; -inf (every dwell is one
+    # access) when the mean is one access
+    log_q = [math.log1p(-1.0 / phase.mean_accesses) if phase.mean_accesses > 1 else -math.inf
+             for phase in profile.phases]
+    transition_cdfs = [_cdf(tuple(row)).tolist() for row in profile.transitions]
     idle_mean, idle_prob, wake_phase = (profile.idle_mean_ticks, profile.idle_prob,
                                         profile.wake_phase)
+    log1p, ceil, bisect_right = math.log1p, math.ceil, bisect.bisect_right
 
-    # The dwell loop makes every RNG call, in the order that defines the
-    # trace; everything else happens once per trace below.
-    key_parts: list[np.ndarray] = []
-    gap_parts: list[np.ndarray] = []
-    dwell_phases: list[int] = []
+    phases: list[int] = []
     dwells: list[int] = []
     idle_at: list[int] = []
     idle_ticks: list[int] = []
@@ -239,61 +155,133 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
     phase_i = profile.start_phase
     pending_idle = 0
     while produced < length:
-        region_cdf, keys_of, draws_of, nregions, dwell_p, mean_gap, transition_cdf = phases[phase_i]
-        dwell = min(max(int(geometric(dwell_p)), 1), length - produced)
-        region_idx = region_cdf.searchsorted(random(dwell), side="right")
-        key_parts.append(keys_of[region_idx])
-        for draws, cnt in zip(draws_of, bincount(region_idx, minlength=nregions).tolist()):
-            if cnt:
-                draws.draw(cnt)
-        gap_parts.append(poisson(mean_gap, size=dwell))
-        if pending_idle:
-            idle_at.append(produced)
-            idle_ticks.append(pending_idle)
-            pending_idle = 0
-        dwell_phases.append(phase_i)
-        dwells.append(dwell)
-        produced += dwell
-        phase_i = bisect_right(transition_cdf, random())
-        # Interactive apps sleep between events; an idle period advances
-        # the clock (leakage keeps burning, STT-RAM cells keep decaying)
-        # without retiring instructions.
-        if idle_mean and random() < idle_prob:
-            pending_idle = int(rng.exponential(idle_mean))
-            if wake_phase is not None:
-                phase_i = wake_phase  # the wake interrupt handler
-    del phase_draws, phases, draws_of  # so that popping a region below frees its draws
+        for u_dwell, u_next, u_coin, u_idle in rng.random((_CHAIN_BLOCK, 4)).tolist():
+            dwell = min(max(ceil(log1p(-u_dwell) / log_q[phase_i]), 1), length - produced)
+            if pending_idle:
+                idle_at.append(produced)
+                idle_ticks.append(pending_idle)
+                pending_idle = 0
+            phases.append(phase_i)
+            dwells.append(dwell)
+            produced += dwell
+            if produced == length:
+                break
+            phase_i = bisect_right(transition_cdfs[phase_i], u_next)
+            # Interactive apps sleep between events; an idle period
+            # advances the clock (leakage keeps burning, STT-RAM cells
+            # keep decaying) without retiring instructions.
+            if idle_mean and u_coin < idle_prob:
+                pending_idle = int(-idle_mean * log1p(-u_idle))
+                if wake_phase is not None:
+                    phase_i = wake_phase  # the wake interrupt handler
+    return phases, dwells, idle_at, idle_ticks
 
+
+def _region_addresses(region: Region, dwell_ids: np.ndarray, starts_rng: np.random.Generator,
+                      blocks_rng: np.random.Generator) -> np.ndarray:
+    """Addresses of a region's accesses, in access order.
+
+    ``dwell_ids`` is the dwell of each access.  Runs of same-block
+    accesses (word-level spatial locality within a line) have geometric
+    lengths cut at the dwell's end: every access starts a run with
+    probability ``1/run_mean``, and the region's first access in a dwell
+    always starts one.  Each run draws one block.
+    """
+    n = len(dwell_ids)
+    new_dwell = np.empty(n, dtype=bool)
+    new_dwell[0] = True
+    np.not_equal(dwell_ids[1:], dwell_ids[:-1], out=new_dwell[1:])
+    run_at = np.flatnonzero(new_dwell | (starts_rng.random(n) < 1.0 / region.run_mean))
+    runs = len(run_at)
+
+    nblocks = _region_blocks(region)
+    if region.pattern == "hot":
+        ranks = np.floor(nblocks * blocks_rng.random(runs) ** region.hotness).astype(np.int64)
+        blocks = (ranks * _HOT_STRIDE) % nblocks
+    elif region.pattern == "uniform":
+        blocks = np.floor(blocks_rng.random(runs) * nblocks).astype(np.int64)
+    elif region.pattern == "rotating":
+        # the active subset moves on every rotate_dwells dwells the region
+        # appears in
+        sub = max(1, nblocks // region.subsets)
+        seen = (np.cumsum(new_dwell) - 1)[run_at]
+        active = (seen // region.rotate_dwells) % region.subsets
+        blocks = active * sub + np.floor(blocks_rng.random(runs) * sub).astype(np.int64)
+    else:  # a stream advances one block per run, wrapping, across dwells
+        blocks = np.arange(runs, dtype=np.int64) % nblocks
+    addrs = blocks.astype(np.uint64)
+    addrs *= np.uint64(CACHE_BLOCK_SIZE)
+    addrs += np.uint64(region.base)
+    return np.repeat(addrs, np.diff(run_at, append=n))
+
+
+def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
+    # zlib.crc32, not hash(): str hashing is salted per process
+    # (PYTHONHASHSEED), which would make the same (profile, seed) pair
+    # yield a different trace in every interpreter — breaking the
+    # content-addressed result store and cross-process reproducibility.
+    # The length is not hashed, so a longer trace extends a shorter one.
+    name_seed = zlib.crc32(profile.name.encode("utf-8"))
+    root = np.random.SeedSequence([name_seed, seed])
+
+    # One region per name: the name keys a region's walk state (stream
+    # position, rotating subset), so phases share it.
+    regions: dict[str, Region] = {}
+    for phase in profile.phases:
+        for region in phase.regions:
+            regions.setdefault(region.name, region)
+    nphases = len(profile.phases)
+    # the child streams, in spawn order: the chain; per phase, its region
+    # choices and its gaps; per region, its kinds, run starts and blocks
+    chain, *children = root.spawn(1 + 2 * nphases + 3 * len(regions))
+    phase_children = [children[2 * k:2 * k + 2] for k in range(nphases)]
+    region_children = [children[2 * nphases + 3 * r:2 * nphases + 3 * r + 3]
+                       for r in range(len(regions))]
+    rng = np.random.default_rng
+
+    dwell_phases, dwells, idle_at, idle_ticks = _chain(profile, length, rng(chain))
+    phase_of = np.repeat(np.asarray(dwell_phases, dtype=np.min_scalar_type(nphases - 1)), dwells)
+
+    # Per phase, in access order: the region of every access (a uint8
+    # key, so the stable argsort below is a radix sort) and its gap.
+    ids = {name: i for i, name in enumerate(regions)}
+    key_dtype = np.min_scalar_type(len(regions) - 1)
+    keys = np.empty(length, dtype=key_dtype)
+    ticks = np.empty(length, dtype=np.int64)
+    for k, (phase, (choice_seq, gap_seq)) in enumerate(zip(profile.phases, phase_children)):
+        at = np.flatnonzero(phase_of == k)
+        if len(at):
+            phase_keys = np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
+            keys[at] = phase_keys[_choice(rng(choice_seq), phase.weights, len(at))]
+            ticks[at] = rng(gap_seq).poisson(phase.mean_gap, len(at))
     phase_privs = np.array([int(phase.privilege) for phase in profile.phases], dtype=np.uint8)
-    privs = np.repeat(phase_privs[dwell_phases], dwells)
+    privs = phase_privs[phase_of]
+    del phase_of
+
     # the gaps, floored at 1 and lengthened by the idle periods, summed in
     # place into the tick column (every value is >= 0, so the int64 sums
     # are the uint64 ticks bit for bit)
-    ticks = np.concatenate(gap_parts)
-    del gap_parts
     np.maximum(ticks, 1, out=ticks)
     ticks[idle_at] += np.asarray(idle_ticks, dtype=np.int64)
     np.cumsum(ticks, out=ticks)
     ticks -= ticks[0]
     ticks = ticks.view(np.uint64)
 
-    # Each region's accesses, generated region-major, land at the stream
-    # positions its key marks, in order (a stable sort keeps dwell order),
-    # in contiguous columns.
-    keys = np.concatenate(key_parts)
-    del key_parts
+    # Each region's accesses, in access order (a stable sort), drawn in
+    # bulk and placed at their stream positions in contiguous columns.
     order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(bincount(keys, minlength=len(regions))).tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=len(regions))).tolist()
     del keys
-    addrs = np.empty(produced, dtype=np.uint64)
-    kinds = np.empty(produced, dtype=np.uint8)
+    dwell_of = np.repeat(np.arange(len(dwells), dtype=np.int32), dwells)
+    addrs = np.empty(length, dtype=np.uint64)
+    kinds = np.empty(length, dtype=np.uint8)
     start = 0
-    for name, end in zip(list(regions), ends):
-        draws = regions.pop(name)  # drop each region's draws once placed
+    for region, (kind_seq, start_seq, block_seq), end in zip(regions.values(), region_children,
+                                                             ends):
         if end > start:
             at = order[start:end]
-            addrs[at] = draws.addresses()
-            kinds[at] = draws.kinds()
+            kinds[at] = _choice(rng(kind_seq), region.kind_weights, end - start)
+            addrs[at] = _region_addresses(region, dwell_of[at], rng(start_seq), rng(block_seq))
         start = end
     instructions = int(ticks[-1]) + 1 - sum(idle_ticks)
     return (Trace(profile.name, ticks, addrs, kinds, privs, max(instructions, length)),

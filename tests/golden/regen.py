@@ -27,6 +27,12 @@ a change that is meant to alter output, bump
 Result and stream keys hash ``MODEL_VERSION``, so the bump also turns
 every cached result and stream into a miss: no store serves a number of
 the old model.
+
+``versions.json`` beside this file is append-only: it pins, per
+``MODEL_VERSION``, the digest of the trace and job records
+(:func:`records_digest`).  A run adds the entry for a new version and
+refuses to change an existing one, so records that moved without a bump
+cannot be written, and ``tests/test_golden.py`` fails on them.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
+VERSIONS_PATH = GOLDEN_PATH.with_name("versions.json")
 
 #: (length, seed) points every profile's trace and stream are pinned at:
 #: the perfbench and experiment lengths, a short one, and degenerate ones
@@ -178,12 +185,40 @@ def compute() -> dict:
     }
 
 
+def records_digest(golden: dict) -> str:
+    """sha256 of the trace and job records of ``golden`` (the output of
+    :func:`compute`, or ``golden.json`` as loaded)."""
+    records = {"traces": golden["traces"], "jobs": golden["jobs"]}
+    return _sha256(canonical_json(records).encode())
+
+
+def pin_version(versions: dict[str, str], version: int, digest: str) -> dict[str, str]:
+    """``versions`` with ``version`` pinned to ``digest``.
+
+    Raises :class:`ValueError` if ``version`` is already pinned to
+    another digest: the records changed without a ``MODEL_VERSION`` bump.
+    """
+    pinned = versions.get(str(version), digest)
+    if pinned != digest:
+        raise ValueError(
+            f"the records changed, but MODEL_VERSION {version} is pinned to "
+            f"{pinned} in {VERSIONS_PATH.name} (now {digest}): {REGEN_HINT}"
+        )
+    return {**versions, str(version): digest}
+
+
 def main() -> None:
     # build every stream in-process: a persistent stream cache written by
     # an older model must not leak into the golden file
     os.environ["REPRO_CACHE_DISABLE"] = "1"
     golden = compute()
+    versions = json.loads(VERSIONS_PATH.read_text())
+    try:
+        versions = pin_version(versions, MODEL_VERSION, records_digest(golden))
+    except ValueError as exc:
+        sys.exit(f"regen: nothing written: {exc}")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    VERSIONS_PATH.write_text(json.dumps(versions, indent=1, sort_keys=True) + "\n")
     print(
         f"wrote {GOLDEN_PATH}: {len(golden['traces'])} traces, "
         f"{len(golden['jobs'])} jobs, MODEL_VERSION {golden['model_version']}",

@@ -923,15 +923,16 @@ def test_block_order_is_a_stable_argsort():
                               np.argsort(blocks, kind="stable")), span
 
 
-def test_prefix_counters(browser_stream_240k):
+def test_prefix_counters(suite_streams_240k):
     """At the benchmark's trace length the baseline design settles most
-    of its rows with no scan, counts the window of a few (some sets still
-    evict), and never reaches a per-access loop."""
+    of the suite's rows with no scan, counts the window of a few (some
+    sets still evict), and never reaches a per-access loop.  A single
+    app may evict too little to need a scan (browser at seed 0 does)."""
     from repro.core.designs import make_design
 
-    rows = _route_rows(
-        lambda: make_design("baseline").run(browser_stream_240k, DEFAULT_PLATFORM)
-    )
+    baseline = make_design("baseline")
+    rows = _route_rows(lambda: [baseline.run(stream, DEFAULT_PLATFORM)
+                                for stream in suite_streams_240k.values()])
     assert rows["prefix"] > rows["scan"] > 0
     assert rows["loop"] == 0
 

@@ -3,11 +3,14 @@
 ``tests/golden/golden.json`` holds digests of traces, L2 streams and one
 result per registered design × suite app (see ``tests/golden/regen.py``).
 Any change that moves one fails here, naming the job and the field; an
-intended change bumps ``MODEL_VERSION`` and regenerates the file.  The
-gate also checks that it reaches every fast route of the simulator, so
-a route no pinned point takes cannot go wrong unseen.
+intended change bumps ``MODEL_VERSION`` and regenerates the file.
+``tests/golden/versions.json`` pins the records' digest per
+``MODEL_VERSION``, so regenerating moved records without a bump fails
+too.  The gate also checks that it reaches every fast route of the
+simulator, so a route no pinned point takes cannot go wrong unseen.
 """
 
+import copy
 import dataclasses
 import json
 from collections import Counter
@@ -37,6 +40,11 @@ ROUTE_COUNTERS = (
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(regen.GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def versions():
+    return json.loads(regen.VERSIONS_PATH.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +95,53 @@ def test_golden_file_matches_model_version(golden):
         f"{golden['model_version']}, the tree is at {MODEL_VERSION}: rerun "
         f"`PYTHONPATH=src python tests/golden/regen.py`"
     )
+
+
+def test_versions_pin_every_model_version(versions):
+    """``versions.json`` is append-only: it keeps one entry for every
+    version from 1 up to the tree's ``MODEL_VERSION``."""
+    assert sorted(versions, key=int) == [str(v) for v in range(1, MODEL_VERSION + 1)]
+
+
+def test_records_match_digest_pinned_for_model_version(golden, versions, computed):
+    """Results changed ⇒ version changed: the records the tree computes
+    hash to the digest pinned for its ``MODEL_VERSION``, and so do the
+    records in ``golden.json``."""
+    pinned = versions[str(MODEL_VERSION)]
+    assert regen.records_digest(golden) == pinned, (
+        f"{regen.GOLDEN_PATH.name} does not hold the records pinned for MODEL_VERSION "
+        f"{MODEL_VERSION} in {regen.VERSIONS_PATH.name}: {regen.REGEN_HINT}"
+    )
+    assert regen.records_digest(computed) == pinned, (
+        f"the tree's records differ from those pinned for MODEL_VERSION {MODEL_VERSION} "
+        f"in {regen.VERSIONS_PATH.name} (the digest tests above name them): "
+        f"{regen.REGEN_HINT}"
+    )
+
+
+def test_regen_without_bump_refuses_moved_records(golden, versions, tmp_path, monkeypatch):
+    """Regenerating after a result change without a ``MODEL_VERSION``
+    bump fails and writes nothing; with the bump, the new version is
+    appended and every earlier entry kept."""
+    moved = copy.deepcopy(golden)
+    moved["jobs"]["baseline:browser"]["l2_misses"] += 1
+    digest = regen.records_digest(moved)
+    assert digest != versions[str(MODEL_VERSION)]
+
+    golden_path, versions_path = tmp_path / "golden.json", tmp_path / "versions.json"
+    golden_path.write_text(regen.GOLDEN_PATH.read_text())
+    versions_path.write_text(regen.VERSIONS_PATH.read_text())
+    monkeypatch.setattr(regen, "GOLDEN_PATH", golden_path)
+    monkeypatch.setattr(regen, "VERSIONS_PATH", versions_path)
+    monkeypatch.setattr(regen, "compute", lambda: moved)
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    with pytest.raises(SystemExit, match="pinned"):
+        regen.main()
+    assert json.loads(golden_path.read_text()) == golden
+    assert json.loads(versions_path.read_text()) == versions
+
+    bumped = regen.pin_version(versions, MODEL_VERSION + 1, digest)
+    assert bumped == {**versions, str(MODEL_VERSION + 1): digest}
 
 
 def test_golden_covers_every_point(golden):

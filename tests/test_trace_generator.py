@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
-
 import numpy as np
 import pytest
 
+from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
+from repro.config import DEFAULT_PLATFORM
 from repro.trace.generator import _choice, generate_trace
+from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
 from repro.types import CACHE_BLOCK_SIZE, KERNEL_SPACE_START, AccessKind, Privilege
@@ -229,6 +231,59 @@ class TestSuiteProfiles:
         t = generate_trace(app_profile("email"), 10_000, seed=0)
         assert len(t) == 10_000
         assert 0.1 < t.kernel_fraction() < 0.8
+
+
+def _profile(name: str) -> AppProfile:
+    if name.startswith("microbench/"):
+        return microbench_profile(name.removeprefix("microbench/"))
+    return app_profile(name)
+
+
+#: Every suite app and microbenchmark profile.
+_PROFILE_NAMES = APP_NAMES + EXTRA_APP_NAMES + tuple(f"microbench/{m}" for m in MICROBENCH_NAMES)
+_LONG = 240_000
+_PREFIX_LENGTHS = (1, 5, 999, 60_000)
+_PREFIX_SEED = 7
+
+
+def _long_trace(name: str):
+    return generate_trace(_profile(name), _LONG, _PREFIX_SEED)
+
+
+class TestPrefixStability:
+    """A trace of length L is the first L accesses of the longer trace of
+    the same (profile, seed), and since the L1 filter has no end-of-trace
+    flush its L2 stream is the longer stream's rows for those accesses.
+
+    ``Trace.instructions`` and a stream's L1 stats are not prefix
+    quantities: they total the whole trace, so they are not compared.
+    """
+
+    @pytest.mark.parametrize("name", _PROFILE_NAMES)
+    def test_trace_is_prefix_of_longer_trace(self, name):
+        long_trace = _long_trace(name)
+        for length in _PREFIX_LENGTHS:
+            short = generate_trace(_profile(name), length, _PREFIX_SEED)
+            for column in ("ticks", "addrs", "kinds", "privs"):
+                np.testing.assert_array_equal(getattr(short, column),
+                                              getattr(long_trace, column)[:length],
+                                              err_msg=f"{name}@{length}: {column}")
+
+    @pytest.mark.parametrize("name", _PROFILE_NAMES)
+    def test_stream_is_prefix_of_longer_stream(self, name):
+        long_trace = _long_trace(name)
+        long_stream = l1_filter(long_trace, DEFAULT_PLATFORM)
+        for length in _PREFIX_LENGTHS:
+            short = l1_filter(generate_trace(_profile(name), length, _PREFIX_SEED),
+                              DEFAULT_PLATFORM)
+            # trace ticks rise strictly, and a stream row carries the tick
+            # of the access that sent it, so the rows of the first
+            # ``length`` accesses are those at or before its last tick
+            rows = long_stream.ticks <= int(long_trace.ticks[length - 1])
+            for column, _ in STREAM_COLUMNS:
+                np.testing.assert_array_equal(getattr(short, column),
+                                              getattr(long_stream, column)[rows],
+                                              err_msg=f"{name}@{length}: {column}")
 
 
 def _suite_weight_tuples():
