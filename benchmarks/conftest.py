@@ -19,9 +19,15 @@ speed is what it measures.  The stream cache shares those front ends
 the same way.
 
 Set ``REPRO_BENCH_LENGTH`` to shrink the per-app trace length for a
-faster (less converged) pass.  Set ``REPRO_BENCH_COLD=1`` to disable
-the persistent store for the session, so wall-clock numbers measure
-real simulation instead of store reads.
+faster (less converged) pass.  The paper-shape assertions describe
+converged traces: of the lengths 120k, 240k, 360k, 480k, 600k and 720k,
+every bench passes at 600k and 720k.  At 480k the app-switching bench
+fails (its per-app traces are 120k accesses at any length up to 480k);
+at 120k six benches fail, the 1 MB L2 having barely filled.
+
+Set ``REPRO_BENCH_COLD=1`` to disable the persistent store for the
+session, so wall-clock numbers measure real simulation instead of store
+reads.
 """
 
 from __future__ import annotations

@@ -62,7 +62,9 @@ SCHEMA_VERSION = 2
 #:
 #: * 1: the first pinned model.
 #: * 2: the block-drawn, prefix-stable trace generator (``docs/modeling.md`` §2).
-MODEL_VERSION = 2
+#: * 3: instruction gaps drawn by inversion of the floored Poisson pmf
+#:   (same distribution; only the traces' ticks move).
+MODEL_VERSION = 3
 
 #: Values that encode as themselves in canonical JSON.
 _SCALARS = (bool, int, float, str, type(None))

@@ -49,8 +49,8 @@ def _choice(rng: np.random.Generator, weights: tuple[float, ...], size: int | No
     double per sample) as numpy's weighted ``choice``, minus its
     per-call weight validation and CDF construction — the profile
     dataclasses validate weights once when they are built.  One sample
-    per uniform, in order, is what keeps a phase's region choices and a
-    region's kinds prefix-stable.
+    per uniform, in order, is what keeps a phase's region choices and
+    gaps and a region's kinds prefix-stable.
 
     A batch counts the CDF edges at or below each uniform, which is what
     ``searchsorted(side="right")`` returns: a few compares per sample
@@ -65,6 +65,38 @@ def _choice(rng: np.random.Generator, weights: tuple[float, ...], size: int | No
     for edge in cdf[:-1].tolist():
         index += u >= edge
     return index.astype(np.int64)
+
+
+@lru_cache(maxsize=64)
+def _gap_pmf(mean_gap: float) -> tuple[float, ...]:
+    """Probabilities of the instruction gaps 0, 1, 2, ...: a
+    Poisson(``mean_gap``) draw floored at 1, so gap 0's mass is folded
+    into gap 1 and gap 0 has weight 0.
+
+    Computed in scalar arithmetic (no NumPy kernel decides a gap), as
+    ``mean**k / k!`` relative to the mode's term and then normalized, so
+    no ``exp(-mean)`` underflows for a large mean.  The support ends at
+    the first ``k > mean_gap`` whose upper tail is below 2**-53 of the
+    mass: past the mean each term is at most ``mean / (k + 1)`` times
+    the one before, so the tail after ``k`` is at most
+    ``w[k] * mean / (k + 1 - mean)``, a bound that falls faster than
+    geometrically, so the loop ends.
+    """
+    mode = int(mean_gap)
+    weights = [1.0]
+    for k in range(mode, 0, -1):
+        weights.append(weights[-1] * k / mean_gap)
+    weights.reverse()
+    total = math.fsum(weights)
+    k = mode
+    while k <= mean_gap or weights[k] * mean_gap / (k + 1 - mean_gap) >= 2.0 ** -53 * total:
+        k += 1
+        weights.append(weights[-1] * mean_gap / k)
+        total += weights[-1]
+    weights[1] += weights[0]
+    weights[0] = 0.0
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
 
 
 def _region_blocks(region: Region) -> int:
@@ -253,15 +285,14 @@ def _generate(profile: AppProfile, length: int, seed: int) -> tuple[Trace, int]:
         if len(at):
             phase_keys = np.array([ids[r.name] for r in phase.regions], dtype=key_dtype)
             keys[at] = phase_keys[_choice(rng(choice_seq), phase.weights, len(at))]
-            ticks[at] = rng(gap_seq).poisson(phase.mean_gap, len(at))
-    phase_privs = np.array([int(phase.privilege) for phase in profile.phases], dtype=np.uint8)
-    privs = phase_privs[phase_of]
+            ticks[at] = _choice(rng(gap_seq), _gap_pmf(phase.mean_gap), len(at))
     del phase_of
+    phase_privs = np.array([int(phase.privilege) for phase in profile.phases], dtype=np.uint8)
+    privs = np.repeat(phase_privs[dwell_phases], dwells)
 
-    # the gaps, floored at 1 and lengthened by the idle periods, summed in
+    # the gaps (each >= 1), lengthened by the idle periods, summed in
     # place into the tick column (every value is >= 0, so the int64 sums
     # are the uint64 ticks bit for bit)
-    np.maximum(ticks, 1, out=ticks)
     ticks[idle_at] += np.asarray(idle_ticks, dtype=np.int64)
     np.cumsum(ticks, out=ticks)
     ticks -= ticks[0]

@@ -1,5 +1,6 @@
 """Unit tests for the synthetic trace generator."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM
-from repro.trace.generator import _choice, generate_trace
+from repro.trace.generator import _choice, _gap_pmf, generate_trace
 from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
@@ -286,10 +287,15 @@ class TestPrefixStability:
                                               err_msg=f"{name}@{length}: {column}")
 
 
+def _suite_mean_gaps():
+    """Every distinct ``mean_gap`` of the suite and microbenchmark profiles."""
+    return sorted({phase.mean_gap for name in _PROFILE_NAMES for phase in _profile(name).phases})
+
+
 def _suite_weight_tuples():
     """Every distinct weight tuple the generator samples from, over all
     twelve app profiles: phase region weights, region kind weights and
-    transition rows."""
+    transition rows, then the gap pmf of each suite ``mean_gap``."""
     found = set()
     for name in APP_NAMES + EXTRA_APP_NAMES:
         profile = app_profile(name)
@@ -297,7 +303,7 @@ def _suite_weight_tuples():
         for phase in profile.phases:
             found.add(phase.weights)
             found.update(region.kind_weights for region in phase.regions)
-    return sorted(found)
+    return sorted(found) + [_gap_pmf(mean) for mean in _suite_mean_gaps()]
 
 
 class TestCachedCdfSampler:
@@ -319,3 +325,59 @@ class TestCachedCdfSampler:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _poisson(mean: float, k: int) -> float:
+    """P(Poisson(mean) = k), from ``lgamma`` (independent of the helper's
+    recurrence)."""
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+class TestGapSampler:
+    """Instruction gaps are Poisson(``mean_gap``) floored at 1, drawn by
+    inverting the CDF of ``_gap_pmf`` with one uniform per access."""
+
+    @pytest.mark.parametrize("mean", _suite_mean_gaps())
+    def test_pmf_is_floored_poisson(self, mean):
+        pmf = _gap_pmf(mean)
+        assert pmf[0] == 0.0
+        want = [_poisson(mean, k) for k in range(len(pmf))]
+        want[1] += want[0]
+        want[0] = 0.0
+        np.testing.assert_allclose(pmf, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mean", _suite_mean_gaps() + [1.0, 7.5, 40.0, 800.0])
+    def test_truncated_tail_below_2_to_minus_53(self, mean):
+        support = len(_gap_pmf(mean))
+        assert support > mean
+        tail = math.fsum(_poisson(mean, k) for k in range(support, support + 400))
+        assert tail < 2.0 ** -53
+
+    @pytest.mark.parametrize("mean", _suite_mean_gaps())
+    def test_million_gaps_fit_floored_poisson(self, mean):
+        n = 1_000_000
+        gaps = _choice(np.random.default_rng(27), _gap_pmf(mean), n)
+        assert gaps.min() >= 1
+        counts = np.bincount(gaps).tolist()
+        # chi-square over the buckets expecting at least 5 draws, the rest
+        # pooled into the last one
+        probs = [_poisson(mean, 0) + _poisson(mean, 1)]
+        k = 2
+        while n * _poisson(mean, k) >= 5:
+            probs.append(_poisson(mean, k))
+            k += 1
+        probs.append(1.0 - math.fsum(probs))
+        observed = counts[1:k] + [sum(counts[k:])]
+        chi2 = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
+        df = len(probs) - 1
+        # Wilson-Hilferty upper quantile at z = 4 (p ~ 3e-5)
+        critical = df * (1 - 2 / (9 * df) + 4 * math.sqrt(2 / (9 * df))) ** 3
+        assert chi2 < critical, (chi2, critical)
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 100_000])
+    def test_one_uniform_per_gap(self, n):
+        sampled = np.random.default_rng(11)
+        _choice(sampled, _gap_pmf(2.5), n)
+        drawn = np.random.default_rng(11)
+        drawn.random(n)
+        assert sampled.bit_generator.state == drawn.bit_generator.state
