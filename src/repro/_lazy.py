@@ -17,20 +17,18 @@ from importlib import import_module
 def lazy_exports(package: str, exports: dict[str, str]):
     """The ``(__getattr__, __dir__)`` pair that serves ``exports``.
 
-    ``exports`` maps each public name to the submodule defining it, or
-    to ``"submodule:attribute"`` for a name re-exported under another
-    name.  A resolved name is stored on the package, so each is looked
+    ``exports`` maps each public name to the submodule defining it.  A
+    resolved name is stored on the package, so each is looked
     up once.  Any other name raises ``AttributeError``, which also lets
     ``from package import submodule`` fall through to a plain import.
     """
 
     def __getattr__(name: str):
         try:
-            target = exports[name]
+            module = exports[name]
         except KeyError:
             raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
-        module, _, attr = target.partition(":")
-        value = getattr(import_module(f"{package}.{module}"), attr or name)
+        value = getattr(import_module(f"{package}.{module}"), name)
         setattr(sys.modules[package], name, value)
         return value
 

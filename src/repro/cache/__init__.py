@@ -6,8 +6,8 @@ Public surface:
 * :func:`l1_filter` / :class:`L2Stream` — split-L1 front end.
 * :class:`CacheStats` — counters and derived rates.
 * :func:`make_policy` and the policy classes — replacement policies.
-* :func:`simulate_trace` / :func:`fastsim_supports` — the vectorized
-  fast-path kernel (see ``docs/performance.md``).
+* :func:`simulate_trace` — the vectorized fast-path kernel (see
+  ``docs/performance.md``).
 """
 
 from repro._lazy import lazy_exports
@@ -15,7 +15,6 @@ from repro._lazy import lazy_exports
 #: Public name -> the submodule that defines it, imported on first use.
 _EXPORTS = {
     "SetPressure": "analysis",
-    "occupancy_by_way": "analysis",
     "set_pressure": "analysis",
     "Prefetcher": "prefetch",
     "SequentialPrefetcher": "prefetch",
@@ -36,7 +35,6 @@ _EXPORTS = {
     "SetAssociativeCache": "set_assoc",
     "CacheStats": "stats",
     "simulate_trace": "fastsim",
-    "fastsim_supports": "fastsim:supports_cache",
 }
 
 __all__ = list(_EXPORTS)

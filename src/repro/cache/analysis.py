@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry
 
-__all__ = ["SetPressure", "set_pressure", "occupancy_by_way"]
+__all__ = ["SetPressure", "set_pressure"]
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,3 @@ def set_pressure(addrs: np.ndarray, geometry: CacheGeometry) -> SetPressure:
     unique_sets = (unique_blocks % np.uint64(sets)).astype(np.int64)
     distinct = np.bincount(unique_sets, minlength=sets)
     return SetPressure(accesses_per_set=accesses, blocks_per_set=distinct)
-
-
-def occupancy_by_way(cache: SetAssociativeCache) -> np.ndarray:
-    """Fraction of sets whose way *w* currently holds a block, per way.
-
-    For an LRU cache this is a cheap proxy for how much of the
-    associativity is actually earning its keep.
-    """
-    counts = np.zeros(cache.ways, dtype=np.int64)
-    total_sets = cache.geometry.num_sets
-    for set_i in range(total_sets):
-        for w, entry in enumerate(cache._frames[set_i]):
-            if entry is not None:
-                counts[w] += 1
-    return counts / total_sets

@@ -65,7 +65,7 @@ Designs decide the engine before replay: a fixed design checks
 :func:`fixed_envelope` and then replays unconditionally with
 :func:`run_fixed`, recording :class:`MissEvents` when a post-pass (the
 banked DRAM model) reads them.  ``tests/test_fastsim.py`` holds
-the randomized differential harness (:mod:`repro.cache.diffsim`) that
+the randomized differential harness (``tests/diffsim.py``) that
 proves the exact :class:`~repro.cache.stats.CacheStats` equality this
 module promises, for fixed and epoch-chunked replay alike.
 
@@ -694,10 +694,6 @@ class EpochReplaySegment:
         self._gates: dict[tuple[int, int], np.ndarray] = {}
 
     # -- geometry ------------------------------------------------------
-
-    @property
-    def size_bytes(self) -> int:
-        return self._way_bytes * self.ways
 
     @property
     def powered_bytes(self) -> int:

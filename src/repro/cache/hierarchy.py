@@ -78,11 +78,6 @@ class L2Stream:
         return len(self.ticks)
 
     @property
-    def demand_count(self) -> int:
-        """Number of demand (non-write-back) L2 accesses."""
-        return int(np.count_nonzero(self.demand))
-
-    @property
     def l1_demand_misses(self) -> int:
         """Demand misses of both L1s (each stalls the core for L2 latency)."""
         return self.l1i_stats.demand_misses + self.l1d_stats.demand_misses
@@ -158,22 +153,6 @@ class L2Stream:
             duration_ticks=int(context["duration_ticks"]),
             l1i_stats=CacheStats.from_dict(context["l1i_stats"]),
             l1d_stats=CacheStats.from_dict(context["l1d_stats"]),
-        )
-
-    def select(self, mask: np.ndarray) -> "L2Stream":
-        """Sub-stream keeping only rows selected by ``mask``."""
-        return L2Stream(
-            self.name,
-            self.ticks[mask],
-            self.addrs[mask],
-            self.privs[mask],
-            self.writes[mask],
-            self.demand[mask],
-            self.instructions,
-            self.trace_accesses,
-            self.duration_ticks,
-            self.l1i_stats,
-            self.l1d_stats,
         )
 
 

@@ -8,7 +8,7 @@ the paper evaluates: a dual-issue in-order ARM application core with split
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.types import CACHE_BLOCK_SIZE
 
@@ -114,10 +114,6 @@ class PlatformConfig:
             raise ValueError(f"base_cpi must be positive, got {self.base_cpi}")
         if not (self.l1i.block_size == self.l1d.block_size == self.l2.block_size):
             raise ValueError("all cache levels must share one block size")
-
-    def with_l2(self, l2: CacheGeometry) -> "PlatformConfig":
-        """Copy of this platform with a different L2 geometry."""
-        return replace(self, l2=l2)
 
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count to wall-clock seconds at ``clock_hz``."""

@@ -126,13 +126,3 @@ class DesignResult:
             dram_j=data["dram_j"],
             extras=data["extras"],
         )
-
-    def summary_row(self) -> str:
-        """One-line human-readable summary."""
-        stats = self.l2_stats
-        return (
-            f"{self.design:>14s} {self.app:>8s}: "
-            f"mr={stats.demand_miss_rate:6.2%} "
-            f"E={self.l2_energy.total_j * 1e6:8.1f} uJ "
-            f"busy={self.timing.busy_cycles / 1e6:7.2f} Mcyc"
-        )

@@ -33,11 +33,6 @@ class PartitionPoint:
     user_miss_rate: float
     kernel_miss_rate: float
 
-    @property
-    def total_ways(self) -> int:
-        """Combined way count of both segments."""
-        return self.user_ways + self.kernel_ways
-
 
 def _mean_miss_rates(results: list[DesignResult]) -> tuple[float, float, float]:
     """(overall, user-segment, kernel-segment) demand miss rates, averaged."""

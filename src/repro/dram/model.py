@@ -73,11 +73,6 @@ class DRAMStats:
         """Row-buffer hits per access."""
         return self.row_hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        """Mean access latency in core cycles."""
-        return self.total_latency / self.accesses if self.accesses else 0.0
-
 
 class DRAMModel:
     """Open-row DRAM with per-bank state.

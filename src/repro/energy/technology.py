@@ -116,10 +116,6 @@ class MemoryTechnology:
         """Per-write energy (nJ) of an array of ``size_bytes``."""
         return self.write_energy_nj_ref * self._scale(size_bytes)
 
-    def leakage_w(self, size_bytes: int) -> float:
-        """Leakage power (W) of an array of ``size_bytes``."""
-        return self.leakage_mw_per_mb * 1e-3 * (size_bytes / (1024 * 1024))
-
     def retention_ticks(self, clock_hz: float) -> int | None:
         """Retention window in ticks, or ``None`` when effectively infinite."""
         if self.retention is None:

@@ -243,9 +243,6 @@ class ResultStore:
         self._tally("writes", "store.write")
         return path
 
-    def __contains__(self, spec: JobSpec) -> bool:
-        return self._entry_path(spec.content_key).is_file()
-
     def flush_counters(self) -> dict[str, int]:
         """Fold this instance's unsaved tallies into ``counters.json``.
 

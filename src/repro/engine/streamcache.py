@@ -81,11 +81,6 @@ class StreamCache:
         """Directory holding the fanned-out stream bundles."""
         return self.root / "streams"
 
-    @property
-    def counters_path(self) -> Path:
-        """The cumulative-counters sidecar file."""
-        return self._counters.path
-
     def _bundle_dir(self, key: str) -> Path:
         return self.streams_dir / key[:2] / key
 

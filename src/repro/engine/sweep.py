@@ -59,10 +59,6 @@ class SweepResult:
             if o.result.extras.get("sim_engine") == "reference"
         )
 
-    def results(self) -> dict[tuple[str, str, int], object]:
-        """``(design, app, seed) -> DesignResult`` for every job."""
-        return {(o.spec.design, o.spec.app, o.spec.seed): o.result for o in self.outcomes}
-
     def render(self) -> str:
         """Summary table plus the store-accounting footer line."""
         from repro.report import format_table

@@ -16,10 +16,16 @@ import numpy as np
 from repro.engine.streamcache import load_stream
 from repro.experiments.runner import EXPERIMENT_TRACE_LENGTH
 from repro.report import format_table
-from repro.trace.stats import footprint_bytes
+from repro.trace.access import Trace
 from repro.trace.workloads import APP_NAMES, suite_trace
+from repro.types import CACHE_BLOCK_SIZE
 
 __all__ = ["CharacterizationRow", "CharacterizationResult", "characterize_suite"]
+
+
+def footprint_bytes(trace: Trace) -> int:
+    """Total bytes of the distinct blocks ``trace`` touches."""
+    return int(np.unique(trace.addrs // np.uint64(CACHE_BLOCK_SIZE)).size) * CACHE_BLOCK_SIZE
 
 
 @dataclass(frozen=True)

@@ -398,13 +398,12 @@ def fig6_energy_breakdown(
     for design in DESIGN_NAMES:
         leak, read, write, refresh, norm = [], [], [], [], []
         for app in apps:
-            base_total = results["baseline", app].l2_energy.total_j
             e = results[design, app].l2_energy
             leak.append(e.leakage_j)
             read.append(e.read_j)
             write.append(e.write_j)
             refresh.append(e.refresh_j)
-            norm.append(e.total_j / base_total)
+            norm.append(e.normalized_to(results["baseline", app].l2_energy))
         rows.append(
             EnergyBreakdownRow(
                 design=design,
@@ -527,8 +526,8 @@ def fig8_energy_summary(
     )
     normalized: dict[str, dict[str, float]] = {}
     for app in apps:
-        base = results["baseline", app].l2_energy.total_j
+        base = results["baseline", app].l2_energy
         normalized[app] = {
-            design: results[design, app].l2_energy.total_j / base for design in DESIGN_NAMES
+            design: results[design, app].l2_energy.normalized_to(base) for design in DESIGN_NAMES
         }
     return EnergySummaryResult(normalized)

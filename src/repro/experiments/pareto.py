@@ -104,7 +104,7 @@ def pareto_frontier(
         energy, loss = [], []
         for app in apps:
             r, base = results[label, app], results["baseline", app]
-            energy.append(r.l2_energy.total_j / base.l2_energy.total_j)
+            energy.append(r.l2_energy.normalized_to(base.l2_energy))
             loss.append(r.timing.perf_loss_vs(base.timing))
         points.append(ParetoPoint(label, float(np.mean(energy)), float(np.mean(loss))))
     return ParetoResult(_mark_frontier(points))

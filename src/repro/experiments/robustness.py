@@ -73,8 +73,8 @@ def seed_robustness(
         s_energy, d_energy, s_loss, d_loss = [], [], [], []
         for app in apps:
             base, static, dynamic = (results[d, app, seed] for d in designs)
-            s_energy.append(static.l2_energy.total_j / base.l2_energy.total_j)
-            d_energy.append(dynamic.l2_energy.total_j / base.l2_energy.total_j)
+            s_energy.append(static.l2_energy.normalized_to(base.l2_energy))
+            d_energy.append(dynamic.l2_energy.normalized_to(base.l2_energy))
             s_loss.append(static.timing.perf_loss_vs(base.timing))
             d_loss.append(dynamic.timing.perf_loss_vs(base.timing))
         static_savings.append(1.0 - float(np.mean(s_energy)))

@@ -68,7 +68,7 @@ def _sweep(
         energy, loss = [], []
         for app in apps:
             base, stt = results[value, "baseline", app], results[value, "static-stt", app]
-            energy.append(stt.l2_energy.total_j / base.l2_energy.total_j)
+            energy.append(stt.l2_energy.normalized_to(base.l2_energy))
             loss.append(stt.timing.perf_loss_vs(base.timing))
         rows.append(SensitivityRow(value, float(np.mean(energy)), float(np.mean(loss))))
     return SensitivityResult(parameter, tuple(rows))

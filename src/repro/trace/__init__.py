@@ -6,10 +6,8 @@ Public surface:
 * :class:`Region`, :class:`PhaseSpec`, :class:`AppProfile` — the phase
   model used to describe interactive apps.
 * :func:`generate_trace` — deterministic synthetic generation.
-* :data:`APP_NAMES`, :func:`app_profile`, :func:`default_suite`,
-  :func:`suite_trace` — the eight-app smartphone suite.
-* :mod:`repro.trace.stats` — stream statistics (kernel share, reuse,
-  inter-access intervals).
+* :data:`APP_NAMES`, :func:`app_profile`, :func:`suite_trace` — the
+  eight-app smartphone suite.
 * :func:`save_trace` / :func:`load_trace` — ``.npz`` persistence.
 """
 
@@ -23,9 +21,6 @@ _EXPORTS = {
     "load_din_trace": "importers",
     "load_trace": "io",
     "save_trace": "io",
-    "MICROBENCH_NAMES": "microbench",
-    "microbench_profile": "microbench",
-    "concat": "transform",
     "remap_user_space": "transform",
     "shift_ticks": "transform",
     "slice_window": "transform",
@@ -37,7 +32,6 @@ _EXPORTS = {
     "APP_NAMES": "workloads",
     "DEFAULT_TRACE_LENGTH": "workloads",
     "app_profile": "workloads",
-    "default_suite": "workloads",
     "suite_trace": "workloads",
 }
 

@@ -108,14 +108,6 @@ class Trace:
         return Trace(self.name, self.ticks[mask], self.addrs[mask], self.kinds[mask],
                      self.privs[mask], self.instructions)
 
-    def head(self, n: int) -> "Trace":
-        """Prefix of at most ``n`` accesses (instruction count scaled)."""
-        if n >= len(self):
-            return self
-        frac = n / len(self)
-        return Trace(self.name, self.ticks[:n], self.addrs[:n], self.kinds[:n],
-                     self.privs[:n], max(n, int(self.instructions * frac)))
-
     def kernel_fraction(self) -> float:
         """Fraction of accesses issued at kernel privilege."""
         if not len(self):

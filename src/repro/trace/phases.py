@@ -15,7 +15,7 @@ instantiates it for eight named apps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.types import Privilege
 
@@ -170,9 +170,3 @@ class AppProfile:
             raise ValueError(f"profile {self.name!r}: start_phase {self.start_phase} out of range")
         if self.wake_phase is not None and not 0 <= self.wake_phase < n:
             raise ValueError(f"profile {self.name!r}: wake_phase {self.wake_phase} out of range")
-
-    @property
-    def kernel_phase_indices(self) -> tuple[int, ...]:
-        """Indices of phases that run at kernel privilege."""
-        return tuple(i for i, p in enumerate(self.phases) if p.privilege is Privilege.KERNEL)
-

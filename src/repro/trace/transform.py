@@ -1,4 +1,4 @@
-"""Trace transformations: slicing, shifting, concatenation, remapping.
+"""Trace transformations: slicing, shifting, timeslicing, remapping.
 
 Utilities for composing workloads out of existing traces — used by the
 multi-core extension (:mod:`repro.multicore`) and handy for anyone
@@ -17,7 +17,6 @@ from repro.types import KERNEL_SPACE_START
 __all__ = [
     "slice_window",
     "shift_ticks",
-    "concat",
     "remap_user_space",
     "timeslice",
 ]
@@ -43,15 +42,6 @@ def shift_ticks(trace: Trace, offset: int) -> Trace:
         raise ValueError(f"offset must be >= 0, got {offset}")
     return replace(trace, ticks=trace.ticks + np.uint64(offset),
                    instructions=trace.instructions + offset)
-
-
-def concat(first: Trace, second: Trace, gap_ticks: int = 0) -> Trace:
-    """Play ``second`` after ``first`` with an idle ``gap_ticks`` between."""
-    if gap_ticks < 0:
-        raise ValueError(f"gap_ticks must be >= 0, got {gap_ticks}")
-    shifted = shift_ticks(second, first.duration_ticks + gap_ticks)
-    return _joined(f"{first.name}+{second.name}", [first, shifted],
-                   first.instructions + second.instructions)
 
 
 def _joined(name: str, traces: list[Trace], instructions: int) -> Trace:

@@ -19,7 +19,7 @@ studies consistently observe in real traces:
   that no realistic L2 holds; it is what *pollutes* the shared cache
   and drives the user/kernel interference the paper measures.
 
-``default_suite()`` returns the suite in a stable order; experiments and
+:data:`APP_NAMES` lists the suite in a stable order; experiments and
 benches iterate over it.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "APP_NAMES",
     "EXTRA_APP_NAMES",
     "app_profile",
-    "default_suite",
     "suite_trace",
     "DEFAULT_TRACE_LENGTH",
 ]
@@ -252,11 +251,6 @@ def app_profile(name: str) -> AppProfile:
     if name not in profiles:
         raise KeyError(f"unknown app {name!r}; choose from {APP_NAMES}")
     return profiles[name]
-
-
-def default_suite() -> tuple[AppProfile, ...]:
-    """All eight app profiles in suite order."""
-    return tuple(app_profile(name) for name in APP_NAMES)
 
 
 def suite_trace(name: str, length: int = DEFAULT_TRACE_LENGTH, seed: int = 0) -> Trace:

@@ -18,7 +18,6 @@ __all__ = [
     "AccessKind",
     "TRACE_DTYPE",
     "CACHE_BLOCK_SIZE",
-    "block_address",
     "KERNEL_SPACE_START",
     "is_kernel_address",
 ]
@@ -88,17 +87,6 @@ TRACE_DTYPE = np.dtype(
         ("priv", np.uint8),
     ]
 )
-
-
-def block_address(addr: int | np.ndarray, block_size: int = CACHE_BLOCK_SIZE) -> int | np.ndarray:
-    """Return the block-aligned address containing ``addr``.
-
-    Works element-wise on numpy arrays.  ``block_size`` must be a power of
-    two (all cache geometry in this library is power-of-two).
-    """
-    if block_size & (block_size - 1):
-        raise ValueError(f"block_size must be a power of two, got {block_size}")
-    return addr & ~np.uint64(block_size - 1) if isinstance(addr, np.ndarray) else addr & ~(block_size - 1)
 
 
 def is_kernel_address(addr: int | np.ndarray) -> bool | np.ndarray:

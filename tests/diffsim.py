@@ -5,9 +5,10 @@ every release must show exact :class:`~repro.cache.stats.CacheStats`
 equality with :class:`~repro.cache.set_assoc.SetAssociativeCache` over a
 randomized family of trace × geometry × retention configurations.  This
 module is that harness — ``tests/test_fastsim.py`` drives it across a
-seed range, and it is importable for ad-hoc bisection::
+seed range, and with ``tests`` on ``sys.path`` it is importable for
+ad-hoc bisection::
 
-    from repro.cache.diffsim import sample_case, run_case
+    from diffsim import sample_case, run_case
     ref, fast = run_case(sample_case(seed=7))
     assert ref.to_dict() == fast.to_dict()
 

@@ -53,8 +53,12 @@ from repro.dram import DRAMConfig
 from repro.engine.executor import run_jobs
 from repro.engine.spec import MODEL_VERSION, JobSpec, canonical_json
 from repro.trace.generator import generate_trace
-from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
+
+# Run as a script, this file sees only its own directory; the
+# microbenchmark profiles live one level up, beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from microbench import MICROBENCH_NAMES, microbench_profile  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 VERSIONS_PATH = GOLDEN_PATH.with_name("versions.json")

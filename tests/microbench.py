@@ -5,7 +5,9 @@ access patterns — a streaming loop, a pointer chase, a code loop, a
 syscall storm — which is what one wants when characterising a mechanism
 in isolation (e.g. "what does the dynamic controller do under pure
 streaming?").  Each returns an :class:`~repro.trace.phases.AppProfile`
-usable with :func:`~repro.trace.generator.generate_trace`.
+usable with :func:`~repro.trace.generator.generate_trace`.  They are
+test fixtures: ``tests/test_microbench.py`` checks each one's behaviour
+and ``tests/golden/regen.py`` pins each one's trace and stream.
 """
 
 from __future__ import annotations

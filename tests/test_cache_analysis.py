@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.analysis import occupancy_by_way, set_pressure
+from repro.cache.analysis import set_pressure
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.config import CacheGeometry
 
@@ -45,19 +45,20 @@ class TestSetPressure:
 
 
 class TestOccupancyByWay:
+    """Fills take one way per block until every set is full."""
+
     def test_empty_cache(self):
         c = SetAssociativeCache(GEOM)
-        assert np.all(occupancy_by_way(c) == 0.0)
+        assert c.occupancy() == 0.0
 
     def test_fills_populate_ways(self):
         c = SetAssociativeCache(GEOM)
         for i in range(16):  # one block per set
             c.access(i * 64, False, 0, i)
-        occ = occupancy_by_way(c)
-        assert occ.sum() == pytest.approx(1.0)  # one way's worth
+        assert c.occupancy() == pytest.approx(1 / 4)  # one way's worth
 
     def test_full_cache(self):
         c = SetAssociativeCache(GEOM)
         for i in range(16 * 4):
             c.access(i * 64, False, 0, i)
-        assert np.all(occupancy_by_way(c) == 1.0)
+        assert c.occupancy() == 1.0

@@ -1,5 +1,7 @@
 """Unit tests for repro.config."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DEFAULT_PLATFORM, CacheGeometry, LatencyConfig, PlatformConfig
@@ -86,7 +88,7 @@ class TestPlatformConfig:
         assert p.seconds(1e9) == pytest.approx(1.0)
 
     def test_with_l2(self):
-        p = DEFAULT_PLATFORM.with_l2(CacheGeometry(512 * 1024, 8))
+        p = replace(DEFAULT_PLATFORM, l2=CacheGeometry(512 * 1024, 8))
         assert p.l2.size_bytes == 512 * 1024
         assert p.l1i == DEFAULT_PLATFORM.l1i
 

@@ -10,6 +10,8 @@ from repro.core.result import DesignResult
 from repro.core.static_partition import StaticPartitionDesign
 from repro.energy.technology import stt_ram
 from repro.engine import JobSpec, run_jobs
+from repro.engine.executor import JobOutcome
+from repro.engine.sweep import SweepResult
 from repro.types import Privilege
 
 
@@ -47,7 +49,7 @@ class TestBaselineDesign:
     def test_stats_consistent_with_stream(self, browser_stream_small):
         r = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM)
         assert r.l2_stats.accesses == len(browser_stream_small)
-        assert r.l2_stats.demand_accesses == browser_stream_small.demand_count
+        assert r.l2_stats.demand_accesses == browser_stream_small.demand.sum()
         r.l2_stats.check_invariants()
 
     def test_custom_geometry(self, browser_stream_small):
@@ -71,8 +73,12 @@ class TestBaselineDesign:
         assert r.dram_j > 0
 
     def test_summary_row_renders(self, browser_stream_small):
+        # a result's summary row is its line of the sweep table
         r = BaselineDesign().run(browser_stream_small, DEFAULT_PLATFORM)
-        assert "baseline" in r.summary_row()
+        outcome = JobOutcome(JobSpec("baseline", "browser"), r, cached=False, wall_s=0.0,
+                             attempts=1)
+        rows = [ln.split() for ln in SweepResult((outcome,), 0.0).render().splitlines()]
+        assert ["baseline", "browser", "0"] in [row[:3] for row in rows]
 
 
 class TestStaticPartitionDesign:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cache.diffsim import STRESS_CASES_FROM, STRESS_SCENARIOS, _workload, sample_case
 from repro.cache.fastsim import simulate_trace
 from repro.cache.hierarchy import L2Stream
 from repro.cache.set_assoc import SetAssociativeCache
@@ -22,6 +21,7 @@ from repro.core.drowsy import DROWSY_LEAKAGE_SCALE, DrowsySRAMDesign, awake_tick
 from repro.core.pipeline import FixedSegment, ReplaySession
 from repro.energy.technology import sram, stt_ram
 
+from diffsim import STRESS_CASES_FROM, STRESS_SCENARIOS, _workload, sample_case
 from partition_oracles import per_access_awake
 
 

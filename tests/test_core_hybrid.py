@@ -43,7 +43,7 @@ class TestBehaviour:
         """Migrations add internal (non-demand) part accesses, but the
         demand view must match the stream exactly."""
         r = HybridPartitionDesign().run(browser_stream_small, DEFAULT_PLATFORM)
-        assert r.l2_stats.demand_accesses == browser_stream_small.demand_count
+        assert r.l2_stats.demand_accesses == browser_stream_small.demand.sum()
         assert r.l2_stats.accesses >= len(browser_stream_small)
 
     def test_migration_after_threshold_writes(self, browser_stream_small):

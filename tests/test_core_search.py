@@ -7,7 +7,6 @@ apps at a short trace length.
 
 import pytest
 
-from repro.core.search import PartitionPoint
 from repro.experiments import fig4_static_space
 
 LENGTH = 25_000
@@ -20,8 +19,9 @@ def sweep(user_way_options, kernel_way_options, tolerance=0.10):
 
 class TestPartitionPoint:
     def test_total_ways(self):
-        p = PartitionPoint(4, 2, 384 * 1024, 0.2, 0.2, 0.2)
-        assert p.total_ways == 6
+        # Figure 4's grid: ways (and bytes) add up over both segments
+        p = {(q.user_ways, q.kernel_ways): q for q in sweep((4,), (2,)).points}[4, 2]
+        assert p.total_bytes == 6 * 64 * 1024
 
 
 class TestSweep:
@@ -44,7 +44,7 @@ class TestFind:
     def test_picks_admissible_minimum(self):
         chosen = sweep((2, 8), (2, 8), tolerance=0.5).chosen
         # with a generous tolerance the smallest config should win
-        assert chosen.total_ways == 4
+        assert chosen.user_ways + chosen.kernel_ways == 4
 
     def test_tight_tolerance_prefers_larger(self):
         loose = sweep((2, 10), (2, 6), tolerance=1.0).chosen

@@ -68,7 +68,9 @@ class TestTechnologies:
 
     def test_leakage_linear_in_size(self):
         t = sram()
-        assert t.leakage_w(2 * MB) == pytest.approx(2 * t.leakage_w(MB))
+        one = segment_energy(CacheStats(), t, MB, byte_seconds=MB * 1.0).leakage_j
+        two = segment_energy(CacheStats(), t, 2 * MB, byte_seconds=2 * MB * 1.0).leakage_j
+        assert two == pytest.approx(2 * one)
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError):
@@ -133,7 +135,7 @@ class TestSegmentEnergy:
     def test_leakage_from_byte_seconds(self):
         st = CacheStats()
         e = segment_energy(st, sram(), MB, byte_seconds=MB * 2.0)  # 1 MB for 2 s
-        assert e.leakage_j == pytest.approx(sram().leakage_w(MB) * 2.0)
+        assert e.leakage_j == pytest.approx(sram().leakage_mw_per_mb * 1e-3 * 2.0)
 
     def test_leakage_monotonic_in_time(self):
         st = CacheStats()

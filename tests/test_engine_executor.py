@@ -115,7 +115,8 @@ class TestRunSweep:
         assert len(sweep.outcomes) == 4
         assert sweep.simulated == 4
         assert sweep.hit_rate() == 0.0
-        assert ("baseline", "game", 1) in sweep.results()
+        assert ("baseline", "game", 1) in {(o.spec.design, o.spec.app, o.spec.seed)
+                                            for o in sweep.outcomes}
         rendered = sweep.render()
         assert "0/4 jobs served from cache" in rendered
 

@@ -4,7 +4,7 @@ The fast kernel (:mod:`repro.cache.fastsim`) promises *bit-identical*
 ``CacheStats`` against the per-access reference engine inside its
 envelope.  This file is that promise, tested three ways:
 
-1. the randomized differential harness (:mod:`repro.cache.diffsim`)
+1. the randomized differential harness (``tests/diffsim.py``)
    sweeps trace x geometry x retention configurations;
 2. the production entry points (``l1_filter`` and the fixed L2 designs)
    are replayed through both engines and compared field by field;
@@ -31,7 +31,18 @@ import pytest
 
 from repro import obs
 from repro.cache import fastsim
-from repro.cache.diffsim import (
+from repro.cache.hierarchy import L2Stream, l1_filter
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.config import DEFAULT_PLATFORM, CacheGeometry
+from repro.core.baseline import BaselineDesign
+from repro.core.designs import DESIGN_NAMES, make_design
+from repro.core.multi_retention import multi_retention_design
+from repro.core.static_partition import StaticPartitionDesign
+from repro.trace.access import Trace
+from repro.types import TRACE_DTYPE, AccessKind, Privilege
+
+from conftest import make_trace, sequential_accesses
+from diffsim import (
     CLEAN_DYNAMIC_CASES_FROM,
     CLEAN_SCENARIOS,
     ELISION_CASES_FROM,
@@ -47,17 +58,6 @@ from repro.cache.diffsim import (
     sample_case,
     sample_dynamic_case,
 )
-from repro.cache.hierarchy import l1_filter
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.config import DEFAULT_PLATFORM, CacheGeometry
-from repro.core.baseline import BaselineDesign
-from repro.core.designs import DESIGN_NAMES, make_design
-from repro.core.multi_retention import multi_retention_design
-from repro.core.static_partition import StaticPartitionDesign
-from repro.trace.access import Trace
-from repro.types import TRACE_DTYPE, AccessKind, Privilege
-
-from conftest import make_trace, sequential_accesses
 
 # >= 20 randomized configurations covering both refresh modes (even seeds
 # replay retention "none", odd seeds "invalidate") across the full
@@ -300,7 +300,8 @@ def test_designs_match_reference_on_one_sided_streams(design_name, keep, browser
     user_rows, kernel_rows = stream.privilege_rows()
     rows = {"user-only": user_rows, "kernel-only": kernel_rows,
             "empty": np.array([], dtype=np.int64)}[keep]
-    one_sided = stream.select(rows)
+    one_sided = L2Stream.from_columns({k: c[rows] for k, c in stream.columns().items()},
+                                      stream.context())
     ref, fast = (make_design(design_name).run(one_sided, DEFAULT_PLATFORM, engine=engine)
                  for engine in ("reference", "fast"))
     ref_d, fast_d = ref.to_dict(), fast.to_dict()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trace
-from repro.cache.hierarchy import l1_filter
+from repro.cache.hierarchy import L2Stream, l1_filter
 from repro.config import CacheGeometry, PlatformConfig
 from repro.types import AccessKind, Privilege
 
@@ -30,13 +30,13 @@ class TestFiltering:
     def test_every_l1_miss_reaches_l2(self, tiny):
         t = make_trace([(i, i * 64 * 64, L, U) for i in range(10)])
         s = l1_filter(t, tiny)
-        assert s.demand_count == 10
+        assert s.demand.sum() == 10
 
     def test_ifetch_and_data_use_separate_l1s(self, tiny):
         # same address as ifetch then load: both miss their own L1
         t = make_trace([(0, 0x0, I, U), (1, 0x0, L, U)])
         s = l1_filter(t, tiny)
-        assert s.demand_count == 2
+        assert s.demand.sum() == 2
         assert s.l1i_stats.accesses == 1
         assert s.l1d_stats.accesses == 1
 
@@ -75,16 +75,18 @@ class TestStreamProperties:
         assert s.kernel_share() == pytest.approx(0.5)
 
     def test_empty_stream_kernel_share(self, tiny):
-        t = make_trace([(0, 0x0, L, U), (1, 0x0, L, U), (2, 0x0, L, U)])
-        s = l1_filter(t, tiny)
-        sub = s.select(np.zeros(len(s), dtype=bool))
-        assert sub.kernel_share() == 0.0
+        s = l1_filter(make_trace([]), tiny)
+        assert len(s) == 0
+        assert s.kernel_share() == 0.0
 
     def test_select_preserves_metadata(self, tiny):
+        # a stream rebuilt from a subset of its rows keeps its trace context
         t = make_trace([(0, 0x0, L, U), (1, 0x40 * 7, L, U)])
         s = l1_filter(t, tiny)
-        sub = s.select(s.demand)
+        sub = L2Stream.from_columns({k: c[s.demand] for k, c in s.columns().items()},
+                                    s.context())
         assert sub.instructions == s.instructions
+        assert sub.l1d_stats == s.l1d_stats
 
     def test_l1_demand_misses_property(self, tiny):
         t = make_trace([(0, 0x0, I, U), (1, 0x0, L, U)])
@@ -104,4 +106,4 @@ class TestStreamProperties:
 
     def test_realistic_stream_is_subset_of_trace(self, browser_trace_small, browser_stream_small):
         assert 0 < len(browser_stream_small) < len(browser_trace_small) * 1.5
-        assert browser_stream_small.demand_count < len(browser_trace_small)
+        assert browser_stream_small.demand.sum() < len(browser_trace_small)

@@ -5,9 +5,12 @@ child), so each module it imports is a fixed cost paid per run.  The
 packages resolve their public names on first use, the process pool is
 imported only when a batch fans out, and each CLI command imports only
 the layers it runs.  These tests pin that down in subprocesses, where
-``sys.modules`` starts empty.
+``sys.modules`` starts empty.  The package also imports nothing that
+lives beside the tests: the differential harness, the microbenchmark
+profiles and the partition oracles are test code.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -20,7 +23,8 @@ import pytest
 from repro.config import DEFAULT_PLATFORM
 from repro.engine.streamcache import StreamCache
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 LENGTH = 20_000
 APPS = ("browser", "game")
 LAZY_PACKAGES = ("repro.trace", "repro.cache", "repro.core", "repro.engine")
@@ -33,7 +37,6 @@ NOT_IMPORTED = (
     "repro.trace.generator",
     "repro.trace.importers",
     "repro.trace.io",
-    "repro.trace.microbench",
     "repro.trace.transform",
     "repro.cache.analysis",
     "repro.cache.prefetch",
@@ -122,9 +125,41 @@ def test_every_public_name_resolves(package):
 
 
 def test_lazy_names_are_the_submodule_objects():
-    from repro.cache import fastsim, fastsim_supports
+    from repro.cache import fastsim, simulate_trace
     from repro.trace import generate_trace
     from repro.trace.generator import generate_trace as defined
 
-    assert fastsim_supports is fastsim.supports_cache
+    assert simulate_trace is fastsim.simulate_trace
     assert generate_trace is defined
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module name ``path`` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_package_imports_no_test_code():
+    # every module or package that lives under tests/, by its import name
+    test_code = {p.stem for p in TESTS.glob("*.py")} | {
+        p.name for p in TESTS.iterdir() if p.is_dir() and not p.name.startswith((".", "_"))
+    }
+    assert {"diffsim", "microbench", "partition_oracles"} <= test_code
+    offenders = {
+        str(path.relative_to(SRC)): sorted(hits)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if (hits := {m for m in _imported_modules(path)
+                     if m.split(".")[0] in test_code or m.split(".")[0] == "tests"})
+    }
+    assert not offenders, f"src/repro imports test code: {offenders}"
+
+
+@pytest.mark.parametrize("module", ["repro.cache.diffsim", "repro.trace.microbench"])
+def test_test_harnesses_are_not_in_the_package(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)

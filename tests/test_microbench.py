@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from microbench import MICROBENCH_NAMES, microbench_profile
 from repro.cache.hierarchy import l1_filter
 from repro.config import DEFAULT_PLATFORM
 from repro.core import BaselineDesign, DynamicPartitionDesign
 from repro.trace.generator import generate_trace
-from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 
 
 class TestProfiles:

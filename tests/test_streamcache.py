@@ -65,7 +65,7 @@ class TestKeying:
     def test_stream_key_ignores_what_the_l1_filter_does_not_read(self):
         base = stream_key("browser", SHORT, 0, DEFAULT_PLATFORM)
         variants = [
-            DEFAULT_PLATFORM.with_l2(DEFAULT_PLATFORM.l2.with_ways(8)),
+            replace(DEFAULT_PLATFORM, l2=DEFAULT_PLATFORM.l2.with_ways(8)),
             replace(DEFAULT_PLATFORM, latency=LatencyConfig(l2_hit=30, dram=200)),
             replace(DEFAULT_PLATFORM, clock_hz=2.0e9, base_cpi=1.0),
         ]
@@ -98,7 +98,7 @@ class TestKeying:
 
     def test_l2_variant_is_served_the_default_streams_bundle(self, cache):
         cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
-        variant = DEFAULT_PLATFORM.with_l2(CacheGeometry(512 * 1024, 8))
+        variant = replace(DEFAULT_PLATFORM, l2=CacheGeometry(512 * 1024, 8))
         assert cache.get("browser", SHORT, 0, variant) is not None
 
 

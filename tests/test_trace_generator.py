@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from microbench import MICROBENCH_NAMES, microbench_profile
 from repro.cache.hierarchy import STREAM_COLUMNS, l1_filter
 from repro.config import DEFAULT_PLATFORM
 from repro.trace.generator import _choice, _gap_pmf, generate_trace
-from repro.trace.microbench import MICROBENCH_NAMES, microbench_profile
 from repro.trace.phases import AppProfile, PhaseSpec, Region
 from repro.trace.workloads import APP_NAMES, EXTRA_APP_NAMES, app_profile
 from repro.types import CACHE_BLOCK_SIZE, KERNEL_SPACE_START, AccessKind, Privilege

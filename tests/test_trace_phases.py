@@ -102,7 +102,7 @@ class TestAppProfile:
 
     def test_valid(self):
         p = self.make_profile()
-        assert p.kernel_phase_indices == (1,)
+        assert [phase.privilege for phase in p.phases] == [Privilege.USER, Privilege.KERNEL]
 
     def test_rejects_empty_phases(self):
         with pytest.raises(ValueError, match="at least one phase"):

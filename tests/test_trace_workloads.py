@@ -9,7 +9,6 @@ from repro.trace.workloads import (
     DEFAULT_TRACE_LENGTH,
     EXTRA_APP_NAMES,
     app_profile,
-    default_suite,
     suite_trace,
 )
 from repro.types import Privilege
@@ -30,8 +29,8 @@ class TestSuiteDefinitions:
             app_profile("tiktok")
 
     def test_default_suite_order(self):
-        suite = default_suite()
-        assert tuple(p.name for p in suite) == APP_NAMES
+        # experiments iterate APP_NAMES; each name maps to its own profile
+        assert tuple(app_profile(name).name for name in APP_NAMES) == APP_NAMES
 
     def test_profiles_have_both_privileges(self):
         for name in APP_NAMES:

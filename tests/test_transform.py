@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trace
-from repro.trace.transform import concat, remap_user_space, shift_ticks, slice_window
+from repro.trace.transform import remap_user_space, shift_ticks, slice_window, timeslice
 from repro.types import KERNEL_SPACE_START, AccessKind, Privilege
 
 L, U, K = AccessKind.LOAD, Privilege.USER, Privilege.KERNEL
@@ -54,22 +54,27 @@ class TestShiftTicks:
 
 
 class TestConcat:
+    """A quantum longer than both traces plays them back to back."""
+
+    QUANTUM = 50
+
     def test_second_plays_after_first(self):
         a, b = sample_trace(), sample_trace()
-        t = concat(a, b, gap_ticks=50)
+        t = timeslice([a, b], self.QUANTUM)
         assert len(t) == 8
-        assert t.ticks[4] == a.duration_ticks + 50
-        assert t.instructions == a.instructions + b.instructions
+        assert t.ticks[4] == self.QUANTUM
+        assert t.records[4:].tobytes() == shift_ticks(b, self.QUANTUM).records.tobytes()
+        assert len(t) <= t.instructions <= a.instructions + b.instructions
 
     def test_name_combines(self):
-        assert concat(sample_trace(), sample_trace()).name == "t+t"
+        assert timeslice([sample_trace(), sample_trace()], self.QUANTUM).name == "t|t"
 
     def test_rejects_negative_gap(self):
-        with pytest.raises(ValueError):
-            concat(sample_trace(), sample_trace(), gap_ticks=-1)
+        with pytest.raises(ValueError, match="quantum"):
+            timeslice([sample_trace(), sample_trace()], 0)
 
     def test_ticks_non_decreasing(self):
-        t = concat(sample_trace(), sample_trace())
+        t = timeslice([sample_trace(), sample_trace()], self.QUANTUM)
         assert np.all(np.diff(t.ticks.astype(np.int64)) >= 0)
 
 

@@ -3,15 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.cache.fastsim import simulate_trace
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.config import CacheGeometry
 from repro.types import (
     CACHE_BLOCK_SIZE,
     KERNEL_SPACE_START,
     TRACE_DTYPE,
     AccessKind,
     Privilege,
-    block_address,
     is_kernel_address,
 )
+
+#: An address in a block no test address shares.
+FAR = 1 << 40
+
+
+def one_frame(block_size=CACHE_BLOCK_SIZE) -> CacheGeometry:
+    return CacheGeometry(block_size, 1, block_size=block_size)
+
+
+def block_address(addr, block_size=CACHE_BLOCK_SIZE) -> int:
+    """The block address a one-frame cache reports on evicting ``addr``."""
+    cache = SetAssociativeCache(one_frame(block_size))
+    cache.access(addr, False, 0, 0)
+    return cache.access(FAR, False, 0, 1).victim_addr
 
 
 class TestPrivilege:
@@ -51,6 +67,9 @@ class TestTraceDtype:
 
 
 class TestBlockAddress:
+    """Caches align addresses down to their block: victims and write-backs
+    carry block addresses."""
+
     def test_aligns_down(self):
         assert block_address(0x1234) == 0x1234 & ~63
 
@@ -62,12 +81,15 @@ class TestBlockAddress:
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            block_address(0x1234, block_size=96)
+            CacheGeometry(96, 1, block_size=96).validate()
 
     def test_array_input(self):
-        addrs = np.array([0, 63, 64, 65], dtype=np.uint64)
-        out = block_address(addrs)
-        assert list(out) == [0, 0, 64, 64]
+        # the vectorized engine: 0/63 and 64/65 share a block each
+        addrs = np.array([0, 63, 64, 65, FAR], dtype=np.uint64)
+        n = len(addrs)
+        _, events = simulate_trace(one_frame(), None, addrs, np.zeros(n, np.uint8),
+                                   np.zeros(n, bool), record_events=True)
+        assert list(events.evict_addr) == [0, 64]
 
 
 class TestKernelAddress:
