@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python tests/reachability.py [--length N] [--bench-length N] [--tests]
+    python tests/reachability.py [--tests]
 
 Every run below starts Python with a ``sitecustomize`` on ``PYTHONPATH``
 that installs a ``sys.settrace`` call hook (a ``sys.setprofile`` hook
@@ -12,13 +12,13 @@ also from pool workers, which leave through ``os._exit``.  The runs
 are the package's non-test entry points:
 
 * every example script;
-* the CLI: ``run`` (plain, ``--banked-dram``, ``--prefetcher``), sweeps
+* the CLI, at :data:`LENGTH` accesses: ``run`` (plain, ``--banked-dram``, ``--prefetcher``), sweeps
   of all six designs (serial, ``--jobs 2``, with progress on, and
   under ``REPRO_FASTSIM=0``), ``validate``, ``search``, ``figure 1-8``,
   ``table 1-4``, ``export``, ``trace``, ``obs summary`` and
   ``cache stats``/``clear``;
-* ``pytest benchmarks --benchmark-disable`` (never ``--benchmark-only``:
-  the timed call would not be seen).  Below 600k accesses some benches
+* ``pytest benchmarks --benchmark-disable`` at :data:`BENCH_LENGTH`
+  (never ``--benchmark-only``: the timed call would not be seen).  Below 600k accesses some benches
   fail their paper-shape assertions, so pytest exit 1 is tolerated.
 
 It then lists every function (module-level or method; nested functions
@@ -42,6 +42,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+
+#: Trace length of the examples and CLI runs.
+LENGTH = 60_000
+#: ``REPRO_BENCH_LENGTH`` of the bench run; the keep-list's reasons hold at it.
+BENCH_LENGTH = 120_000
 
 _ASSERTED = "test-only: tests assert through it"
 _FULL_L2 = ("reached once the L2 fills and evicts (the replacement ablation at "
@@ -147,11 +152,11 @@ def _functions() -> dict[tuple[str, int], tuple[str, str, int]]:
     return out
 
 
-def _commands(length: int, bench_length: int, work: Path) -> list[tuple[list[str], dict, int]]:
+def _commands(work: Path) -> list[tuple[list[str], dict, int]]:
     """(argv, extra environment, highest tolerated exit code) of every run."""
     py = sys.executable
     cli = [py, "-m", "repro"]
-    n = str(length)
+    n = str(LENGTH)
     designs = ["baseline", "static-sram", "static-stt", "dynamic-stt", "hybrid", "drowsy-sram"]
     apps = ["browser", "game"]
     sweep = [*cli, "sweep", "--designs", *designs, "--apps", *apps, "--length", n]
@@ -187,7 +192,7 @@ def _commands(length: int, bench_length: int, work: Path) -> list[tuple[list[str
         ([*cli, "cache", "clear", "--streams"], {}, 0),
         ([*cli, "cache", "clear"], {}, 0),
         ([py, "-m", "pytest", "benchmarks", "--benchmark-disable", "-q", "-p",
-          "no:cacheprovider"], {"REPRO_BENCH_LENGTH": str(bench_length)}, 1),
+          "no:cacheprovider"], {"REPRO_BENCH_LENGTH": str(BENCH_LENGTH)}, 1),
     ]
     return runs
 
@@ -227,9 +232,6 @@ def _keep_reason(key: str, qualname: str) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--length", type=int, default=60_000, help="CLI and example length")
-    parser.add_argument("--bench-length", type=int, default=120_000,
-                        help="REPRO_BENCH_LENGTH of the bench run")
     parser.add_argument("--tests", action="store_true",
                         help="also run tier-1 under the hook to split test-only lines")
     args = parser.parse_args(argv)
@@ -239,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "run").mkdir()
-        runs = _commands(args.length, args.bench_length, work / "run")
+        runs = _commands(work / "run")
         reached = {functions[k] for k in _reached(runs, work) if k in functions}
         by_tests: set = set()
         if args.tests:
