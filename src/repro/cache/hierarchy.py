@@ -24,7 +24,7 @@ from repro import obs
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import PlatformConfig
-from repro.types import AccessKind, Privilege
+from repro.types import AccessKind, Privilege, from_data, to_data
 
 if TYPE_CHECKING:
     from repro.trace.access import Trace
@@ -109,14 +109,10 @@ class L2Stream:
         Together with :meth:`columns` this is everything a stream holds;
         :meth:`from_columns` is the exact inverse.
         """
-        return {
-            "name": self.name,
-            "instructions": self.instructions,
-            "trace_accesses": self.trace_accesses,
-            "duration_ticks": self.duration_ticks,
-            "l1i_stats": self.l1i_stats.to_dict(),
-            "l1d_stats": self.l1d_stats.to_dict(),
-        }
+        data = to_data(self)
+        for name, _ in STREAM_COLUMNS:
+            del data[name]
+        return data
 
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray], context: dict) -> "L2Stream":
@@ -141,19 +137,7 @@ class L2Stream:
                 raise ValueError(
                     f"stream column {name!r} has {len(arr)} rows, expected {rows}"
                 )
-        return cls(
-            name=context["name"],
-            ticks=columns["ticks"],
-            addrs=columns["addrs"],
-            privs=columns["privs"],
-            writes=columns["writes"],
-            demand=columns["demand"],
-            instructions=int(context["instructions"]),
-            trace_accesses=int(context["trace_accesses"]),
-            duration_ticks=int(context["duration_ticks"]),
-            l1i_stats=CacheStats.from_dict(context["l1i_stats"]),
-            l1d_stats=CacheStats.from_dict(context["l1d_stats"]),
-        )
+        return from_data(cls, {**context, **columns})
 
 
 def l1_filter(trace: Trace, platform: PlatformConfig, engine: str = "auto") -> L2Stream:

@@ -10,18 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.types import Privilege
+from repro.types import Privilege, sum_fields
 
 __all__ = ["CacheStats"]
-
-#: Integer counter fields, in declaration order (list-valued fields —
-#: the privilege splits and the eviction matrix — are handled apart).
-_SCALAR_COUNTERS = (
-    "accesses", "hits", "misses", "fills", "evictions", "writebacks",
-    "expiry_invalidations", "expiry_writebacks", "refresh_writes",
-    "gate_flushes", "demand_accesses", "demand_misses", "write_accesses",
-)
-
 
 @dataclass
 class CacheStats:
@@ -60,11 +51,6 @@ class CacheStats:
         """Misses per *demand* access (writebacks from L1 excluded)."""
         return self.demand_misses / self.demand_accesses if self.demand_accesses else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per access."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def miss_rate_of(self, privilege: Privilege) -> float:
         """Miss rate restricted to one privilege level."""
         acc = self.accesses_by_priv[privilege]
@@ -100,31 +86,6 @@ class CacheStats:
         assert sum(self.misses_by_priv) == self.misses, "privilege miss split broken"
         assert self.demand_misses <= self.demand_accesses, "demand miss overflow"
 
-    def to_dict(self) -> dict:
-        """Plain-data form for the result store (field name -> value)."""
-        out = {name: getattr(self, name) for name in _SCALAR_COUNTERS}
-        out["accesses_by_priv"] = list(self.accesses_by_priv)
-        out["misses_by_priv"] = list(self.misses_by_priv)
-        out["evictions_cross"] = [list(row) for row in self.evictions_cross]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheStats":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        return cls(**{name: data[name] for name in _SCALAR_COUNTERS},
-                   accesses_by_priv=list(data["accesses_by_priv"]),
-                   misses_by_priv=list(data["misses_by_priv"]),
-                   evictions_cross=[list(row) for row in data["evictions_cross"]])
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return the element-wise sum of two stats objects."""
-        out = CacheStats()
-        for name in _SCALAR_COUNTERS:
-            setattr(out, name, getattr(self, name) + getattr(other, name))
-        out.accesses_by_priv = [a + b for a, b in zip(self.accesses_by_priv, other.accesses_by_priv)]
-        out.misses_by_priv = [a + b for a, b in zip(self.misses_by_priv, other.misses_by_priv)]
-        out.evictions_cross = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.evictions_cross, other.evictions_cross)
-        ]
-        return out
+        return sum_fields(self, other)

@@ -44,6 +44,7 @@ from repro.engine.store import ResultStore, default_store
 from repro.engine.streamcache import StreamCache, default_stream_cache
 from repro.report import format_percent, format_table
 from repro.trace.workloads import APP_NAMES, app_profile
+from repro.types import to_data
 
 __all__ = ["main", "build_parser"]
 
@@ -299,16 +300,7 @@ def _cmd_cache(args, out) -> int:
             import json as _json
 
             def payload(stats):
-                return {
-                    "root": str(stats.root),
-                    "entries": stats.entries,
-                    "total_bytes": stats.total_bytes,
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "hit_rate": stats.hit_rate,
-                    "writes": stats.writes,
-                    "corrupt_evictions": stats.corrupt_evictions,
-                }
+                return {**to_data(stats), "root": str(stats.root), "hit_rate": stats.hit_rate}
             print(_json.dumps({"results": payload(result_stats),
                                "streams": payload(stream_stats)},
                               indent=2, sort_keys=True), file=out)

@@ -31,7 +31,7 @@ awake/drowsy leakage split) instead of assembling results by hand.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.core.result import DesignResult, SegmentReport
 from repro.energy.model import EnergyBreakdown, dram_energy_j, segment_energy
 from repro.energy.technology import MemoryTechnology
 from repro.timing.cpu import TimingResult, compute_timing
+from repro.types import to_data
 
 if TYPE_CHECKING:
     from repro.cache.prefetch import Prefetcher
@@ -404,7 +405,7 @@ class ResultAssembler:
         all_extras = dict(extras) if extras else {}
         if dram_model is not None:
             dram_j = dram_model.energy_j(self.platform.seconds(self.timing.busy_cycles))
-            all_extras["dram_stats"] = asdict(dram_model.stats)
+            all_extras["dram_stats"] = to_data(dram_model.stats)
         else:
             dram_writes = sum(oc.stats.writebacks + oc.stats.expiry_writebacks for oc in outcomes)
             dram_j = dram_energy_j(self._demand_misses, dram_writes)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from repro.cache.stats import CacheStats
 from repro.energy.model import EnergyBreakdown
 from repro.timing.cpu import TimingResult
+from repro.types import from_data, to_data
 
 __all__ = ["SegmentReport", "DesignResult"]
+
+#: ``json.dumps(..., allow_nan=False)`` builds this encoder on every call.
+_EXTRAS_JSON = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -26,29 +31,6 @@ class SegmentReport:
     byte_seconds: float
     stats: CacheStats
     energy: EnergyBreakdown
-
-    def to_dict(self) -> dict:
-        """Plain-data form for the result store."""
-        return {
-            "name": self.name,
-            "tech_name": self.tech_name,
-            "size_bytes": self.size_bytes,
-            "byte_seconds": self.byte_seconds,
-            "stats": self.stats.to_dict(),
-            "energy": self.energy.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SegmentReport":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            tech_name=data["tech_name"],
-            size_bytes=data["size_bytes"],
-            byte_seconds=data["byte_seconds"],
-            stats=CacheStats.from_dict(data["stats"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -91,38 +73,23 @@ class DesignResult:
         raise KeyError(f"design {self.design!r} has no segment {name!r}")
 
     def to_dict(self) -> dict:
-        """Plain-data form for the result store.
+        """Plain-data form for the result store (:func:`repro.types.to_data`).
 
         ``extras`` are JSON-shaped (scalars, lists, dicts) for every
         design, the banked DRAM model's ``dram_stats`` included; a live
         object there raises :class:`TypeError`.
         """
-        import json
-
+        data = to_data(self)
         try:
-            extras = json.loads(json.dumps(self.extras, allow_nan=False))
+            data["extras"] = json.loads(_EXTRAS_JSON.encode(self.extras))
         except (TypeError, ValueError) as exc:
             raise TypeError(
                 f"result extras of {self.design!r} on {self.app!r} are not "
                 f"JSON-serialisable: {exc}"
             ) from exc
-        return {
-            "design": self.design,
-            "app": self.app,
-            "segments": [seg.to_dict() for seg in self.segments],
-            "timing": self.timing.to_dict(),
-            "dram_j": self.dram_j,
-            "extras": extras,
-        }
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            design=data["design"],
-            app=data["app"],
-            segments=tuple(SegmentReport.from_dict(seg) for seg in data["segments"]),
-            timing=TimingResult.from_dict(data["timing"]),
-            dram_j=data["dram_j"],
-            extras=data["extras"],
-        )
+        """Inverse of :meth:`to_dict`; a missing field raises ``KeyError``."""
+        return from_data(cls, data)

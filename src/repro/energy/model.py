@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.cache.stats import CacheStats
 from repro.energy.technology import DRAM_ACCESS_ENERGY_NJ, MemoryTechnology
+from repro.types import sum_fields
 
 __all__ = ["EnergyBreakdown", "segment_energy", "dram_energy_j"]
 
@@ -46,31 +47,12 @@ class EnergyBreakdown:
         return self.leakage_j + self.dynamic_j
 
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            self.leakage_j + other.leakage_j,
-            self.read_j + other.read_j,
-            self.write_j + other.write_j,
-            self.refresh_j + other.refresh_j,
-        )
+        return sum_fields(self, other)
 
     @classmethod
     def zero(cls) -> "EnergyBreakdown":
         """Additive identity."""
         return cls(0.0, 0.0, 0.0, 0.0)
-
-    def to_dict(self) -> dict:
-        """Plain-data form for the result store."""
-        return {
-            "leakage_j": self.leakage_j,
-            "read_j": self.read_j,
-            "write_j": self.write_j,
-            "refresh_j": self.refresh_j,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyBreakdown":
-        """Inverse of :meth:`to_dict` (floats round-trip exactly)."""
-        return cls(data["leakage_j"], data["read_j"], data["write_j"], data["refresh_j"])
 
     def normalized_to(self, baseline: "EnergyBreakdown") -> float:
         """This total as a fraction of ``baseline``'s total."""

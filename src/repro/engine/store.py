@@ -185,11 +185,6 @@ class ResultStore:
         """Directory holding the fanned-out entry files."""
         return self.root / "results"
 
-    @property
-    def counters_path(self) -> Path:
-        """The cumulative-counters sidecar file."""
-        return self._counters.path
-
     def _entry_path(self, key: str) -> Path:
         return self.results_dir / key[:2] / f"{key}.json"
 

@@ -80,29 +80,6 @@ class TimingResult:
         """Wall-clock duration at the platform clock."""
         return platform.seconds(self.total_cycles)
 
-    def to_dict(self) -> dict:
-        """Plain-data form for the result store."""
-        return {
-            "instructions": self.instructions,
-            "base_cycles": self.base_cycles,
-            "l2_access_stall_cycles": self.l2_access_stall_cycles,
-            "dram_stall_cycles": self.dram_stall_cycles,
-            "write_contention_cycles": self.write_contention_cycles,
-            "duration_ticks": self.duration_ticks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimingResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            instructions=data["instructions"],
-            base_cycles=data["base_cycles"],
-            l2_access_stall_cycles=data["l2_access_stall_cycles"],
-            dram_stall_cycles=data["dram_stall_cycles"],
-            write_contention_cycles=data["write_contention_cycles"],
-            duration_ticks=data["duration_ticks"],
-        )
-
 
 def compute_timing(
     platform: PlatformConfig,

@@ -5,11 +5,19 @@ accesses (see :mod:`repro.trace`).  The types here define the vocabulary
 used by every layer — privilege levels, access kinds, and the numpy record
 layout of a trace — so that the trace generator, the cache simulator, the
 energy model, and the experiment harness all agree on the encoding.
+
+It also holds the one codec of the result types: :func:`to_data` and
+:func:`from_data` turn any of these dataclasses into plain JSON-shaped
+data and back, and :func:`sum_fields` adds two of them field by field.
+All three walk the class's own fields, so no field list is kept by hand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
+import typing
 
 import numpy as np
 
@@ -20,6 +28,9 @@ __all__ = [
     "CACHE_BLOCK_SIZE",
     "KERNEL_SPACE_START",
     "is_kernel_address",
+    "to_data",
+    "from_data",
+    "sum_fields",
 ]
 
 
@@ -61,11 +72,6 @@ class AccessKind(enum.IntEnum):
     STORE = 2
     WRITEBACK = 3
 
-    @property
-    def is_write(self) -> bool:
-        """True for kinds that modify the target block."""
-        return self in (AccessKind.STORE, AccessKind.WRITEBACK)
-
 
 #: Numpy record layout of one trace entry.
 #:
@@ -92,3 +98,69 @@ TRACE_DTYPE = np.dtype(
 def is_kernel_address(addr: int | np.ndarray) -> bool | np.ndarray:
     """True when ``addr`` lies in the kernel half of the address space."""
     return addr >= KERNEL_SPACE_START
+
+
+def to_data(obj) -> dict:
+    """Plain-data form of dataclass ``obj``: field name -> value.
+
+    Nested dataclasses become dicts and lists or tuples become new lists
+    (of converted items); every other value is kept as it is.  An
+    instance's ``__dict__`` holds exactly its fields, so it is copied
+    whole and only the fields that need it are converted, which is
+    faster than building the dict field by field.
+    """
+    _, encoders = _codec(type(obj), False)
+    out = vars(obj).copy()
+    for name, encode in encoders:
+        out[name] = encode(out[name])
+    return out
+
+
+def from_data(cls, data: dict):
+    """Inverse of :func:`to_data`: rebuild a ``cls`` from ``data``.
+
+    A missing field raises ``KeyError``; unknown keys are ignored.  As
+    unpickling does, the fields are set without calling ``__init__``
+    (a frozen dataclass's pays one ``object.__setattr__`` per field).
+    """
+    names, decoders = _codec(cls, True)
+    fields = {name: data[name] for name in names}
+    for name, decode in decoders:
+        fields[name] = decode(fields[name])
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def sum_fields(a, b):
+    """Field-wise sum of two instances of one dataclass (lists element-wise)."""
+    names, _ = _codec(type(a), False)
+    return type(a)(**{name: _add(getattr(a, name), getattr(b, name)) for name in names})
+
+
+def _add(a, b):
+    return [_add(x, y) for x, y in zip(a, b)] if isinstance(a, list) else a + b
+
+
+@functools.cache
+def _codec(cls, decode: bool) -> tuple:
+    """The field names of dataclass ``cls`` and ``(name, converter)`` of
+    each field whose values need converting, built once per class."""
+    if decode and hasattr(cls, "__post_init__"):
+        raise TypeError(f"from_data would skip {cls.__name__}.__post_init__")
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    converters = ((name, _converter(hints[name], decode)) for name in names)
+    return names, tuple((name, conv) for name, conv in converters if conv is not None)
+
+
+def _converter(hint, decode: bool):
+    """Converts one value of type ``hint``; None where it passes as is."""
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(from_data, hint) if decode else to_data
+    origin = typing.get_origin(hint)
+    if origin not in (list, tuple):
+        return None
+    item = _converter(typing.get_args(hint)[0], decode)
+    seq = tuple if decode and origin is tuple else list
+    return seq if item is None else lambda values: seq([item(v) for v in values])

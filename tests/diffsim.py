@@ -10,7 +10,7 @@ ad-hoc bisection::
 
     from diffsim import sample_case, run_case
     ref, fast = run_case(sample_case(seed=7))
-    assert ref.to_dict() == fast.to_dict()
+    assert ref == fast
 
 Workloads are deliberately adversarial for the envelope: sub-block
 address offsets, skewed set pressure, both privilege levels, write-back
@@ -57,6 +57,7 @@ from repro.cache.fastsim import simulate_trace
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry, PlatformConfig
+from repro.types import to_data
 
 #: First :func:`sample_case` seed whose workload has same-block runs;
 #: lower seeds keep their original run-free workloads unchanged.
@@ -341,7 +342,7 @@ def assert_case_equal(case: DiffCase) -> None:
     """Raise ``AssertionError`` with a field-level diff on any mismatch,
     in the stats or in the miss and eviction events."""
     ref, fast, (ref_misses, ref_evictions), (fast_misses, fast_evictions) = _replay_case(case)
-    ref_d, fast_d = ref.to_dict(), fast.to_dict()
+    ref_d, fast_d = to_data(ref), to_data(fast)
     mismatches = [
         f"  {key}: reference={ref_d[key]!r} fast={fast_d[key]!r}"
         for key in ref_d

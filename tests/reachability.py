@@ -63,14 +63,11 @@ KEEP = {
         "external-trace route: reloads a trace written by `repro trace`",
     "types.py:is_kernel_address": "the external-trace route: load_din_trace's privilege tag",
     "cache/stats.py:CacheStats.check_invariants": _ASSERTED,
-    "cache/stats.py:CacheStats.hit_rate": _ASSERTED,
     "cache/set_assoc.py:SetAssociativeCache.occupancy": _ASSERTED,
     "cache/set_assoc.py:_Unbuilt.__iter__": _ASSERTED,
     "analytic/stack.py:StackProfile.curve": _ASSERTED,
-    "types.py:AccessKind.is_write": _ASSERTED,
     "dram/model.py:DRAMModel.reset": _ASSERTED,
     "cache/prefetch.py:StridePrefetcher.reset": _ASSERTED,
-    "engine/store.py:ResultStore.counters_path": _ASSERTED,
     "obs/metrics.py:MetricsRegistry.reset": _ASSERTED,
     "obs/summary.py:RunSummary.phase": _ASSERTED,
     "cache/replacement.py:FIFOPolicy.victim": _FULL_L2,

@@ -1,13 +1,19 @@
 """Tests for the persistent result store and the result codec."""
 
 import dataclasses
+import itertools
 import json
+import typing
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.cache.stats import CacheStats
 from repro.core.designs import DESIGN_NAMES
-from repro.core.result import DesignResult
+from repro.core.result import DesignResult, SegmentReport
+from repro.energy.model import EnergyBreakdown
+from repro.timing.cpu import TimingResult
 from repro.dram import DRAMConfig
 from repro.engine.executor import execute_spec, run_jobs
 from repro.engine.spec import JobSpec
@@ -28,11 +34,48 @@ def canonical_results():
     }
 
 
+def _numbered(cls, count):
+    """A ``cls`` whose every number is the next of ``count`` (floats plus
+    a half); list fields keep the shape of their default."""
+    def number(value):
+        return [number(v) for v in value] if isinstance(value, list) else next(count)
+
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            values[f.name] = number(f.default_factory())
+        else:
+            values[f.name] = next(count) + (0.5 if hints[f.name] is float else 0)
+    return cls(**values)
+
+
+def synthetic_result() -> DesignResult:
+    """A two-segment result whose every field holds a distinct non-default
+    value, so a field the codec or a sum drops cannot go unseen."""
+    count = itertools.count(1)
+    segments = tuple(
+        SegmentReport(f"seg{i}", f"tech{i}", next(count), next(count) + 0.5,
+                      _numbered(CacheStats, count), _numbered(EnergyBreakdown, count))
+        for i in range(2)
+    )
+    return DesignResult("design", "app", segments, _numbered(TimingResult, count),
+                        next(count) + 0.5, {"note": next(count)})
+
+
+def _leaves(data):
+    if isinstance(data, dict):
+        return [leaf for value in data.values() for leaf in _leaves(value)]
+    if isinstance(data, list):
+        return [leaf for value in data for leaf in _leaves(value)]
+    return [data]
+
+
 class TestCodecRoundTrip:
-    @pytest.mark.parametrize("design", DESIGN_NAMES)
+    @pytest.mark.parametrize("design", [*DESIGN_NAMES, "synthetic"])
     def test_exact_round_trip(self, canonical_results, design):
-        result = canonical_results[design]
-        restored = DesignResult.from_dict(result.to_dict())
+        result = synthetic_result() if design == "synthetic" else canonical_results[design]
+        restored = DesignResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored == result
         # field-level checks so a failure names the broken layer
         assert restored.timing == result.timing
@@ -42,6 +85,18 @@ class TestCodecRoundTrip:
             assert got.stats == want.stats
             assert got.energy == want.energy
             assert got.byte_seconds == want.byte_seconds
+
+    def test_synthetic_segments_sum_field_wise(self):
+        result = synthetic_result()
+        numbers = [v for v in _leaves(result.to_dict()) if not isinstance(v, str)]
+        assert 0 not in numbers and len(set(numbers)) == len(numbers)
+        (a, b), merged = (seg.stats for seg in result.segments), result.l2_stats
+        for f in dataclasses.fields(CacheStats):
+            want = np.add(getattr(a, f.name), getattr(b, f.name)).tolist()
+            assert getattr(merged, f.name) == want, f.name
+        (a, b), total = (seg.energy for seg in result.segments), result.l2_energy
+        for f in dataclasses.fields(EnergyBreakdown):
+            assert getattr(total, f.name) == getattr(a, f.name) + getattr(b, f.name), f.name
 
     def test_dict_form_is_json_clean(self, canonical_results):
         for result in canonical_results.values():
@@ -77,6 +132,25 @@ class TestResultStore:
         path.write_text("{ truncated garba")
         assert store.get(spec) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("where, key", [
+        (("segments", 0, "stats"), "refresh_writes"),
+        (("timing",), "duration_ticks"),
+    ])
+    def test_nested_missing_key_is_a_miss_and_removed(self, tmp_path, canonical_results,
+                                                       where, key):
+        store = ResultStore(tmp_path)
+        spec = JobSpec("baseline", "browser", length=LENGTH)
+        path = store.put(spec, canonical_results["baseline"])
+        payload = json.loads(path.read_text())
+        node = payload["result"]
+        for step in where:
+            node = node[step]
+        del node[key]
+        path.write_text(json.dumps(payload))
+        assert store.get(spec) is None
+        assert not path.exists()
+        assert store.counters()["corrupt_evictions"] == 1
 
     def test_schema_mismatch_is_a_miss(self, tmp_path, canonical_results):
         store = ResultStore(tmp_path)

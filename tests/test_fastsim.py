@@ -140,7 +140,7 @@ def test_kernel_matches_reference_without_demand_column():
 
     stats, events = fastsim.simulate_trace(geometry, ticks, addrs, privs, writes)
     assert events is None
-    assert stats.to_dict() == cache.stats.to_dict()
+    assert stats == cache.stats
 
 
 def test_kernel_empty_trace():
@@ -211,8 +211,8 @@ def _assert_streams_identical(ref, fast):
         a, b = getattr(ref, col), getattr(fast, col)
         assert a.dtype == b.dtype, col
         assert np.array_equal(a, b), col
-    assert ref.l1i_stats.to_dict() == fast.l1i_stats.to_dict()
-    assert ref.l1d_stats.to_dict() == fast.l1d_stats.to_dict()
+    assert ref.l1i_stats == fast.l1i_stats
+    assert ref.l1d_stats == fast.l1d_stats
     assert ref.instructions == fast.instructions
     assert ref.trace_accesses == fast.trace_accesses
     assert ref.duration_ticks == fast.duration_ticks
@@ -513,7 +513,7 @@ def test_gating_scan_matches_reference(retains, window):
         assert (seg.stats.hits > hits) == ref.access(addr, isw, 0, tick).hit, k
     seg.finalize(600)
     ref.finalize(600)
-    assert seg.stats.to_dict() == ref.stats.to_dict()
+    assert seg.stats == ref.stats
 
 
 @pytest.mark.parametrize("past", [0, 1], ids=["at-window", "past-window"])
@@ -536,7 +536,7 @@ def test_segment_decay_bound_is_exact(past):
     assert seg.set_powered_ways(1, bound) == ref.set_powered_ways(1, bound)
     seg.finalize(bound)
     ref.finalize(bound)
-    assert seg.stats.to_dict() == ref.stats.to_dict()
+    assert seg.stats == ref.stats
     assert ref.stats.expiry_writebacks == 2 * past
 
 
@@ -572,7 +572,7 @@ def test_segment_horizon_bound_is_exact(retains, past):
         seg.finalize(horizon + 1)
     seg.finalize(horizon)
     ref.finalize(horizon)
-    assert seg.stats.to_dict() == ref.stats.to_dict()
+    assert seg.stats == ref.stats
     assert ref.stats.expiry_writebacks == past
 
 
@@ -859,7 +859,7 @@ def test_long_window_scan():
     ref = SetAssociativeCache(geometry, "lru")
     for i, (addr, isw, priv) in enumerate(zip(addrs.tolist(), writes.tolist(), privs.tolist())):
         ref.access(addr, isw, priv, i)
-    assert stats.to_dict() == ref.stats.to_dict()
+    assert stats == ref.stats
     assert stats.misses == 10  # 5 + block 10 + blocks 1, 2, 3 + block 4
 
 
@@ -900,7 +900,7 @@ def test_prefix_dirty_block_evicted_by_first_new_block():
             geometry, np.arange(n), addrs.astype(np.uint64), privs.astype(np.uint8),
             writes.astype(bool), record_events=record,
         )
-        assert stats.to_dict() == ref.stats.to_dict()
+        assert stats == ref.stats
     dirty = events.evict_dirty
     fast_wb = list(zip(events.evict_idx[dirty], events.evict_addr[dirty].tolist(),
                        events.evict_priv[dirty]))

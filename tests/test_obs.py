@@ -378,7 +378,7 @@ class TestStoreCounters:
         store.clear()
         assert store.counters() == dict.fromkeys(
             ("hits", "misses", "writes", "corrupt_evictions"), 0)
-        assert not store.counters_path.exists()
+        assert not (tmp_path / "counters.json").exists()
 
 
 class TestBatchProgress:

@@ -117,8 +117,8 @@ class TestRoundTrip:
         assert loaded.instructions == fresh.instructions
         assert loaded.trace_accesses == fresh.trace_accesses
         assert loaded.duration_ticks == fresh.duration_ticks
-        assert loaded.l1i_stats.to_dict() == fresh.l1i_stats.to_dict()
-        assert loaded.l1d_stats.to_dict() == fresh.l1d_stats.to_dict()
+        assert loaded.l1i_stats == fresh.l1i_stats
+        assert loaded.l1d_stats == fresh.l1d_stats
 
     def test_loaded_columns_are_memory_mapped(self, cache):
         cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
@@ -167,6 +167,16 @@ class TestDurability:
         (bundle / "meta.json").write_text("{not json")
         assert cache.get("browser", SHORT, 0, DEFAULT_PLATFORM) is None
         assert not bundle.exists()
+
+    def test_l1_stats_missing_a_key_evicts(self, cache):
+        cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
+        bundle = self._bundle(cache)
+        meta = json.loads((bundle / "meta.json").read_text())
+        del meta["context"]["l1d_stats"]["demand_misses"]
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        assert cache.get("browser", SHORT, 0, DEFAULT_PLATFORM) is None
+        assert not bundle.exists()
+        assert cache.counters()["corrupt_evictions"] == 1
 
     def test_stale_schema_version_invalidates(self, cache):
         cache.put(build_stream("browser"), "browser", SHORT, 0, DEFAULT_PLATFORM)
@@ -245,7 +255,7 @@ class TestExecutorIntegration:
         parallel = run_jobs(self._specs(), jobs=2, store=None)
         for a, b in zip(serial, parallel):
             assert a.spec == b.spec
-            assert a.result.to_dict() == b.result.to_dict()
+            assert a.result == b.result
 
     def test_parallel_cold_grid_publishes_each_stream_once(self, fresh_cache_env):
         run_jobs(self._specs(), jobs=2, store=None)
@@ -272,7 +282,7 @@ class TestExecutorIntegration:
         assert not streamcache._MEMO
         for outcome, (design, app) in zip(outcomes, self.GRID):
             fresh = make_design(design).run(build_stream(app), DEFAULT_PLATFORM)
-            assert outcome.result.to_dict() == fresh.to_dict()
+            assert outcome.result == fresh
         hits, builds = (REGISTRY.counters.get(name, 0)
                         for name in ("streamcache.hit", "streamcache.build"))
         stream = load_stream("game", SHORT)  # reopens the bundle
@@ -329,6 +339,9 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"results", "streams"}
+        keys = {"root", "entries", "total_bytes", "hits", "misses", "hit_rate",
+                "writes", "corrupt_evictions"}
+        assert set(payload["results"]) == set(payload["streams"]) == keys
         assert payload["streams"]["entries"] == 0
 
     def test_cache_clear_selectors(self, fresh_cache_env):

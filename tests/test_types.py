@@ -44,14 +44,6 @@ class TestPrivilege:
 
 
 class TestAccessKind:
-    def test_write_kinds(self):
-        assert AccessKind.STORE.is_write
-        assert AccessKind.WRITEBACK.is_write
-
-    def test_read_kinds(self):
-        assert not AccessKind.IFETCH.is_write
-        assert not AccessKind.LOAD.is_write
-
     def test_values_fit_uint8(self):
         for kind in AccessKind:
             assert 0 <= int(kind) < 256
